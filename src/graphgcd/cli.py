@@ -90,7 +90,6 @@ def _config_from_args(args) -> RunConfig:
         epochs=args.epochs,
         seed=args.seed,
         hidden_dim=args.hidden_dim,
-        context_vectors_m=16,
         temperature=args.temperature,
     )
 
@@ -162,21 +161,18 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
                 parts = line.strip().split(",")
                 if len(parts) != 3:
                     raise InputError(f"{path}:{lineno}: expected 3 columns")
-                ids.append(int(parts[1]))
-                pinned.append(int(parts[2]))
+                index, cid, flag = (int(v) for v in parts)
+                if index != lineno - 2:
+                    raise InputError(f"{path}:{lineno}: sample_index {index} is not the row position")
+                if flag not in (0, 1):
+                    raise InputError(f"{path}:{lineno}: is_constrained must be 0 or 1, got {flag}")
+                ids.append(cid)
+                pinned.append(flag)
     except FileNotFoundError:
         raise InputError(f"assignments file not found: {path}") from None
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
     return np.asarray(ids, dtype=np.int64), np.asarray(pinned, dtype=bool)
-
-
-def _write_inertia_scan(scan: list[tuple[int, float]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("k,inertia\n")
-        for k, inertia in scan:
-            f.write(f"{k},{inertia:.6f}\n")
-    print(f"wrote {path}")
 
 
 def _format_acc(value: float | None) -> str:
@@ -202,38 +198,48 @@ def _emit_report(report: EvalReport, out: Path) -> None:
     print(f"wrote {out / 'confusion.csv'}")
 
 
-def _concat_sets(labeled: EmbeddingSet, unlabeled: EmbeddingSet) -> tuple[EmbeddingSet, np.ndarray]:
-    """Stack labeled rows then unlabeled rows; -1 marks free samples."""
+def cluster_features(
+    state: TrainState, labeled: EmbeddingSet, unlabeled: EmbeddingSet, class_emb: EmbeddingSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity features and k-means labels for labeled rows, then unlabeled rows.
+
+    Labeled rows keep their class id and unlabeled rows get -1 (free), so row
+    i of both results is row i of assignments.csv.
+    """
+    graph = build_knn_graph(class_emb.data, state.config.knn_k)
     if labeled.dim != unlabeled.dim:
         raise InputError(f"labeled dim {labeled.dim} != unlabeled dim {unlabeled.dim}")
-    data = np.vstack([labeled.data, unlabeled.data])
+    if labeled.labels.max() >= class_emb.n:
+        raise InputError("labeled file references a class with no class embedding")
+    both = EmbeddingSet(data=np.vstack([labeled.data, unlabeled.data]))
     labels = np.concatenate([
         labeled.labels.astype(np.int64),
         np.full(unlabeled.n, -1, dtype=np.int64),
     ])
-    return EmbeddingSet(data=data), labels
+    return similarity_features(both, state.params, graph, class_emb), labels
 
 
-def _resolve_k(args, known: int, n_total: int, features, labels, out: Path) -> int:
-    if args.estimate_k:
-        k_min = args.k_min if args.k_min is not None else max(1, known)
-        k_max = args.k_max if args.k_max is not None else min(n_total, k_min + 15)
-        if k_min < max(1, known):
-            raise InputError(f"--k-min {k_min} is below the {known} known classes")
-        if k_max > n_total:
-            raise InputError(f"--k-max {k_max} exceeds the {n_total} samples")
-        scan = scan_inertia(features, labels, k_min, k_max, args.seed)
-        _write_inertia_scan(scan, out / "inertia_scan.csv")
-        k = elbow_point([k for k, _ in scan], [v for _, v in scan])
-        print(f"estimated k {k}")
-        return k
-    if args.k_total is not None:
-        if args.k_total < known:
-            raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
-        return args.k_total
-    if getattr(args, "synthetic", False):
-        return args.classes
-    raise InputError("pass --k-total or --estimate-k to choose the cluster count")
+def _estimate_k(args, known: int, features: np.ndarray, labels: np.ndarray, out: Path) -> int:
+    """Elbow of the inertia scan over [--k-min, --k-max]; writes inertia_scan.csv."""
+    n_total = features.shape[0]
+    k_min = args.k_min if args.k_min is not None else max(1, known)
+    k_max = args.k_max if args.k_max is not None else min(n_total, k_min + 15)
+    if k_min < max(1, known):
+        raise InputError(f"--k-min {k_min} is below the {known} known classes")
+    if k_min > k_max:
+        raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
+    if k_max > n_total:
+        raise InputError(f"--k-max {k_max} exceeds the {n_total} samples")
+    scan = scan_inertia(features, labels, k_min, k_max, args.seed)
+    path = out / "inertia_scan.csv"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("k,inertia\n")
+        for k, inertia in scan:
+            f.write(f"{k},{inertia:.6f}\n")
+    print(f"wrote {path}")
+    k = elbow_point([k for k, _ in scan], [v for _, v in scan])
+    print(f"estimated k {k}")
+    return k
 
 
 def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
@@ -250,22 +256,39 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
 
 
 def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb, args, out: Path):
-    graph = build_knn_graph(class_emb.data, state.config.knn_k)
-    both, labels = _concat_sets(labeled, unlabeled)
-    if labeled.labels.max() >= class_emb.n:
-        raise InputError("labeled file references a class with no class embedding")
-    features = similarity_features(both, state.params, graph, class_emb)
-    k = _resolve_k(args, class_emb.n, both.n, features, labels, out)
+    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
+    known = class_emb.n
+    if args.estimate_k:
+        k = _estimate_k(args, known, features, labels, out)
+    elif args.k_total is not None:
+        if args.k_total < known:
+            raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
+        k = args.k_total
+    elif getattr(args, "synthetic", False):
+        k = args.classes
+    else:
+        raise InputError("pass --k-total or --estimate-k to choose the cluster count")
     seed = np.random.SeedSequence([int(args.seed), 2])
     result = semisup_kmeans(features, labels, k, seed)
     _write_assignments(result, out / "assignments.csv")
     return result
 
 
+def _load_for_clustering(
+    args, out: Path
+) -> tuple[TrainState, EmbeddingSet, EmbeddingSet, EmbeddingSet]:
+    """Read the inputs and the checkpoint, default --seed to its seed, echo its config."""
+    labeled, unlabeled, class_emb = _read_inputs(args)
+    state = load_checkpoint(args.checkpoint)
+    if args.seed is None:
+        args.seed = state.config.seed
+    _echo_config(state.config, out)
+    return state, labeled, unlabeled, class_emb
+
+
 def cmd_gen_synthetic(args) -> int:
     out = _check_common(args)
-    config = _config_from_args(args)
-    _echo_config(config, out)
+    _echo_config(RunConfig(seed=args.seed), out)
     _write_synthetic(args, out)
     return 0
 
@@ -286,12 +309,7 @@ def cmd_train(args) -> int:
 
 def cmd_cluster(args) -> int:
     out = _check_common(args)
-    labeled, unlabeled, class_emb = _read_inputs(args)
-    state = load_checkpoint(args.checkpoint)
-    if args.seed is None:
-        args.seed = state.config.seed
-    _echo_config(state.config, out)
-    _cluster_artifacts(state, labeled, unlabeled, class_emb, args, out)
+    _cluster_artifacts(*_load_for_clustering(args, out), args, out)
     return 0
 
 
@@ -320,27 +338,9 @@ def cmd_eval(args) -> int:
 
 def cmd_estimate_k(args) -> int:
     out = _check_common(args)
-    labeled, unlabeled, class_emb = _read_inputs(args)
-    state = load_checkpoint(args.checkpoint)
-    if args.seed is None:
-        args.seed = state.config.seed
-    _echo_config(state.config, out)
-    graph = build_knn_graph(class_emb.data, state.config.knn_k)
-    both, labels = _concat_sets(labeled, unlabeled)
-    features = similarity_features(both, state.params, graph, class_emb)
-    known = class_emb.n
-    k_min = args.k_min if args.k_min is not None else max(1, known)
-    k_max = args.k_max if args.k_max is not None else min(both.n, k_min + 15)
-    if k_min < max(1, known):
-        raise InputError(f"--k-min {k_min} is below the {known} known classes")
-    if k_min > k_max:
-        raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
-    if k_max > both.n:
-        raise InputError(f"--k-max {k_max} exceeds the {both.n} samples")
-    scan = scan_inertia(features, labels, k_min, k_max, args.seed)
-    _write_inertia_scan(scan, out / "inertia_scan.csv")
-    k = elbow_point([k for k, _ in scan], [v for _, v in scan])
-    print(f"estimated k {k}")
+    state, labeled, unlabeled, class_emb = _load_for_clustering(args, out)
+    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
+    _estimate_k(args, class_emb.n, features, labels, out)
     return 0
 
 
@@ -376,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synthetic", help="write synthetic GVLE inputs")
     _add_common(p)
     _add_synthetic_flags(p)
-    p.set_defaults(func=cmd_gen_synthetic, knn_k=3, gcn_layers=2, margin_alpha=0.3,
-                   temperature=1.0, lr=1e-3, batch_size=128, epochs=100, hidden_dim=0)
+    p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("train", help="train on a labeled GVLE file")
     _add_common(p)

@@ -40,15 +40,11 @@ _CENTER_ATTEMPTS = 10_000
 class EmbeddingSet:
     """An n x d float32 embedding matrix with optional per-row class labels.
 
-    ``labels`` uses -1 for "unlabeled". ``class_names`` and
-    ``known_class_count`` are runtime annotations; the GVLE file format does
-    not store them.
+    ``labels`` uses -1 for "unlabeled".
     """
 
     data: np.ndarray
     labels: np.ndarray | None = None
-    class_names: list[str] | None = None
-    known_class_count: int = 0
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -69,15 +65,6 @@ class EmbeddingSet:
                 )
             if (self.labels < -1).any():
                 raise InvariantError("labels must be -1 or non-negative")
-            if self.class_names is not None and self.labels.size:
-                if int(self.labels.max()) >= len(self.class_names):
-                    raise InvariantError("label exceeds class_names length")
-        if self.known_class_count < 0:
-            raise InvariantError("known_class_count must be >= 0")
-        if self.class_names is not None and self.known_class_count > len(
-            self.class_names
-        ):
-            raise InvariantError("known_class_count exceeds total class count")
 
     @property
     def n(self) -> int:
@@ -332,11 +319,7 @@ def generate_synthetic(
     unlabeled_rows = np.vstack([noisy(centers[c], per_class) for c in range(class_count)])
     unlabeled_labels = np.repeat(np.arange(class_count, dtype=np.int32), per_class)
 
-    labeled = EmbeddingSet(labeled_rows, labeled_labels, known_class_count=known_count)
-    unlabeled = EmbeddingSet(unlabeled_rows, unlabeled_labels, known_class_count=known_count)
-    class_embeddings = EmbeddingSet(
-        class_emb,
-        np.arange(known_count, dtype=np.int32),
-        known_class_count=known_count,
-    )
+    labeled = EmbeddingSet(labeled_rows, labeled_labels)
+    unlabeled = EmbeddingSet(unlabeled_rows, unlabeled_labels)
+    class_embeddings = EmbeddingSet(class_emb, np.arange(known_count, dtype=np.int32))
     return labeled, unlabeled, class_embeddings

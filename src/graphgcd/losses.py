@@ -70,7 +70,7 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _CosMatTrace:
+class _CosTrace:
     a_hat: np.ndarray
     b_hat: np.ndarray
     a_norms: np.ndarray
@@ -78,37 +78,28 @@ class _CosMatTrace:
     s: np.ndarray
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> _CosMatTrace:
+def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> _CosTrace:
     a_hat, a_norms = _unit_rows(a)
     b_hat, b_norms = _unit_rows(b)
-    return _CosMatTrace(a_hat, b_hat, a_norms, b_norms, a_hat @ b_hat.T)
+    return _CosTrace(a_hat, b_hat, a_norms, b_norms, a_hat @ b_hat.T)
 
 
-def _cosine_matrix_backward(tr: _CosMatTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cosine_matrix_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d s_ij / d a_i = (b̂_j - s_ij â_i) / ||a_i||, symmetric in b
     ga = (gs @ tr.b_hat - (gs * tr.s).sum(axis=1, keepdims=True) * tr.a_hat) / tr.a_norms
     gb = (gs.T @ tr.a_hat - (gs * tr.s).sum(axis=0)[:, None] * tr.b_hat) / tr.b_norms
     return ga, gb
 
 
-@dataclass
-class _CosPairTrace:
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    a_norms: np.ndarray
-    b_norms: np.ndarray
-    s: np.ndarray
-
-
-def _cosine_pairs(a: np.ndarray, b: np.ndarray) -> _CosPairTrace:
+def _cosine_pairs(a: np.ndarray, b: np.ndarray) -> _CosTrace:
     if a.shape != b.shape:
         raise InvariantError(f"pair shapes differ: {a.shape} vs {b.shape}")
     a_hat, a_norms = _unit_rows(a)
     b_hat, b_norms = _unit_rows(b)
-    return _CosPairTrace(a_hat, b_hat, a_norms, b_norms, (a_hat * b_hat).sum(axis=1))
+    return _CosTrace(a_hat, b_hat, a_norms, b_norms, (a_hat * b_hat).sum(axis=1))
 
 
-def _cosine_pairs_backward(tr: _CosPairTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cosine_pairs_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gs = gs[:, None]
     s = tr.s[:, None]
     ga = gs * (tr.b_hat - s * tr.a_hat) / tr.a_norms

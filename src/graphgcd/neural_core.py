@@ -85,7 +85,6 @@ def init_params(
     known_class_count: int,
     gcn_layers: int,
     seed,
-    dtype=np.float32,
 ) -> ModelParams:
     """Seeded glorot-uniform init; biases start at zero.
 
@@ -96,19 +95,19 @@ def init_params(
 
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
     gcn_weights = [glorot(a, b) for a, b in gcn_layer_dims(input_dim, hidden_dim, gcn_layers)]
     proj_w1 = glorot(input_dim, hidden_dim)
-    proj_b1 = np.zeros(hidden_dim, dtype=dtype)
+    proj_b1 = np.zeros(hidden_dim, dtype=np.float32)
     proj_w2 = glorot(hidden_dim, input_dim)
-    proj_b2 = np.zeros(input_dim, dtype=dtype)
+    proj_b2 = np.zeros(input_dim, dtype=np.float32)
     prompt_vectors = glorot(known_class_count, input_dim)
 
     params = ModelParams(gcn_weights, proj_w1, proj_b1, proj_w2, proj_b2, prompt_vectors)
     params.adam = AdamState(
-        m={k: np.zeros_like(np.asarray(t, dtype=dtype)) for k, t in params.named_tensors().items()},
-        v={k: np.zeros_like(np.asarray(t, dtype=dtype)) for k, t in params.named_tensors().items()},
+        m={k: np.zeros_like(t) for k, t in params.named_tensors().items()},
+        v={k: np.zeros_like(t) for k, t in params.named_tensors().items()},
         step=0,
     )
     return params

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from graphgcd import cli
-from graphgcd.clustering import estimate_k, semisup_kmeans, similarity_features
+from graphgcd.clustering import estimate_k, semisup_kmeans
 from graphgcd.embed_io import (
     EmbeddingSet,
     RunConfig,
@@ -402,14 +402,6 @@ def test_criterion_3_kmeans_invariants():
 
 # =================================================================== criteria 4, 5, 7
 
-def _concat(labeled, unlabeled):
-    data = np.vstack([labeled.data, unlabeled.data])
-    labels = np.concatenate(
-        [labeled.labels.astype(np.int64), np.full(unlabeled.n, -1, dtype=np.int64)]
-    )
-    return EmbeddingSet(data=data), labels
-
-
 def _score(assignment, constrained_mask, unlabeled, known):
     free = assignment[~constrained_mask]
     return split_accuracy(free, unlabeled.labels, known)
@@ -426,9 +418,7 @@ def bench():
         for layers, key in ((2, "deep"), (0, "flat")):
             config = RunConfig(seed=seed, gcn_layers=layers)
             state = train(labeled, class_emb, config)
-            graph = build_knn_graph(class_emb.data, config.knn_k)
-            both, labels = _concat(labeled, unlabeled)
-            feats = similarity_features(both, state.params, graph, class_emb)
+            feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
             result = semisup_kmeans(
                 feats, labels, 10, np.random.SeedSequence([seed, 2])
             )

@@ -1,6 +1,9 @@
 """End-to-end tests of the subcommand CLI, run in-process via cli.main()."""
 
 import csv
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +247,30 @@ def test_eval_row_count_mismatch(ws, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("edit", ["swap", "duplicate", "flag2", "flag-1"])
+def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
+    # edits on labeled rows leave the unconstrained rows, and so the report,
+    # unchanged: only the row checks themselves can catch them
+    cdir = tmp_path / "c"
+    assert cli.main(cluster_args(ws, cdir, "--k-total", "4")) == 0
+    lines = (cdir / "assignments.csv").read_text().splitlines()
+    if edit == "swap":
+        lines[1], lines[2] = lines[2], lines[1]
+    elif edit == "duplicate":
+        lines[2] = "0," + lines[2].split(",", 1)[1]
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + edit[len("flag"):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main([
+        "eval", "--assignments", str(bad),
+        "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
+        "--known", "2", "--out-dir", str(tmp_path / "e"),
+    ])
+    assert rc == 2
+    assert not (tmp_path / "e" / "report.csv").exists()
+
+
 def test_eval_missing_assignments_file(ws, tmp_path):
     rc = cli.main([
         "eval", "--assignments", str(tmp_path / "nope.csv"),
@@ -286,6 +313,22 @@ def test_estimate_k_range_validation(ws, tmp_path):
     assert cli.main(base + ["--k-min", "1"]) == 2          # below the known classes
     assert cli.main(base + ["--k-min", "5", "--k-max", "4"]) == 2
     assert cli.main(base + ["--k-max", "9999"]) == 2       # beyond the sample count
+
+
+@pytest.mark.parametrize("command", ["estimate-k", "cluster"])
+def test_labeled_class_without_class_embedding_rejected(ws, tmp_path, command):
+    labeled = read_embedding_file(ws["data"] / "labeled.gvle")
+    labels = labeled.labels.copy()
+    labels[-4:] = 2  # the class-embedding file holds classes 0 and 1 only
+    relabeled = tmp_path / "labeled.gvle"
+    write_embedding_file(EmbeddingSet(labeled.data, labels), relabeled)
+    args = cluster_args(ws, tmp_path / "out", "--k-min", "4", "--k-max", "8")
+    args[0] = command
+    args[args.index("--labeled") + 1] = str(relabeled)
+    if command == "cluster":
+        args.append("--estimate-k")
+    assert cli.main(args) == 2
+    assert not (tmp_path / "out" / "inertia_scan.csv").exists()
 
 
 # ---------------------------------------------------------------- run-all
@@ -417,3 +460,20 @@ def test_invariant_failure_maps_to_exit_4(ws, tmp_path):
         "--k-total", "4", "--out-dir", str(tmp_path),
     ])
     assert rc == 4
+
+
+# ---------------------------------------------------------------- benchmark tracer
+
+def test_tracer_wrapped_sites_resolve():
+    # perfbench/tracer.py wraps functions at the names modules bind; a site
+    # that no longer resolves would make its per-layer metric silently read 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [site for _, group in tracer.WRAPPED for site in group]
+    assert sites
+    for module, attr in sites:
+        assert callable(getattr(importlib.import_module(f"graphgcd.{module}"), attr, None)), (
+            f"graphgcd.{module}.{attr}"
+        )
