@@ -3,114 +3,9 @@
 Pipeline: a kNN class graph regularizes per-class semantic embeddings (GCN),
 a projector maps visual embeddings into that space under three metric losses,
 and a constrained semi-supervised k-means clusters labeled plus unlabeled
-samples; Hungarian-matched accuracy scores the result.
+samples; Hungarian-matched accuracy scores the result. Each stage is imported
+from the submodule that implements it (``graphgcd.trainer.train``,
+``graphgcd.clustering.semisup_kmeans``, ...).
 """
 
-from .clustering import (
-    ClusterAssignment,
-    elbow_point,
-    estimate_k,
-    kmeans_pp_init,
-    scan_inertia,
-    semisup_kmeans,
-    similarity_features,
-)
-from .embed_io import (
-    EmbeddingSet,
-    RunConfig,
-    generate_synthetic,
-    read_config,
-    read_embedding_file,
-    write_config,
-    write_embedding_file,
-)
-from .errors import (
-    BadMagicError,
-    FormatError,
-    GraphGcdError,
-    InputError,
-    InvariantError,
-    LabelRangeError,
-    NonFiniteError,
-    NumericError,
-    TruncatedError,
-)
-from .evaluation import EvalReport, hungarian_accuracy, split_accuracy
-from .losses import Batch, cosine, loss_cma, loss_cs, loss_sdp, loss_total, sample_triplets
-from .neural_core import (
-    AdamState,
-    ModelParams,
-    adam_step,
-    gcn_backward,
-    gcn_forward,
-    init_params,
-    projector_backward,
-    projector_forward,
-    prompt_backward,
-    prompt_forward,
-)
-from .semantic_graph import SemanticGraph, build_knn_graph, dump_graph_csv, row_normalize
-from .trainer import (
-    TrainState,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_loss_trace,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "BadMagicError",
-    "Batch",
-    "ClusterAssignment",
-    "EmbeddingSet",
-    "EvalReport",
-    "FormatError",
-    "GraphGcdError",
-    "InputError",
-    "InvariantError",
-    "LabelRangeError",
-    "ModelParams",
-    "NonFiniteError",
-    "NumericError",
-    "RunConfig",
-    "SemanticGraph",
-    "TrainState",
-    "TruncatedError",
-    "adam_step",
-    "build_knn_graph",
-    "cosine",
-    "dump_graph_csv",
-    "elbow_point",
-    "estimate_k",
-    "gcn_backward",
-    "gcn_forward",
-    "generate_synthetic",
-    "hungarian_accuracy",
-    "init_params",
-    "kmeans_pp_init",
-    "load_checkpoint",
-    "loss_cma",
-    "loss_cs",
-    "loss_sdp",
-    "loss_total",
-    "projector_backward",
-    "projector_forward",
-    "prompt_backward",
-    "prompt_forward",
-    "read_config",
-    "read_embedding_file",
-    "row_normalize",
-    "sample_triplets",
-    "save_checkpoint",
-    "scan_inertia",
-    "semisup_kmeans",
-    "similarity_features",
-    "split_accuracy",
-    "train",
-    "write_config",
-    "write_embedding_file",
-    "write_loss_trace",
-]

@@ -105,6 +105,14 @@ def _check_common(args) -> Path:
     return out
 
 
+def _check_k_flags(args) -> None:
+    """Reject cluster-count flags that would otherwise be silently ignored."""
+    if args.estimate_k and args.k_total is not None:
+        raise InputError("pass either --k-total or --estimate-k, not both")
+    if not args.estimate_k and (args.k_min is not None or args.k_max is not None):
+        raise InputError("--k-min and --k-max need --estimate-k")
+
+
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
     sys.stdout.write(format_config(config))
     write_config(config, out_dir / "config.txt")
@@ -309,6 +317,7 @@ def cmd_train(args) -> int:
 
 def cmd_cluster(args) -> int:
     out = _check_common(args)
+    _check_k_flags(args)
     _cluster_artifacts(*_load_for_clustering(args, out), args, out)
     return 0
 
@@ -346,6 +355,7 @@ def cmd_estimate_k(args) -> int:
 
 def cmd_run_all(args) -> int:
     out = _check_common(args)
+    _check_k_flags(args)
     config = _config_from_args(args)
     if args.synthetic:
         labeled, unlabeled, class_emb = _write_synthetic(args, out)

@@ -61,7 +61,6 @@ def kmeans_pp_init(
     """Reserved centroids are labeled-class means; free ones by D^2 seeding."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    n = features.shape[0]
     reserved = _reserved_count(labels)
     if reserved > k:
         raise InputError(f"{reserved} known classes do not fit in k={k}")

@@ -35,6 +35,9 @@ GVLE_MAGIC = b"GVLE"
 _MAX_CENTER_COS = 0.5
 _CENTER_ATTEMPTS = 10_000
 
+# Keys older configs and checkpoints carry but nothing reads: parsed and dropped.
+_RETIRED_KEYS = frozenset({"context_vectors_m"})
+
 
 @dataclass
 class EmbeddingSet:
@@ -163,7 +166,6 @@ class RunConfig:
     epochs: int = 100
     seed: int = 0
     hidden_dim: int = 0
-    context_vectors_m: int = 16
     temperature: float = 1.0
 
     def validate(self, known_class_count: int | None = None) -> None:
@@ -189,10 +191,6 @@ class RunConfig:
             raise InputError(f"seed must be a uint64, got {self.seed}")
         if self.hidden_dim < 0:
             raise InputError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.context_vectors_m < 0:
-            raise InputError(
-                f"context_vectors_m must be >= 0, got {self.context_vectors_m}"
-            )
 
     def resolved(self, input_dim: int) -> "RunConfig":
         """Return a copy with hidden_dim=0 replaced by the input dimension."""
@@ -214,7 +212,7 @@ def format_config(config: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value config text; unknown keys are rejected."""
+    """Parse key=value config text; retired keys are dropped, unknown ones rejected."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -226,6 +224,8 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in _RETIRED_KEYS:
+            continue
         if key not in fields:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
         try:

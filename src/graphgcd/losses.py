@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, NumericError
+from .neural_core import NormTrace, normalize_rows
 
 _MIN_NORM = 1e-30
 
@@ -61,49 +62,39 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if (norms < _MIN_NORM).any():
-        raise NumericError("zero-norm row in cosine computation")
-    return x / norms, norms
-
-
 @dataclass
 class _CosTrace:
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    a_norms: np.ndarray
-    b_norms: np.ndarray
+    a: NormTrace
+    b: NormTrace
     s: np.ndarray
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> _CosTrace:
-    a_hat, a_norms = _unit_rows(a)
-    b_hat, b_norms = _unit_rows(b)
-    return _CosTrace(a_hat, b_hat, a_norms, b_norms, a_hat @ b_hat.T)
+    a_hat, ta = normalize_rows(a)
+    b_hat, tb = normalize_rows(b)
+    return _CosTrace(ta, tb, a_hat @ b_hat.T)
 
 
 def _cosine_matrix_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d s_ij / d a_i = (b̂_j - s_ij â_i) / ||a_i||, symmetric in b
-    ga = (gs @ tr.b_hat - (gs * tr.s).sum(axis=1, keepdims=True) * tr.a_hat) / tr.a_norms
-    gb = (gs.T @ tr.a_hat - (gs * tr.s).sum(axis=0)[:, None] * tr.b_hat) / tr.b_norms
+    ga = (gs @ tr.b.unit - (gs * tr.s).sum(axis=1, keepdims=True) * tr.a.unit) / tr.a.norms
+    gb = (gs.T @ tr.a.unit - (gs * tr.s).sum(axis=0)[:, None] * tr.b.unit) / tr.b.norms
     return ga, gb
 
 
 def _cosine_pairs(a: np.ndarray, b: np.ndarray) -> _CosTrace:
     if a.shape != b.shape:
         raise InvariantError(f"pair shapes differ: {a.shape} vs {b.shape}")
-    a_hat, a_norms = _unit_rows(a)
-    b_hat, b_norms = _unit_rows(b)
-    return _CosTrace(a_hat, b_hat, a_norms, b_norms, (a_hat * b_hat).sum(axis=1))
+    a_hat, ta = normalize_rows(a)
+    b_hat, tb = normalize_rows(b)
+    return _CosTrace(ta, tb, (a_hat * b_hat).sum(axis=1))
 
 
 def _cosine_pairs_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gs = gs[:, None]
     s = tr.s[:, None]
-    ga = gs * (tr.b_hat - s * tr.a_hat) / tr.a_norms
-    gb = gs * (tr.a_hat - s * tr.b_hat) / tr.b_norms
+    ga = gs * (tr.b.unit - s * tr.a.unit) / tr.a.norms
+    gb = gs * (tr.a.unit - s * tr.b.unit) / tr.b.norms
     return ga, gb
 
 

@@ -115,7 +115,7 @@ def init_params(
 
 @dataclass
 class NormTrace:
-    """Cache for row-wise L2 normalization: pre-norm rows, norms, unit rows."""
+    """Cache for row-wise L2 normalization: row norms and unit rows."""
 
     norms: np.ndarray
     unit: np.ndarray
@@ -146,7 +146,6 @@ class GcnTrace:
     """Per-layer caches from gcn_forward, consumed by gcn_backward."""
 
     norm_adjacency: np.ndarray
-    inputs: list[np.ndarray]    # H^(l) entering each layer
     messages: list[np.ndarray]  # D^-1 A H^(l)
     pres: list[np.ndarray]      # (D^-1 A H^(l)) W^(l)
     weights: list[np.ndarray]
@@ -168,7 +167,7 @@ def gcn_forward(
         )
     weights = params.gcn_weights
     layers = len(weights)
-    inputs, messages, pres = [], [], []
+    messages, pres = [], []
     for l, w in enumerate(weights):
         w = np.asarray(w, dtype=np.float64)
         if h.shape[1] != w.shape[0]:
@@ -177,14 +176,12 @@ def gcn_forward(
             )
         msg = a @ h
         pre = msg @ w
-        inputs.append(h)
         messages.append(msg)
         pres.append(pre)
         h = np.maximum(pre, 0.0) if l < layers - 1 else pre
     ybar, norm = normalize_rows(h)
     trace = GcnTrace(
         norm_adjacency=a,
-        inputs=inputs,
         messages=messages,
         pres=pres,
         weights=[np.asarray(w, dtype=np.float64) for w in weights],
@@ -257,15 +254,6 @@ def projector_backward(
     gb1 = g1.sum(axis=0)
     grad_x = g1 @ trace.w1.T
     return ProjGrads(w1=gw1, b1=gb1, w2=gw2, b2=gb2), grad_x
-
-
-def prompt_forward(params: ModelParams) -> tuple[np.ndarray, NormTrace]:
-    """Prompt features: the learnable per-class vectors, row L2-normalized."""
-    return normalize_rows(params.prompt_vectors)
-
-
-def prompt_backward(trace: NormTrace, grad_t: np.ndarray) -> np.ndarray:
-    return normalize_rows_backward(trace, grad_t)
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:

@@ -22,18 +22,14 @@ class SemanticGraph:
 
     adjacency: np.ndarray
     norm_adjacency: np.ndarray
-    k: int
-
-    @property
-    def node_count(self) -> int:
-        return self.adjacency.shape[0]
 
 
 def build_knn_graph(class_embeddings: np.ndarray, k: int) -> SemanticGraph:
     """Connect each class to its k nearest neighbors by cosine similarity.
 
-    Self-loops are always present. k >= node_count - 1 degenerates to the
-    complete graph (a warning for k >= node_count, not an error).
+    Self-loops are always present. k >= (number of classes) - 1 degenerates
+    to the complete graph (a warning when k reaches the class count, not an
+    error).
     """
     x = np.asarray(class_embeddings, dtype=np.float64)
     if x.ndim != 2:
@@ -67,11 +63,7 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> SemanticGraph:
             order = np.argsort(-row, kind="stable")
             adjacency[i, order[:k]] = 1
 
-    return SemanticGraph(
-        adjacency=adjacency,
-        norm_adjacency=row_normalize(adjacency),
-        k=k,
-    )
+    return SemanticGraph(adjacency=adjacency, norm_adjacency=row_normalize(adjacency))
 
 
 def row_normalize(adjacency: np.ndarray) -> np.ndarray:

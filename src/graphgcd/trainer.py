@@ -44,10 +44,10 @@ from .neural_core import (
     gcn_forward,
     gcn_layer_dims,
     init_params,
+    normalize_rows,
+    normalize_rows_backward,
     projector_backward,
     projector_forward,
-    prompt_backward,
-    prompt_forward,
 )
 from .semantic_graph import SemanticGraph, build_knn_graph
 
@@ -154,7 +154,7 @@ def train(
             idx = order[start : start + config.batch_size]
             ybar, gcn_tr = gcn_forward(graph, h0, state.params)
             z, proj_tr = projector_forward(x[idx], state.params)
-            t, prompt_tr = prompt_forward(state.params)
+            t, prompt_tr = normalize_rows(state.params.prompt_vectors)
             batch = Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t)
             batch.validate()
             triplets = sample_triplets(labels[idx], rng)
@@ -166,7 +166,7 @@ def train(
 
             gcn_w_grads, _ = gcn_backward(gcn_tr, grads.ybar)
             proj_grads, _ = projector_backward(proj_tr, grads.z)
-            g_prompt = prompt_backward(prompt_tr, grads.t)
+            g_prompt = normalize_rows_backward(prompt_tr, grads.t)
             grad_map = {f"gcn.w{i}": g for i, g in enumerate(gcn_w_grads)}
             grad_map.update(
                 {

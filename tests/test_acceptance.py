@@ -577,7 +577,6 @@ def _random_state(rng):
         epochs=int(rng.integers(0, 1000)),
         seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
         hidden_dim=hidden,
-        context_vectors_m=16,
         temperature=float(10.0 ** rng.uniform(-2, 2)),
     )
     params = init_params(d, hidden, known, layers, seed=rng)

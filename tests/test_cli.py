@@ -333,6 +333,24 @@ def test_labeled_class_without_class_embedding_rejected(ws, tmp_path, command):
 
 # ---------------------------------------------------------------- run-all
 
+@pytest.mark.parametrize("command", ["cluster", "run-all"])
+@pytest.mark.parametrize("flags", [
+    ("--estimate-k", "--k-total", "3"),
+    ("--k-total", "4", "--k-min", "99"),
+    ("--k-total", "4", "--k-max", "6"),
+], ids=["k-total-with-estimate-k", "k-min-without-estimate-k", "k-max-without-estimate-k"])
+def test_ignored_cluster_count_flags_rejected(ws, tmp_path, capsys, command, flags):
+    args = cluster_args(ws, tmp_path, *flags)
+    if command == "run-all":
+        args[0] = "run-all"
+        del args[args.index("--checkpoint") : args.index("--checkpoint") + 2]
+        args += TRAIN_OPTS
+    assert cli.main(args) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not (tmp_path / "assignments.csv").exists()
+    assert not (tmp_path / "checkpoint.gvlp").exists()
+
+
 def test_run_all_synthetic_end_to_end(tmp_path, capsys):
     rc = cli.main([
         "run-all", "--synthetic", *SMALL, *TRAIN_OPTS,

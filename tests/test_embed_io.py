@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgcd import (
+from graphgcd.embed_io import (
     EmbeddingSet,
     RunConfig,
-    generate_synthetic,
-    read_embedding_file,
-    write_embedding_file,
-)
-from graphgcd.embed_io import (
     _draw_centers,
     format_config,
+    generate_synthetic,
     parse_config,
     read_config,
+    read_embedding_file,
     write_config,
+    write_embedding_file,
 )
 from graphgcd.errors import (
     BadMagicError,
@@ -199,6 +197,20 @@ def test_config_skips_comments_and_blanks():
     assert cfg.knn_k == 4
 
 
+def test_config_accepts_and_drops_retired_key():
+    # the config block older runs wrote, with the since-removed context_vectors_m
+    old = (
+        "knn_k=3\ngcn_layers=2\nmargin_alpha=0.3\nlearn_rate=0.001\n"
+        "batch_size=128\nepochs=100\nseed=0\nhidden_dim=0\n"
+        "context_vectors_m=16\ntemperature=1.0\n"
+    )
+    cfg = parse_config(old)
+    assert cfg == RunConfig()
+    assert format_config(cfg) == old.replace("context_vectors_m=16\n", "")
+    with pytest.raises(InputError, match="unknown key 'foo'"):
+        parse_config(old + "foo=1\n")
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -212,7 +224,6 @@ def test_config_skips_comments_and_blanks():
         ("seed", -1),
         ("seed", 2**64),
         ("hidden_dim", -2),
-        ("context_vectors_m", -1),
     ],
 )
 def test_config_validate_bounds(field, value):

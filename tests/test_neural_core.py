@@ -1,35 +1,28 @@
 import numpy as np
 import pytest
 
-from graphgcd import (
-    SemanticGraph,
-    build_knn_graph,
-    gcn_backward,
-    gcn_forward,
-    init_params,
-    projector_backward,
-    projector_forward,
-)
 from graphgcd.errors import InvariantError, NumericError
 from graphgcd.neural_core import (
     ADAM_BETA1,
     ADAM_BETA2,
     ModelParams,
     adam_step,
+    gcn_backward,
+    gcn_forward,
     gcn_layer_dims,
+    init_params,
     normalize_rows,
     normalize_rows_backward,
-    prompt_backward,
-    prompt_forward,
+    projector_backward,
+    projector_forward,
 )
+from graphgcd.semantic_graph import SemanticGraph, build_knn_graph
 
 from oracles import fd_gradient, grad_error
 
 
 def _graph_from_norm(norm: np.ndarray) -> SemanticGraph:
-    return SemanticGraph(
-        adjacency=(norm > 0).astype(np.int8), norm_adjacency=norm, k=1
-    )
+    return SemanticGraph(adjacency=(norm > 0).astype(np.int8), norm_adjacency=norm)
 
 
 def _params(d=3, hidden=4, classes=3, layers=2, seed=0) -> ModelParams:
@@ -87,6 +80,21 @@ def test_normalize_backward_shape_check():
     _, trace = normalize_rows(np.ones((2, 2)))
     with pytest.raises(InvariantError):
         normalize_rows_backward(trace, np.ones((3, 2)))
+
+
+def test_normalize_rows_backward_fd():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 3))
+    t, trace = normalize_rows(x)
+    np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, atol=1e-9)
+    probe = rng.normal(size=t.shape)
+    g = normalize_rows_backward(trace, probe)
+
+    def f(q):
+        o, _ = normalize_rows(q)
+        return float((o * probe).sum())
+
+    assert grad_error(g, fd_gradient(f, x)) < 1e-4
 
 
 # -- GCN forward -------------------------------------------------------------
@@ -320,29 +328,6 @@ def test_projector_backward_matches_finite_differences():
             cur = np.asarray(getattr(p, "proj_" + name), dtype=np.float64)
             num = fd_gradient(lambda q, nm=name: run(**{nm: q}), cur)
             assert grad_error(getattr(grads, name), num) < 1e-4
-
-
-# -- prompt path -------------------------------------------------------------
-
-def test_prompt_forward_unit_rows_and_backward_fd():
-    rng = np.random.default_rng(3)
-    p = _params(d=3, hidden=4, classes=4, layers=1, seed=6)
-    p.prompt_vectors = rng.normal(size=(4, 3))
-    t, trace = prompt_forward(p)
-    np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, atol=1e-9)
-    probe = rng.normal(size=t.shape)
-    g = prompt_backward(trace, probe)
-
-    def f(q):
-        saved = p.prompt_vectors
-        p.prompt_vectors = q
-        try:
-            o, _ = prompt_forward(p)
-        finally:
-            p.prompt_vectors = saved
-        return float((o * probe).sum())
-
-    assert grad_error(g, fd_gradient(f, p.prompt_vectors)) < 1e-4
 
 
 # -- Adam --------------------------------------------------------------------

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgcd import SemanticGraph, build_knn_graph, row_normalize
 from graphgcd.errors import InvariantError, NonFiniteError
-from graphgcd.semantic_graph import dump_graph_csv
+from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv, row_normalize
 
 
 def test_orthogonal_vectors_tie_to_lowest_index():
@@ -122,8 +121,3 @@ def test_dump_graph_csv(tmp_path):
         for line in path.read_text().strip().splitlines()
     ]
     np.testing.assert_array_equal(np.asarray(rows), g.adjacency)
-
-
-def test_graph_node_count():
-    g = SemanticGraph(np.eye(2, dtype=np.int8), np.eye(2), k=1)
-    assert g.node_count == 2

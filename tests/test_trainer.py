@@ -232,6 +232,26 @@ def test_progress_chunks_roundtrip_large_values(tiny, tmp_path):
     assert back.params.adam.step == 70_001
 
 
+def test_checkpoint_with_retired_config_key_loads(tiny, tmp_path):
+    labeled, class_emb, config = tiny
+    state = train(labeled, class_emb, dataclasses.replace(config, epochs=1))
+    path = tmp_path / "new.gvlp"
+    save_checkpoint(state, path)
+    raw = path.read_bytes()
+    # rewrite the config block as older checkpoints carry it
+    (config_len,) = struct.unpack_from("<I", raw, 4)
+    block = raw[8 : 8 + config_len].replace(
+        b"temperature=", b"context_vectors_m=16\ntemperature="
+    )
+    assert block.count(b"context_vectors_m=16\n") == 1
+    old = tmp_path / "old.gvlp"
+    old.write_bytes(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + config_len :])
+    back = load_checkpoint(old)
+    tensors_equal(load_checkpoint(path).params, back.params)
+    assert back.epoch == state.epoch
+    assert back.config == state.config
+
+
 # ---------------------------------------------------------------- checkpoint corruption
 
 def record_spans(raw):
