@@ -227,18 +227,36 @@ def cluster_features(
     return similarity_features(both, state.params, graph, class_emb), labels
 
 
-def _estimate_k(args, known: int, features: np.ndarray, labels: np.ndarray, out: Path) -> int:
-    """Elbow of the inertia scan over [--k-min, --k-max]; writes inertia_scan.csv."""
-    n_total = features.shape[0]
-    k_min = args.k_min if args.k_min is not None else max(1, known)
-    k_max = args.k_max if args.k_max is not None else min(n_total, k_min + 15)
-    if k_min < max(1, known):
-        raise InputError(f"--k-min {k_min} is below the {known} known classes")
-    if k_min > k_max:
-        raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
-    if k_max > n_total:
-        raise InputError(f"--k-max {k_max} exceeds the {n_total} samples")
-    scan = scan_inertia(features, labels, k_min, k_max, args.seed)
+def _k_bounds(args, known: int, n_total: int) -> tuple[int, int]:
+    """Checked cluster-count bounds: the elbow-scan range under --estimate-k, else (K, K).
+
+    Needs only the class and sample counts, so run-all checks before it trains.
+    """
+    if args.estimate_k:
+        k_min = args.k_min if args.k_min is not None else max(1, known)
+        k_max = args.k_max if args.k_max is not None else min(n_total, k_min + 15)
+        if k_min < max(1, known):
+            raise InputError(f"--k-min {k_min} is below the {known} known classes")
+        if k_min > k_max:
+            raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
+        if k_max > n_total:
+            raise InputError(f"--k-max {k_max} exceeds the {n_total} samples")
+        return k_min, k_max
+    if args.k_total is not None:
+        if args.k_total < known:
+            raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
+        if args.k_total > n_total:
+            raise InputError(f"--k-total {args.k_total} exceeds the {n_total} samples")
+        return args.k_total, args.k_total
+    if getattr(args, "synthetic", False):
+        return args.classes, args.classes
+    raise InputError("pass --k-total or --estimate-k to choose the cluster count")
+
+
+def _estimate_k(args, k_bounds: tuple[int, int], features: np.ndarray, labels: np.ndarray,
+                out: Path) -> int:
+    """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
+    scan = scan_inertia(features, labels, *k_bounds, args.seed)
     path = out / "inertia_scan.csv"
     with open(path, "w", encoding="utf-8") as f:
         f.write("k,inertia\n")
@@ -263,19 +281,10 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     return state
 
 
-def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb, args, out: Path):
+def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb,
+                       k_bounds: tuple[int, int], args, out: Path):
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    known = class_emb.n
-    if args.estimate_k:
-        k = _estimate_k(args, known, features, labels, out)
-    elif args.k_total is not None:
-        if args.k_total < known:
-            raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
-        k = args.k_total
-    elif getattr(args, "synthetic", False):
-        k = args.classes
-    else:
-        raise InputError("pass --k-total or --estimate-k to choose the cluster count")
+    k = _estimate_k(args, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
     seed = np.random.SeedSequence([int(args.seed), 2])
     result = semisup_kmeans(features, labels, k, seed)
     _write_assignments(result, out / "assignments.csv")
@@ -318,7 +327,9 @@ def cmd_train(args) -> int:
 def cmd_cluster(args) -> int:
     out = _check_common(args)
     _check_k_flags(args)
-    _cluster_artifacts(*_load_for_clustering(args, out), args, out)
+    state, labeled, unlabeled, class_emb = _load_for_clustering(args, out)
+    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
+    _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
     return 0
 
 
@@ -348,8 +359,9 @@ def cmd_eval(args) -> int:
 def cmd_estimate_k(args) -> int:
     out = _check_common(args)
     state, labeled, unlabeled, class_emb = _load_for_clustering(args, out)
+    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    _estimate_k(args, class_emb.n, features, labels, out)
+    _estimate_k(args, k_bounds, features, labels, out)
     return 0
 
 
@@ -361,10 +373,11 @@ def cmd_run_all(args) -> int:
         labeled, unlabeled, class_emb = _write_synthetic(args, out)
     else:
         labeled, unlabeled, class_emb = _read_inputs(args)
+    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
     _echo_config(config.resolved(labeled.dim), out)
 
     state = _train_artifacts(labeled, class_emb, config, args, out)
-    result = _cluster_artifacts(state, labeled, unlabeled, class_emb, args, out)
+    result = _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
 
     if unlabeled.labels is None:
         print("eval skipped: unlabeled file carries no ground-truth labels")
@@ -418,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="GVLP checkpoint from train")
     p.add_argument("--k-min", type=int, help="scan lower bound (default: known classes)")
     p.add_argument("--k-max", type=int, help="scan upper bound (default: k-min + 15)")
-    p.set_defaults(func=cmd_estimate_k, seed=None)
+    p.set_defaults(func=cmd_estimate_k, seed=None, estimate_k=True)
 
     p = sub.add_parser("run-all", help="train, cluster, and score in one go")
     _add_common(p)

@@ -20,6 +20,7 @@ from .semantic_graph import SemanticGraph
 
 MAX_LLOYD_ITERATIONS = 300
 _INERTIA_SLACK = 1e-9
+_CHUNK_ROWS = 2048  # rows per distance GEMM: a chunk's g is _CHUNK_ROWS x k floats
 
 
 @dataclass
@@ -75,24 +76,84 @@ def kmeans_pp_init(
             f"need {k - reserved} free centroids but only {free_pts.size} free points"
         )
     rng = np.random.default_rng(seed)
-    available = list(free_pts)
+    cand = features[free_pts]
+    taken = np.zeros(free_pts.size, dtype=bool)
+    # squared distance from each free point to its nearest centroid so far;
+    # min is exact, so each weight equals a fresh min over all placed centroids
+    d2 = np.full(free_pts.size, np.inf)
+    if k > reserved:
+        for c in range(reserved):
+            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     for c in range(reserved, k):
-        cand = features[available]
+        available = np.flatnonzero(~taken)
         if c == 0:
             # nothing to measure distance against yet: uniform first pick
-            pick = int(rng.integers(len(available)))
+            pick = int(rng.integers(available.size))
         else:
-            d2 = ((cand[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2).min(axis=1)
-            total = d2.sum()
+            weights = d2[available]
+            total = weights.sum()
             if total <= 0.0:
-                pick = int(rng.integers(len(available)))
+                pick = int(rng.integers(available.size))
             else:
                 r = rng.random() * total
-                pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-                pick = min(pick, len(available) - 1)
-        centroids[c] = features[available[pick]]
-        del available[pick]
+                pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+                pick = min(pick, available.size - 1)
+        taken[available[pick]] = True
+        centroids[c] = cand[available[pick]]
+        if c + 1 < k:
+            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     return centroids
+
+
+def _nearest_centroid(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Per row of x, argmin over c of the direct ((x - c)**2).sum(-1), ties to the lowest id.
+
+    xx holds (x * x).sum(axis=1). Distances come from the expanded form
+    g = |x|^2 - 2 x.c + |c|^2, one GEMM per chunk of _CHUNK_ROWS rows, so no
+    n x k x f array is built. Let D be the exact squared distance, u the unit
+    roundoff and gamma_m = m u / (1 - m u). Over f features:
+      - the direct form squares f rounded differences (relative error
+        gamma_3 each) and sums them in some order (gamma_{f-1}), so
+        |direct - D| <= gamma_{f+2} D;
+      - |x|^2, |c|^2 and x.c (any summation order, with or without FMA) are
+        each off by at most gamma_f times |x|^2, |c|^2 and |x||c|, and the two
+        additions that form g add 2u of their operands' magnitude, so
+        |g - D| <= gamma_{f+2} (|x| + |c|)^2.
+    With D <= (|x| + |c|)^2, |g - direct| <= E = 2 gamma_{f+2} (|x| + |c|)^2.
+    If the runner-up g exceeds the best g by more than 2E, every other
+    centroid's direct distance is strictly above the best one's, so the argmin
+    of g is the direct argmin. Rows within 2E (ties among them) and rows with
+    a NaN are recomputed in the direct form, one centroid at a time.
+    The code takes E = 2 (f + 2) eps (|x| + max |c|)^2 with eps = 2u, about
+    twice the bound; the slack also covers the rounding of E itself.
+    """
+    n, f = x.shape
+    k = centroids.shape[0]
+    cc = (centroids * centroids).sum(axis=1)
+    c_max = np.sqrt(cc.max())
+    e_scale = 2.0 * (f + 2) * np.finfo(np.float64).eps  # E per (|x| + max|c|)^2
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        g = x[lo:hi] @ centroids.T
+        g *= -2.0
+        g += xx[lo:hi, None]
+        g += cc
+        best = np.argmin(g, axis=1)
+        rows = np.arange(hi - lo)
+        g_best = g[rows, best]
+        g[rows, best] = np.inf
+        gap = g.min(axis=1) - g_best
+        tol = 2.0 * e_scale * (np.sqrt(xx[lo:hi]) + c_max) ** 2
+        near = np.flatnonzero(~(gap > tol))
+        if near.size:
+            xs = x[lo + near]
+            direct = np.empty((near.size, k))
+            for c in range(k):
+                direct[:, c] = ((xs - centroids[c]) ** 2).sum(axis=1)
+            best[near] = np.argmin(direct, axis=1)
+        out[lo:hi] = best
+    return out
 
 
 def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
@@ -135,6 +196,9 @@ def semisup_kmeans(
         raise InvariantError(f"init centroids shape {centroids.shape} != ({k}, {features.shape[1]})")
 
     constrained = labels >= 0
+    free = ~constrained
+    x_free = features[free]
+    xx_free = (x_free * x_free).sum(axis=1)
     assignment = np.empty(n, dtype=np.int64)
     assignment[constrained] = labels[constrained]
     prev = None
@@ -142,9 +206,7 @@ def semisup_kmeans(
     iterations = 0
 
     for it in range(MAX_LLOYD_ITERATIONS):
-        d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        free = ~constrained
-        assignment[free] = np.argmin(d2[free], axis=1)
+        assignment[free] = _nearest_centroid(x_free, xx_free, centroids)
 
         # re-seed empty free clusters before the update step
         counts = np.bincount(assignment, minlength=k)

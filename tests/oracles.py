@@ -2,8 +2,9 @@
 
 Everything in this file is written from the textbook definition and shares no
 code with the package: brute-force assignment enumeration, a plain Lloyd's
-k-means, and central finite differences. Keeping these separate is the point;
-do not "simplify" them by calling into graphgcd.
+k-means, list-deletion k-means++ seeding, and central finite differences.
+Keeping these separate is the point; do not "simplify" them by calling into
+graphgcd.
 """
 
 from __future__ import annotations
@@ -66,6 +67,39 @@ def plain_kmeans(features, init, max_iters: int = 300):
         prev = assignment.copy()
     inertia = float(((x - centroids[assignment]) ** 2).sum())
     return assignment, centroids, inertia
+
+
+def plain_kmeans_pp(features, labels, k: int, seed):
+    """Textbook D^2 seeding after the labeled-class means.
+
+    Centroid c < R is the mean of labeled class c. Each further centroid is a
+    free (label -1) point still in the candidate list, drawn with probability
+    proportional to its squared distance to the nearest centroid so far, or
+    uniformly when there is no centroid yet or every distance is 0; the drawn
+    point is deleted from the list. Random draws: rng.integers(len) for a
+    uniform pick, else rng.random() * total located in the cumulative sum.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    reserved = int(labels.max()) + 1 if (labels >= 0).any() else 0
+    centroids = [x[labels == c].mean(axis=0) for c in range(reserved)]
+    candidates = [i for i in range(labels.shape[0]) if labels[i] < 0]
+    rng = np.random.default_rng(seed)
+    while len(centroids) < k:
+        if not centroids:
+            pick = int(rng.integers(len(candidates)))
+        else:
+            placed = np.array(centroids)
+            d2 = np.array([((placed - x[i]) ** 2).sum(axis=1).min() for i in candidates])
+            total = d2.sum()
+            if total <= 0.0:
+                pick = int(rng.integers(len(candidates)))
+            else:
+                r = rng.random() * total
+                pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+                pick = min(pick, len(candidates) - 1)
+        centroids.append(x[candidates.pop(pick)])
+    return np.array(centroids)
 
 
 def fd_gradient(f, x, h: float = FD_STEP) -> np.ndarray:

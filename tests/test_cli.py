@@ -393,6 +393,24 @@ def test_run_all_file_inputs_need_a_cluster_count(ws, tmp_path):
         "--knn-k", "1", "--epochs", "1", "--out-dir", str(tmp_path),
     ])
     assert rc == 2
+    assert not (tmp_path / "checkpoint.gvlp").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--k-total", "1"),
+    ("--k-total", "999"),
+    ("--estimate-k", "--k-min", "1"),
+    ("--estimate-k", "--k-min", "5", "--k-max", "4"),
+    ("--estimate-k", "--k-max", "9999"),
+], ids=["k-total-below-known", "k-total-above-samples", "k-min-below-known",
+        "k-min-above-k-max", "k-max-above-samples"])
+def test_run_all_checks_cluster_count_before_training(ws, tmp_path, capsys, flags):
+    args = cluster_args(ws, tmp_path, *flags, *TRAIN_OPTS)
+    args[0] = "run-all"
+    del args[args.index("--checkpoint") : args.index("--checkpoint") + 2]
+    assert cli.main(args) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.gvlp").exists()
 
 
 def test_run_all_skips_eval_without_ground_truth(ws, tmp_path, capsys):

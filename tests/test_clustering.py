@@ -1,5 +1,7 @@
 """Tests for similarity features, constrained k-means, and the elbow scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from graphgcd.errors import InputError, InvariantError
 from graphgcd.neural_core import init_params
 from graphgcd.semantic_graph import build_knn_graph
 
-from oracles import plain_kmeans
+from oracles import plain_kmeans, plain_kmeans_pp
 
 
 def unlabeled(n):
@@ -136,6 +138,29 @@ def test_init_free_centroids_are_distinct_data_points():
     assert len(set(used)) == 5
 
 
+def test_init_matches_list_deletion_oracle():
+    # kind 0: nothing reserved (uniform first pick); kind 1: every free point
+    # is the same row, so after one pick all weights are 0 (the total <= 0
+    # branch); kind 2: exactly as many free points as free centroids
+    for case in range(120):
+        rng = np.random.default_rng(case)
+        kind = case % 4
+        n = int(rng.integers(10, 40))
+        features = rng.normal(size=(n, int(rng.integers(1, 12))))
+        reserved = 0 if kind == 0 else int(rng.integers(1, 4))
+        labels = unlabeled(n)
+        labels[: 2 * reserved] = np.arange(2 * reserved) % reserved
+        free = n - 2 * reserved
+        if kind == 1:
+            features[2 * reserved :] = features[-1]
+        k = reserved + (free if kind == 2 else int(rng.integers(1 + (kind == 1), free + 1)))
+        np.testing.assert_array_equal(
+            kmeans_pp_init(features, labels, k, seed=case),
+            plain_kmeans_pp(features, labels, k, seed=case),
+            err_msg=f"case {case}",
+        )
+
+
 def test_init_errors():
     features = np.zeros((4, 2))
     with pytest.raises(InputError, match="do not fit"):
@@ -228,6 +253,59 @@ def test_kmeans_matches_plain_lloyd_when_nothing_is_labeled():
         np.testing.assert_array_equal(res.assignment, ref_assign, err_msg=f"seed {seed}")
         np.testing.assert_allclose(res.centroids, ref_centroids, atol=1e-12, err_msg=f"seed {seed}")
         assert res.inertia == pytest.approx(ref_inertia, rel=1e-12), f"seed {seed}"
+
+
+def test_kmeans_near_ties_match_direct_form():
+    # a large common offset makes |x|^2 - 2x.c + |c|^2 lose the low bits that
+    # separate close centroids, so the expanded form misorders some rows; the
+    # package must still assign exactly as the direct form does
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(600, 6)) + 1e7
+    init = features[rng.choice(600, size=8, replace=False)]
+    direct = ((features[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
+    expanded = ((features * features).sum(axis=1)[:, None] - 2.0 * features @ init.T
+                + (init * init).sum(axis=1))
+    assert (np.argmin(expanded, axis=1) != np.argmin(direct, axis=1)).any()
+
+    res = semisup_kmeans(features, unlabeled(600), 8, seed=0, init=init)
+    ref_assign, ref_centroids, ref_inertia = plain_kmeans(features, init)
+    np.testing.assert_array_equal(res.assignment, ref_assign)
+    np.testing.assert_array_equal(res.centroids, ref_centroids)
+    assert res.inertia == ref_inertia
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (85062422.0, 63696169.0)], ids=["origin", "far"])
+def test_kmeans_exact_tie_goes_to_lowest_id(offset):
+    # the last point is exactly 1 from both initial centroids and joins
+    # cluster 0 in the first iteration; at the far offset the expanded form
+    # rounds the tie toward cluster 1 in one of the two orders
+    features = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) + offset
+    for order, expected in (([0, 1], [0, 1, 0]), ([1, 0], [1, 0, 0])):
+        init = features[order]
+        first = []
+        res = semisup_kmeans(features, unlabeled(3), 2, seed=0, init=init,
+                             on_iteration=lambda it, a, c, i: first.append(a[2]) if it == 0 else None)
+        assert first == [0]
+        np.testing.assert_array_equal(res.assignment, expected)
+        np.testing.assert_array_equal(res.assignment, plain_kmeans(features, init)[0])
+
+
+def test_kmeans_memory_has_no_n_by_k_by_f_temporary():
+    # n=4000, K=50, f=25: one n x K x f float64 array alone would be 40 MB
+    rng = np.random.default_rng(3)
+    n, k, f, reserved = 4000, 50, 25, 25
+    classes = rng.integers(k, size=n)
+    features = 3.0 * rng.normal(size=(k, f))[classes] + 0.1 * rng.normal(size=(n, f))
+    labels = unlabeled(n)
+    labeled = np.flatnonzero(classes < reserved)[: 40 * reserved]
+    labels[labeled] = classes[labeled]
+    tracemalloc.start()
+    try:
+        semisup_kmeans(features, labels, k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_kmeans_deterministic_for_a_seed():
