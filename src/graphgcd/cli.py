@@ -77,7 +77,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results never depend on it")
+                   help="accepted for interface compatibility; has no effect")
 
 
 def _config_from_args(args) -> RunConfig:

@@ -285,11 +285,3 @@ def elbow_point(ks: list[int], inertias: list[float]) -> int:
         return ks[0]
     dist = np.abs(dy * (x - x[0]) - dx * (y - y[0])) / length
     return ks[int(np.argmax(dist))]
-
-
-def estimate_k(
-    features: np.ndarray, labels: np.ndarray, k_min: int, k_max: int, seed
-) -> int:
-    """Geometric elbow over the inertia curve of the constrained k-means."""
-    scan = scan_inertia(features, labels, k_min, k_max, seed)
-    return elbow_point([k for k, _ in scan], [i for _, i in scan])

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -38,6 +37,9 @@ def hungarian_accuracy(
     The contingency matrix is zero-padded to square so rectangular instances
     reduce to the square assignment problem.
     """
+    # imported here so that commands which never score skip loading scipy
+    from scipy.optimize import linear_sum_assignment
+
     assignment = np.asarray(assignment)
     truth = np.asarray(truth)
     if assignment.shape != truth.shape or assignment.ndim != 1:

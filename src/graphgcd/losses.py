@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, NumericError
+from .errors import InvariantError
 from .neural_core import NormTrace, normalize_rows
-
-_MIN_NORM = 1e-30
 
 
 @dataclass
@@ -50,16 +48,6 @@ class Batch:
             norms = np.linalg.norm(np.asarray(m, dtype=np.float64), axis=1)
             if np.abs(norms - 1.0).max() > 1e-6:
                 raise InvariantError(f"{name} rows are not unit-norm")
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two vectors; rejects zero vectors."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < _MIN_NORM or nv < _MIN_NORM:
-        raise NumericError("cosine of a zero vector is undefined")
-    return float(u @ v / (nu * nv))
 
 
 @dataclass
@@ -200,30 +188,50 @@ class TotalGrads:
     t: np.ndarray
 
 
+def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """`np.add.at(out, idx, vals)` bit for bit, one vectorised add per repeat.
+
+    Each entry is ranked by how often its row occurred before it; round k adds
+    every row's k-th entry. Rows within a round are unique, and each row
+    receives its additions in the original order, as np.add.at applies them.
+    """
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    occurrence = np.empty(idx.size, dtype=np.int64)
+    occurrence[order] = np.arange(idx.size) - np.searchsorted(sorted_idx, sorted_idx)
+    for k in range(int(occurrence.max()) + 1):
+        sel = np.flatnonzero(occurrence == k)
+        out[idx[sel]] += vals[sel]
+
+
 def loss_total(
     batch: Batch,
-    triplets: list[tuple[int, int, int]],
+    triplets: np.ndarray | list[tuple[int, int, int]],
     alpha: float,
     temperature: float,
     as_printed: bool = False,
 ) -> tuple[float, TotalGrads, dict[str, float]]:
     """Sum of the three terms with unit weights.
 
-    Triplets index rows of batch.z; an empty list drops the triplet term.
+    Triplets are (anchor, positive, negative) rows of batch.z, repeats
+    allowed; no triplets drops the triplet term.
     Returns (loss, grads, per-term values keyed l_cma/l_sdp/l_cs/l_tot).
     """
     l_cma, gz, gybar = loss_cma(batch, alpha, temperature, as_printed)
     gt = np.zeros_like(np.asarray(batch.t, dtype=np.float64))
 
     l_sdp = 0.0
-    if triplets:
+    if len(triplets):
         idx = np.asarray(triplets, dtype=np.int64)
+        if idx.ndim != 2 or idx.shape[1] != 3:
+            raise InvariantError(f"triplets must have shape (m, 3), got {idx.shape}")
+        if idx.min() < 0 or idx.max() >= gz.shape[0]:
+            raise InvariantError("triplet index outside the batch")
         a, p, n = idx[:, 0], idx[:, 1], idx[:, 2]
         z = np.asarray(batch.z, dtype=np.float64)
         l_sdp, ga, gp, gn = loss_sdp(z[a], z[p], z[n], as_printed)
-        np.add.at(gz, a, ga)
-        np.add.at(gz, p, gp)
-        np.add.at(gz, n, gn)
+        # the a, p, n columns in sequence: the order of three np.add.at calls
+        _scatter_add_rows(gz, idx.T.ravel(), np.concatenate((ga, gp, gn)))
 
     # centers are the per-class graph embeddings, detached
     l_cs, gcs = loss_cs(batch.t, batch.ybar)
@@ -234,25 +242,40 @@ def loss_total(
     return total, TotalGrads(z=gz, ybar=gybar, t=gt), parts
 
 
-def sample_triplets(
-    batch_labels: np.ndarray, rng: np.random.Generator
-) -> list[tuple[int, int, int]]:
+def sample_triplets(batch_labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One (anchor, positive, negative) per eligible anchor, drawn uniformly.
 
-    Anchors are visited in index order; the positive is drawn before the
-    negative so the consumed random stream is reproducible. Anchors with no
-    same-class peer or no other-class sample are skipped; a batch with no
-    eligible anchor yields an empty list.
+    Anchors are visited in index order; each draws a rank among its
+    same-class peers, then a rank among the other-class samples, both in
+    index order. All ranks come from one `rng.integers` call over the
+    interleaved bounds, which consumes the same stream as drawing them anchor
+    by anchor. Anchors with no same-class peer or no other-class sample are
+    skipped. Returns an (m, 3) int64 array; (0, 3) when no anchor is eligible.
     """
     labels = np.asarray(batch_labels)
     n = labels.shape[0]
-    out: list[tuple[int, int, int]] = []
-    for i in range(n):
-        peers = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
-        others = np.flatnonzero(labels != labels[i])
-        if peers.size == 0 or others.size == 0:
-            continue
-        p = int(peers[rng.integers(peers.size)])
-        neg = int(others[rng.integers(others.size)])
-        out.append((i, p, neg))
-    return out
+    order = np.argsort(labels, kind="stable")  # class buckets, index order inside
+    _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    cls_sorted = np.repeat(np.arange(counts.size), counts)
+    rank_sorted = np.arange(n) - starts[cls_sorted]  # position inside the bucket
+    cls = np.empty(n, dtype=np.int64)
+    cls[order] = cls_sorted
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = rank_sorted
+
+    anchors = np.flatnonzero((counts[cls] > 1) & (counts[cls] < n))
+    if anchors.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    c = cls[anchors]
+    bounds = np.column_stack((counts[c] - 1, n - counts[c]))  # peers, others
+    draws = rng.integers(bounds.ravel()).reshape(-1, 2)
+
+    r = draws[:, 0]
+    positive = order[starts[c] + r + (r >= rank[anchors])]  # skip the anchor
+    # The r-th non-member of class c sits at r plus the number of members
+    # with at most r non-members before them (member index minus its rank);
+    # a class offset keeps every class's keys in one sorted array.
+    key = cls_sorted * (n + 1) + order - rank_sorted
+    r = draws[:, 1]
+    negative = r + np.searchsorted(key, c * (n + 1) + r, side="right") - starts[c]
+    return np.column_stack((anchors, positive, negative))

@@ -281,13 +281,27 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
     for name, tensor in tensors.items():
+        # float64 working copies updated in place, with the operand order of
+        # m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g and
+        # update = lr*(m/bias1) / (sqrt(v/bias2) + eps)
         g = np.asarray(grads[name], dtype=np.float64)
-        m = np.asarray(state.m[name], dtype=np.float64)
-        v = np.asarray(state.v[name], dtype=np.float64)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        new = np.asarray(tensor, dtype=np.float64) - update
+        m = state.m[name].astype(np.float64)
+        v = state.v[name].astype(np.float64)
+        buf = np.multiply(1.0 - ADAM_BETA1, g)
+        m *= ADAM_BETA1
+        m += buf
+        np.multiply(1.0 - ADAM_BETA2, g, out=buf)
+        buf *= g
+        v *= ADAM_BETA2
+        v += buf
+        np.divide(m, bias1, out=buf)
+        buf *= lr
+        denom = np.divide(v, bias2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        buf /= denom
+        new = tensor.astype(np.float64)
+        new -= buf
         dtype = tensor.dtype
         state.m[name] = m.astype(dtype)
         state.v[name] = v.astype(dtype)

@@ -1,10 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
-Everything in this file is written from the textbook definition and shares no
-code with the package: brute-force assignment enumeration, a plain Lloyd's
-k-means, list-deletion k-means++ seeding, and central finite differences.
-Keeping these separate is the point; do not "simplify" them by calling into
-graphgcd.
+Everything in this file except `estimate_k` is written from the textbook
+definition and shares no code with the package: brute-force assignment
+enumeration, a plain Lloyd's k-means, list-deletion k-means++ seeding, a
+per-anchor triplet sampler, a two-vector cosine, and central finite
+differences. Keeping these separate is the point; do not "simplify" them by
+calling into graphgcd. `estimate_k` is the one composition of package
+functions the tests share; the CLI runs the same two calls itself.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import numpy as np
 
 FD_STEP = 1e-5
+_MIN_NORM = 1e-30
 
 
 def brute_force_accuracy(assignment, truth, k: int, c: int) -> float:
@@ -125,3 +128,42 @@ def grad_error(analytic, numeric) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     return float((np.abs(a - n) / (np.abs(a) + np.abs(n) + 1e-6)).max())
+
+
+def plain_sample_triplets(batch_labels, rng) -> list[tuple[int, int, int]]:
+    """One (anchor, positive, negative) per eligible anchor, drawn uniformly.
+
+    Anchors are visited in index order; per anchor, one rng.integers draw over
+    its same-class peers, then one over the other-class samples, both in index
+    order. Anchors with no peer or no other-class sample are skipped.
+    """
+    labels = np.asarray(batch_labels)
+    n = labels.shape[0]
+    out: list[tuple[int, int, int]] = []
+    for i in range(n):
+        peers = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+        others = np.flatnonzero(labels != labels[i])
+        if peers.size == 0 or others.size == 0:
+            continue
+        p = int(peers[rng.integers(peers.size)])
+        neg = int(others[rng.integers(others.size)])
+        out.append((i, p, neg))
+    return out
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two vectors; ValueError for a zero vector."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < _MIN_NORM or nv < _MIN_NORM:
+        raise ValueError("cosine of a zero vector is undefined")
+    return float(u @ v / (nu * nv))
+
+
+def estimate_k(features, labels, k_min: int, k_max: int, seed) -> int:
+    """Geometric elbow over the package's constrained k-means inertia scan."""
+    from graphgcd.clustering import elbow_point, scan_inertia
+
+    scan = scan_inertia(features, labels, k_min, k_max, seed)
+    return elbow_point([k for k, _ in scan], [i for _, i in scan])

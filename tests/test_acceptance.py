@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from graphgcd import cli
-from graphgcd.clustering import estimate_k, semisup_kmeans
+from graphgcd.clustering import semisup_kmeans
 from graphgcd.embed_io import (
     EmbeddingSet,
     RunConfig,
@@ -39,7 +39,7 @@ from graphgcd.neural_core import (
 from graphgcd.semantic_graph import build_knn_graph
 from graphgcd.trainer import TrainState, load_checkpoint, save_checkpoint, train
 
-from oracles import brute_force_accuracy, fd_gradient, grad_error, plain_kmeans
+from oracles import brute_force_accuracy, estimate_k, fd_gradient, grad_error, plain_kmeans
 
 GRAD_TOL = 1e-4
 KINK_MARGIN = 1e-2  # reject instances whose ReLU/hinge arguments sit near a kink

@@ -3,6 +3,9 @@
 import csv
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -513,3 +516,14 @@ def test_tracer_wrapped_sites_resolve():
         assert callable(getattr(importlib.import_module(f"graphgcd.{module}"), attr, None)), (
             f"graphgcd.{module}.{attr}"
         )
+
+
+def test_cli_import_does_not_load_scipy():
+    # only scoring needs scipy; every other command must not pay its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, graphgcd.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -8,7 +8,6 @@ import pytest
 from graphgcd.clustering import (
     ClusterAssignment,
     elbow_point,
-    estimate_k,
     kmeans_pp_init,
     scan_inertia,
     semisup_kmeans,
@@ -19,7 +18,7 @@ from graphgcd.errors import InputError, InvariantError
 from graphgcd.neural_core import init_params
 from graphgcd.semantic_graph import build_knn_graph
 
-from oracles import plain_kmeans, plain_kmeans_pp
+from oracles import cosine, estimate_k, plain_kmeans, plain_kmeans_pp
 
 
 def unlabeled(n):
@@ -68,7 +67,6 @@ def test_similarity_features_identical_inputs_identical_rows():
 
 
 def test_similarity_features_bounded_and_matches_pairwise_cosine():
-    from graphgcd.losses import cosine
     from graphgcd.neural_core import gcn_forward, projector_forward
 
     d, c, n = 5, 4, 7

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graphgcd.errors import InvariantError, NumericError
 from graphgcd.losses import (
     Batch,
-    cosine,
+    _scatter_add_rows,
     loss_cma,
     loss_cs,
     loss_sdp,
@@ -18,7 +18,7 @@ from graphgcd.losses import (
     sample_triplets,
 )
 
-from oracles import fd_gradient, grad_error
+from oracles import cosine, fd_gradient, grad_error, plain_sample_triplets
 
 
 def unit(v):
@@ -53,7 +53,7 @@ def test_cosine_scale_invariant():
 
 
 def test_cosine_zero_vector_rejected():
-    with pytest.raises(NumericError):
+    with pytest.raises(ValueError):
         cosine([0.0, 0.0], [1.0, 0.0])
 
 
@@ -310,6 +310,45 @@ def test_total_repeated_triplet_indices_accumulate():
     np.testing.assert_allclose(g2.z, g1.z, atol=1e-12)
 
 
+def test_total_accepts_sampler_array_and_list_alike():
+    batch = _random_total_inputs(4, b=8)
+    triplets = sample_triplets(np.array([0, 1, 0, 1, 2, 2, 0, 1]), np.random.default_rng(6))
+    assert triplets.shape == (8, 3)
+    from_array = loss_total(batch, triplets, 0.3, 1.0)
+    from_list = loss_total(batch, [tuple(t) for t in triplets.tolist()], 0.3, 1.0)
+    assert from_array[0] == from_list[0]
+    np.testing.assert_array_equal(from_array[1].z, from_list[1].z)
+    empty = loss_total(batch, np.empty((0, 3), dtype=np.int64), 0.3, 1.0)
+    assert empty[2]["l_sdp"] == 0.0
+
+
+@pytest.mark.parametrize("triplets", [[(0, 1, 5)], [(-1, 0, 1)], [(0, 1)]])
+def test_total_rejects_malformed_triplets(triplets):
+    with pytest.raises(InvariantError):
+        loss_total(_random_total_inputs(2), triplets, 0.3, 1.0)
+
+
+def test_scatter_add_rows_matches_np_add_at():
+    # heavy repeats in every column, values over sixteen decades: any change
+    # in a row's summation order shows up as a bit difference
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        b = int(rng.integers(1, 40))
+        d = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 120))
+        hot = int(rng.integers(1, b + 1))  # rows drawn from the first `hot` only
+        idx = rng.integers(hot, size=(m, 3))
+        vals = [rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+                for _ in range(3)]
+        base = rng.normal(size=(b, d))
+        expect = base.copy()
+        for col in range(3):
+            np.add.at(expect, idx[:, col], vals[col])
+        got = base.copy()
+        _scatter_add_rows(got, idx.T.ravel(), np.concatenate(vals))
+        np.testing.assert_array_equal(got, expect)
+
+
 # ---------------------------------------------------------------- gradients vs finite differences
 
 def _margin_safe_cma_instance(seed, b=3, c=3, d=4, alpha=0.3):
@@ -383,20 +422,20 @@ def test_sample_triplets_forced_choices():
     # with labels [0,0,1] every draw is forced, whatever the generator does
     rng = np.random.default_rng(123)
     out = sample_triplets(np.array([0, 0, 1]), rng)
-    assert out == [(0, 1, 2), (1, 0, 2)]
+    assert out.tolist() == [[0, 1, 2], [1, 0, 2]]
 
 
 def test_sample_triplets_no_eligible_anchor():
     rng = np.random.default_rng(0)
-    assert sample_triplets(np.array([0, 1, 2]), rng) == []
-    assert sample_triplets(np.array([0, 0, 0]), rng) == []  # no other class
+    assert sample_triplets(np.array([0, 1, 2]), rng).shape == (0, 3)
+    assert sample_triplets(np.array([0, 0, 0]), rng).shape == (0, 3)  # no other class
 
 
 def test_sample_triplets_deterministic_per_seed():
     labels = np.array([0, 0, 1, 1, 0, 1])
     a = sample_triplets(labels, np.random.default_rng(42))
     b = sample_triplets(labels, np.random.default_rng(42))
-    assert a == b
+    np.testing.assert_array_equal(a, b)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(0, 2**31 - 1))
@@ -410,11 +449,41 @@ def test_sample_triplets_structure(raw_labels, seed):
         for i in range(n)
         if ((labels == labels[i]).sum() > 1) and (labels != labels[i]).any()
     ]
-    assert [a for a, _, _ in out] == eligible
-    for a, p, neg in out:
+    assert [a for a, _, _ in out.tolist()] == eligible
+    for a, p, neg in out.tolist():
         assert p != a
         assert labels[p] == labels[a]
         assert labels[neg] != labels[a]
+
+
+def _assert_sampler_matches_oracle(labels, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_triplets(labels, fast)
+    want = plain_sample_triplets(labels, slow)
+    assert got.dtype == np.int64 and got.shape == (len(want), 3)
+    np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64).reshape(-1, 3))
+    # the generator is left exactly where the per-anchor draws leave it
+    assert fast.integers(2**62) == slow.integers(2**62)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[], [4], [0, 0], [0, 1], [7, 7, 7, 7], [9, 0, 3, 9, 3, 0, 0], [0, 3, 9, 3, 9, 9],
+     [5, -2, 5, 11, -2, 5], [1, 2, 3, 4, 1]],
+)
+def test_sample_triplets_matches_oracle_edge_cases(labels):
+    for seed in range(20):
+        _assert_sampler_matches_oracle(np.asarray(labels, dtype=np.int64), seed)
+
+
+def test_sample_triplets_matches_oracle_on_random_batches():
+    rng = np.random.default_rng(77)
+    for _ in range(1200):
+        n = int(rng.integers(1, 161))
+        k = int(rng.integers(1, 26))
+        values = np.sort(rng.choice(200, size=k, replace=False)) * int(rng.integers(1, 4))
+        labels = values[rng.integers(k, size=n)]  # singletons arise at small n / large k
+        _assert_sampler_matches_oracle(labels, int(rng.integers(2**32)))
 
 
 # ---------------------------------------------------------------- Batch.validate

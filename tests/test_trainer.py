@@ -146,6 +146,25 @@ def test_every_sample_is_visited_once_per_epoch(tiny, monkeypatch):
         assert all(len(c) <= 16 for c in chunk)
 
 
+def test_training_with_oracle_sampler_is_identical(tiny, monkeypatch):
+    # the per-anchor reference sampler, in place of the vectorised one, must
+    # give the same tensors and Adam moments bit for bit
+    import graphgcd.trainer as trainer_mod
+
+    from oracles import plain_sample_triplets
+
+    labeled, class_emb, config = tiny
+    fast = train(labeled, class_emb, config)
+
+    def oracle(batch_labels, rng):
+        return np.asarray(plain_sample_triplets(batch_labels, rng), dtype=np.int64).reshape(-1, 3)
+
+    monkeypatch.setattr(trainer_mod, "sample_triplets", oracle)
+    slow = train(labeled, class_emb, config)
+    tensors_equal(fast.params, slow.params)
+    assert fast.trace == slow.trace
+
+
 def test_diverged_loss_raises(tiny, monkeypatch):
     import graphgcd.trainer as trainer_mod
     from graphgcd.losses import loss_total as real_loss
