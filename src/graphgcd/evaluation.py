@@ -23,10 +23,92 @@ class EvalReport:
     confusion: np.ndarray     # [K x C] contingency counts
 
 
-def _contingency(assignment: np.ndarray, truth: np.ndarray, k: int, c: int) -> np.ndarray:
-    m = np.zeros((k, c), dtype=np.int64)
-    np.add.at(m, (assignment, truth), 1)
-    return m
+def _max_weight_matching(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-weight perfect matching of a square matrix.
+
+    A line-for-line numpy port of the `rectangular_lsap` solver behind
+    `linear_sum_assignment(weights, maximize=True)`, which the tests use as
+    the reference: the shortest augmenting path method of Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016.
+    Which optimal matching comes back depends on the scan order, so that
+    order is copied exactly: columns are scanned from last to first, the tie
+    at the minimum goes to the last free column (else the first one), and a
+    used column is swapped out for the last live one. The scan over the live
+    columns is vectorised with the same operand order. Returns (rows, cols)
+    with rows = 0..n-1.
+    """
+    cost = -np.asarray(weights, dtype=np.float64)
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    path = np.full(n, -1, dtype=np.int64)
+    for cur in range(n):
+        spc = np.full(n, np.inf)
+        in_rows = np.zeros(n, dtype=bool)
+        in_cols = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)
+        live = n
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            in_rows[i] = True
+            rem = remaining[:live]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            shorter = r < spc[rem]
+            path[rem[shorter]] = i
+            spc[rem[shorter]] = r[shorter]
+            costs = spc[rem]
+            min_val = costs.min()
+            ties = np.flatnonzero(costs == min_val)
+            free = ties[row4col[rem[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = rem[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            live -= 1
+            remaining[index] = remaining[live]
+        u[cur] += min_val
+        in_rows[cur] = False
+        u[in_rows] += min_val - spc[col4row[in_rows]]
+        v[in_cols] -= min_val - spc[in_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n), col4row
+
+
+def _validated_counts(
+    assignment: np.ndarray, truth: np.ndarray, k: int, c: int
+) -> np.ndarray:
+    """The [k x c] contingency counts, after checking both label vectors."""
+    if assignment.shape != truth.shape or assignment.ndim != 1:
+        raise InputError("assignment and truth must be equal-length vectors")
+    if assignment.shape[0] == 0:
+        raise InputError("cannot score an empty assignment")
+    if assignment.min() < 0 or assignment.max() >= k:
+        raise InputError(f"cluster id outside [0, {k})")
+    if truth.min() < 0 or truth.max() >= c:
+        raise InputError(f"class id outside [0, {c})")
+    flat = assignment.astype(np.int64) * c + truth.astype(np.int64)
+    return np.bincount(flat, minlength=k * c).reshape(k, c)
+
+
+def _match(counts: np.ndarray) -> dict[int, int]:
+    """Cluster-to-class pairs of the best matching on the zero-padded square."""
+    k, c = counts.shape
+    side = max(k, c)
+    padded = np.zeros((side, side), dtype=np.int64)
+    padded[:k, :c] = counts
+    rows, cols = _max_weight_matching(padded)
+    return {int(r): int(col) for r, col in zip(rows, cols) if r < k and col < c}
 
 
 def hungarian_accuracy(
@@ -37,31 +119,12 @@ def hungarian_accuracy(
     The contingency matrix is zero-padded to square so rectangular instances
     reduce to the square assignment problem.
     """
-    # imported here so that commands which never score skip loading scipy
-    from scipy.optimize import linear_sum_assignment
-
     assignment = np.asarray(assignment)
     truth = np.asarray(truth)
-    if assignment.shape != truth.shape or assignment.ndim != 1:
-        raise InputError("assignment and truth must be equal-length vectors")
-    n = assignment.shape[0]
-    if n == 0:
-        raise InputError("cannot score an empty assignment")
-    if assignment.min() < 0 or assignment.max() >= k:
-        raise InputError(f"cluster id outside [0, {k})")
-    if truth.min() < 0 or truth.max() >= c:
-        raise InputError(f"class id outside [0, {c})")
-
-    counts = _contingency(assignment, truth, k, c)
-    side = max(k, c)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[:k, :c] = counts
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    permutation = {
-        int(r): int(col) for r, col in zip(rows, cols) if r < k and col < c
-    }
+    counts = _validated_counts(assignment, truth, k, c)
+    permutation = _match(counts)
     matched = sum(counts[r, col] for r, col in permutation.items())
-    return matched / n, permutation
+    return matched / assignment.shape[0], permutation
 
 
 def split_accuracy(
@@ -79,12 +142,12 @@ def split_accuracy(
     k = int(assignment.max()) + 1 if assignment.size else 0
     c = int(truth.max()) + 1 if truth.size else 0
     c = max(c, known_class_count)
-    acc_all, permutation = hungarian_accuracy(assignment, truth, k, c)
+    counts = _validated_counts(assignment, truth, k, c)
+    permutation = _match(counts)
 
-    mapped = np.full(assignment.shape, -1, dtype=np.int64)
-    for cluster, cls in permutation.items():
-        mapped[assignment == cluster] = cls
-    correct = mapped == truth
+    lookup = np.full(k, -1, dtype=np.int64)
+    lookup[list(permutation)] = list(permutation.values())
+    correct = lookup[assignment] == truth
 
     known_mask = truth < known_class_count
     new_mask = ~known_mask
@@ -97,5 +160,5 @@ def split_accuracy(
         acc_known=frac(known_mask),
         acc_new=frac(new_mask),
         permutation=permutation,
-        confusion=_contingency(assignment, truth, k, c),
+        confusion=counts,
     )

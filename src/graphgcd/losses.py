@@ -70,12 +70,12 @@ def _cosine_matrix_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, 
     return ga, gb
 
 
-def _cosine_pairs(a: np.ndarray, b: np.ndarray) -> _CosTrace:
-    if a.shape != b.shape:
-        raise InvariantError(f"pair shapes differ: {a.shape} vs {b.shape}")
-    a_hat, ta = normalize_rows(a)
+def _cosine_pairs(ta: NormTrace, b: np.ndarray) -> _CosTrace:
+    """Row-aligned cosines of already normalised rows `ta` against raw rows b."""
+    if ta.unit.shape != b.shape:
+        raise InvariantError(f"pair shapes differ: {ta.unit.shape} vs {b.shape}")
     b_hat, tb = normalize_rows(b)
-    return _CosTrace(ta, tb, (a_hat * b_hat).sum(axis=1))
+    return _CosTrace(ta, tb, (ta.unit * b_hat).sum(axis=1))
 
 
 def _cosine_pairs_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +151,9 @@ def loss_sdp(
         raise InvariantError("loss_sdp needs at least one triplet")
     m = anchors.shape[0]
 
-    trp = _cosine_pairs(anchors, positives)
-    trn = _cosine_pairs(anchors, negatives)
+    _, ta = normalize_rows(anchors)
+    trp = _cosine_pairs(ta, positives)
+    trn = _cosine_pairs(ta, negatives)
     if as_printed:
         loss = float((trp.s - 1.0).mean() + trn.s.mean())
         gsp = np.full(m, 1.0 / m)

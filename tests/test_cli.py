@@ -518,12 +518,34 @@ def test_tracer_wrapped_sites_resolve():
         )
 
 
-def test_cli_import_does_not_load_scipy():
-    # only scoring needs scipy; every other command must not pay its import
+def _scipy_loaded_after(code: str) -> str:
+    """Run `code` in a fresh interpreter; report whether scipy got imported."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, graphgcd.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", code + "\nprint('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing the CLI must not load it
+    assert _scipy_loaded_after("import sys, graphgcd.cli") == "False"
+
+
+def test_scoring_commands_do_not_load_scipy(tmp_path):
+    # the Hungarian matching is numpy-only, so scoring must not load scipy either
+    run_all = ["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--seed", "7",
+               "--out-dir", str(tmp_path)]
+    evaluate = ["eval", "--assignments", str(tmp_path / "assignments.csv"),
+                "--unlabeled", str(tmp_path / "unlabeled.gvle"), "--known", "2",
+                "--out-dir", str(tmp_path / "eval")]
+    code = (
+        "import sys\n"
+        "from graphgcd.cli import main\n"
+        f"assert main({run_all!r}) == 0\n"
+        f"assert main({evaluate!r}) == 0"
+    )
+    assert _scipy_loaded_after(code) == "False"
+    assert (tmp_path / "eval" / "report.csv").exists()

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from graphgcd.errors import InputError
-from graphgcd.evaluation import EvalReport, hungarian_accuracy, split_accuracy
+from graphgcd.evaluation import (
+    EvalReport,
+    _max_weight_matching,
+    hungarian_accuracy,
+    split_accuracy,
+)
 
 from oracles import brute_force_accuracy
 
@@ -200,3 +205,83 @@ def test_split_matches_hungarian_on_all():
         acc, perm = hungarian_accuracy(assignment, truth, k, c)
         assert report.acc_all == pytest.approx(acc)
         assert report.permutation == perm
+
+
+# ---------------------------------------------------------------- scipy differential
+# acc_known and acc_new depend on which optimal matching is returned when
+# several tie, so the port must return scipy's permutation, not just its score.
+
+def _contingency_square(rng, side):
+    k = int(rng.integers(1, side + 1))
+    c = int(rng.integers(1, side + 1))
+    n = int(rng.integers(1, 4 * side + 1))
+    counts = np.zeros((side, side), dtype=np.int64)
+    np.add.at(counts, (rng.integers(k, size=n), rng.integers(c, size=n)), 1)
+    return counts
+
+
+def _diagonal_dominant(rng, side):
+    weights = np.diag(rng.integers(0, 30, size=side)) + rng.integers(0, 3, size=(side, side))
+    return weights[rng.permutation(side)]
+
+
+TIE_HEAVY = {
+    "all-zero": lambda rng, side: np.zeros((side, side), dtype=np.int64),
+    "zero-one-two": lambda rng, side: rng.integers(0, 3, size=(side, side)),
+    "mostly-zero": lambda rng, side: (
+        rng.integers(1, 5, size=(side, side)) * (rng.random((side, side)) < 0.1)
+    ),
+    "diagonal-dominant": _diagonal_dominant,
+    "padded-contingency": _contingency_square,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+def test_max_weight_matching_equals_scipy_tie_for_tie(kind):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng([2016, sorted(TIE_HEAVY).index(kind)])
+    for trial in range(1000):
+        side = int(rng.integers(1, 61))
+        weights = TIE_HEAVY[kind](rng, side)
+        rows, cols = _max_weight_matching(weights)
+        ref_rows, ref_cols = linear_sum_assignment(weights, maximize=True)
+        assert np.array_equal(rows, ref_rows), f"trial {trial}, side {side}"
+        assert np.array_equal(cols, ref_cols), f"trial {trial}, side {side}"
+
+
+def _scipy_split(assignment, truth, known):
+    """split_accuracy as it was built on scipy's linear_sum_assignment."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    k = int(assignment.max()) + 1
+    c = max(int(truth.max()) + 1, known)
+    side = max(k, c)
+    padded = np.zeros((side, side), dtype=np.int64)
+    np.add.at(padded, (assignment, truth), 1)
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    permutation = {int(r): int(col) for r, col in zip(rows, cols) if r < k and col < c}
+    mapped = np.full(assignment.shape, -1)
+    for cluster, cls in permutation.items():
+        mapped[assignment == cluster] = cls
+    correct = mapped == truth
+    known_mask = truth < known
+    acc_known = float(correct[known_mask].mean()) if known_mask.any() else None
+    acc_new = float(correct[~known_mask].mean()) if (~known_mask).any() else None
+    return permutation, acc_known, acc_new
+
+
+def test_split_matches_scipy_reference_on_non_square_instances():
+    rng = np.random.default_rng(1987)
+    for trial in range(300):
+        k = int(rng.integers(1, 12))
+        c = int(rng.integers(1, 12))
+        if k == c:
+            c += 1
+        n = int(rng.integers(1, 60))
+        assignment = rng.integers(k, size=n)
+        truth = rng.integers(c, size=n)
+        known = int(rng.integers(0, c + 1))
+        report = split_accuracy(assignment, truth, known)
+        permutation, acc_known, acc_new = _scipy_split(assignment, truth, known)
+        assert report.permutation == permutation, f"trial {trial}"
+        assert report.acc_known == acc_known, f"trial {trial}"
+        assert report.acc_new == acc_new, f"trial {trial}"
