@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,8 @@ from .evaluation import EvalReport, split_accuracy
 from .semantic_graph import build_knn_graph, dump_graph_csv
 from .trainer import TrainState, load_checkpoint, save_checkpoint, train, write_loss_trace
 
+_EXIT_CODES = {InputError: 2, NumericError: 3, InvariantError: 4}
+
 
 def _add_io_flags(p: argparse.ArgumentParser, synthetic: bool = False) -> None:
     p.add_argument("--labeled", help="GVLE file with known-class training samples")
@@ -59,18 +62,24 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--knn-k", type=int, default=3)
-    p.add_argument("--gcn-layers", type=int, default=2)
-    p.add_argument("--margin-alpha", type=float, default=0.3)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--hidden-dim", type=int, default=0,
-                   help="0 means: use the input dimension")
+    """One flag per RunConfig field (seed comes from _add_common), plus training switches."""
+    for f in fields(RunConfig):
+        if f.name == "seed":
+            continue
+        flag = "--lr" if f.name == "learn_rate" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       help="0 means: use the input dimension" if f.name == "hidden_dim" else None)
     p.add_argument("--losses-as-printed", action="store_true",
                    help="use the published equation signs verbatim instead of the "
                         "description-consistent ones")
+    p.add_argument("--dump-graph", action="store_true", help="also write graph.csv")
+
+
+def _add_k_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-total", type=int, help="total cluster count (known + novel)")
+    p.add_argument("--estimate-k", action="store_true", help="pick K by elbow scan")
+    p.add_argument("--k-min", type=int, help="elbow scan lower bound")
+    p.add_argument("--k-max", type=int, help="elbow scan upper bound")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -81,17 +90,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        knn_k=args.knn_k,
-        gcn_layers=args.gcn_layers,
-        margin_alpha=args.margin_alpha,
-        learn_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        hidden_dim=args.hidden_dim,
-        temperature=args.temperature,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _check_common(args) -> Path:
@@ -118,18 +117,16 @@ def _echo_config(config: RunConfig, out_dir: Path) -> None:
     write_config(config, out_dir / "config.txt")
 
 
-def _read_inputs(args) -> tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet]:
-    for flag, value in (("--labeled", args.labeled),
-                        ("--unlabeled", args.unlabeled),
-                        ("--class-emb", args.class_emb)):
-        if value is None:
-            raise InputError(f"{flag} is required (or pass --synthetic where supported)")
-    labeled = read_embedding_file(args.labeled)
-    unlabeled = read_embedding_file(args.unlabeled)
-    class_emb = read_embedding_file(args.class_emb)
-    if labeled.labels is None:
+def _read_inputs(args, names=("labeled", "unlabeled", "class_emb")) -> list[EmbeddingSet]:
+    """Read the named input files in order; the labeled file must carry labels."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise InputError(f"--{name.replace('_', '-')} is required "
+                             "(or pass --synthetic where supported)")
+    sets = {name: read_embedding_file(getattr(args, name)) for name in names}
+    if sets["labeled"].labels is None:
         raise InputError(f"{args.labeled} has no labels; the labeled file needs them")
-    return labeled, unlabeled, class_emb
+    return list(sets.values())
 
 
 def _write_synthetic(args, out: Path) -> tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet]:
@@ -183,22 +180,15 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ids, dtype=np.int64), np.asarray(pinned, dtype=bool)
 
 
-def _format_acc(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
-
-
 def _emit_report(report: EvalReport, out: Path) -> None:
-    lines = [
-        f"acc_all {_format_acc(report.acc_all)}",
-        f"acc_known {_format_acc(report.acc_known)}",
-        f"acc_new {_format_acc(report.acc_new)}",
-    ]
-    print("\n".join(lines))
+    rows = []
+    for metric in ("acc_all", "acc_known", "acc_new"):
+        value = getattr(report, metric)
+        rows.append((metric, "n/a" if value is None else f"{value:.4f}"))
+    print("\n".join(f"{metric} {value}" for metric, value in rows))
     with open(out / "report.csv", "w", encoding="utf-8") as f:
         f.write("metric,value\n")
-        f.write(f"acc_all,{_format_acc(report.acc_all)}\n")
-        f.write(f"acc_known,{_format_acc(report.acc_known)}\n")
-        f.write(f"acc_new,{_format_acc(report.acc_new)}\n")
+        f.writelines(f"{metric},{value}\n" for metric, value in rows)
     with open(out / "confusion.csv", "w", encoding="utf-8") as f:
         for row in report.confusion:
             f.write(",".join(str(int(v)) for v in row) + "\n")
@@ -313,12 +303,7 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_train(args) -> int:
     out = _check_common(args)
     config = _config_from_args(args)
-    if args.labeled is None or args.class_emb is None:
-        raise InputError("train needs --labeled and --class-emb")
-    labeled = read_embedding_file(args.labeled)
-    class_emb = read_embedding_file(args.class_emb)
-    if labeled.labels is None:
-        raise InputError(f"{args.labeled} has no labels; training requires them")
+    labeled, class_emb = _read_inputs(args, ("labeled", "class_emb"))
     _echo_config(config.resolved(labeled.dim), out)
     _train_artifacts(labeled, class_emb, config, args, out)
     return 0
@@ -349,8 +334,7 @@ def cmd_eval(args) -> int:
             f"assignments hold {free_ids.shape[0]} unconstrained rows but "
             f"{args.unlabeled} has {unlabeled.n} samples"
         )
-    config = RunConfig(seed=args.seed)
-    _echo_config(config, out)
+    _echo_config(RunConfig(seed=args.seed), out)
     report = split_accuracy(free_ids, unlabeled.labels, args.known)
     _emit_report(report, out)
     return 0
@@ -405,17 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_io_flags(p)
     _add_config_flags(p)
-    p.add_argument("--dump-graph", action="store_true", help="also write graph.csv")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cluster", help="cluster labeled+unlabeled with a checkpoint")
     _add_common(p)
     _add_io_flags(p)
     p.add_argument("--checkpoint", required=True, help="GVLP checkpoint from train")
-    p.add_argument("--k-total", type=int, help="total cluster count (known + novel)")
-    p.add_argument("--estimate-k", action="store_true", help="pick K by elbow scan")
-    p.add_argument("--k-min", type=int, help="elbow scan lower bound")
-    p.add_argument("--k-max", type=int, help="elbow scan upper bound")
+    _add_k_flags(p)
     p.set_defaults(func=cmd_cluster, seed=None)
 
     p = sub.add_parser("eval", help="score an assignments CSV against ground truth")
@@ -437,11 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_io_flags(p, synthetic=True)
     _add_config_flags(p)
-    p.add_argument("--dump-graph", action="store_true", help="also write graph.csv")
-    p.add_argument("--k-total", type=int, help="total cluster count (known + novel)")
-    p.add_argument("--estimate-k", action="store_true", help="pick K by elbow scan")
-    p.add_argument("--k-min", type=int, help="elbow scan lower bound")
-    p.add_argument("--k-max", type=int, help="elbow scan upper bound")
+    _add_k_flags(p)
     p.set_defaults(func=cmd_run_all)
 
     return parser
@@ -455,15 +431,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"graphgcd: InputError: file not found: {e.filename or e}", file=sys.stderr)
         return 2
-    except InputError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"graphgcd: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"graphgcd: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    except InvariantError as e:
-        print(f"graphgcd: {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Config files are UTF-8 ``key=value`` lines mirroring RunConfig field names.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,10 +180,11 @@ class RunConfig:
             raise InputError(f"gcn_layers must be in {{0,1,2,3}}, got {self.gcn_layers}")
         if not 0.0 <= self.margin_alpha <= 1.0:
             raise InputError(f"margin_alpha must be in [0,1], got {self.margin_alpha}")
-        if self.temperature <= 0.0:
-            raise InputError(f"temperature must be > 0, got {self.temperature}")
-        if self.learn_rate <= 0.0:
-            raise InputError(f"learn_rate must be > 0, got {self.learn_rate}")
+        # written so that NaN fails the comparison too
+        if not 0.0 < self.temperature < math.inf:
+            raise InputError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not 0.0 < self.learn_rate < math.inf:
+            raise InputError(f"learn_rate must be finite and > 0, got {self.learn_rate}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

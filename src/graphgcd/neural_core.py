@@ -1,7 +1,7 @@
 """Trainable tensors, forward passes, exact analytic backprop, Adam updates.
 
 All math runs in float64 regardless of storage dtype; tensors are stored
-float32 during training and updated only through adam_step.
+float32 during training and updated in place only by adam_step.
 """
 
 from __future__ import annotations
@@ -49,22 +49,6 @@ class ModelParams:
         out["proj.b2"] = self.proj_b2
         out["prompt.t"] = self.prompt_vectors
         return out
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        if name.startswith("gcn.w"):
-            self.gcn_weights[int(name[5:])] = value
-        elif name == "proj.w1":
-            self.proj_w1 = value
-        elif name == "proj.b1":
-            self.proj_b1 = value
-        elif name == "proj.w2":
-            self.proj_w2 = value
-        elif name == "proj.b2":
-            self.proj_b2 = value
-        elif name == "prompt.t":
-            self.prompt_vectors = value
-        else:
-            raise InvariantError(f"unknown tensor name {name!r}")
 
 
 def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[int, int]]:
@@ -165,11 +149,11 @@ def gcn_forward(
         raise InvariantError(
             f"h0 shape {h.shape} does not match graph with {a.shape[0]} nodes"
         )
-    weights = params.gcn_weights
-    layers = len(weights)
-    messages, pres = [], []
-    for l, w in enumerate(weights):
+    layers = len(params.gcn_weights)
+    weights, messages, pres = [], [], []
+    for l, w in enumerate(params.gcn_weights):
         w = np.asarray(w, dtype=np.float64)
+        weights.append(w)
         if h.shape[1] != w.shape[0]:
             raise InvariantError(
                 f"layer {l}: input dim {h.shape[1]} does not match weight {w.shape}"
@@ -184,7 +168,7 @@ def gcn_forward(
         norm_adjacency=a,
         messages=messages,
         pres=pres,
-        weights=[np.asarray(w, dtype=np.float64) for w in weights],
+        weights=weights,
         norm=norm,
     )
     return ybar, trace
@@ -302,11 +286,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
         buf /= denom
         new = tensor.astype(np.float64)
         new -= buf
-        dtype = tensor.dtype
-        state.m[name] = m.astype(dtype)
-        state.v[name] = v.astype(dtype)
-        new = new.astype(dtype)
+        new = new.astype(tensor.dtype)
         if not np.isfinite(new).all():
             raise InvariantError(f"tensor {name} became non-finite after update")
-        params.set_tensor(name, new)
+        tensor[...] = new
+        state.m[name][...] = m
+        state.v[name][...] = v
     return params

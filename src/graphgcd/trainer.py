@@ -249,7 +249,7 @@ def load_checkpoint(path) -> TrainState:
         raise BadMagicError(path, GVLP_MAGIC, raw[:4])
     offset = 4
 
-    def take(nbytes: int, what: str) -> bytes:
+    def take(nbytes: int) -> bytes:
         nonlocal offset
         if offset + nbytes > len(raw):
             raise TruncatedError(path, offset, nbytes, len(raw) - offset)
@@ -257,19 +257,27 @@ def load_checkpoint(path) -> TrainState:
         offset += nbytes
         return piece
 
-    (config_len,) = struct.unpack("<I", take(4, "config length"))
-    config = parse_config(take(config_len, "config echo").decode("utf-8"))
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    def take_text(nbytes: int) -> str:
+        start = offset
+        try:
+            return take(nbytes).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: bytes at offset {start} are not UTF-8") from None
+
+    (config_len,) = struct.unpack("<I", take(4))
+    config = parse_config(take_text(config_len))
+    config.validate()
+    (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take_text(name_len)
+        (rank,) = struct.unpack("<B", take(1))
         if rank > 4:
             raise FormatError(f"{path}: tensor {name!r} has implausible rank {rank}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(4 * size, f"payload of {name!r}")
+        payload = take(4 * size)
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite values")

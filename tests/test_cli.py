@@ -1,9 +1,11 @@
 """End-to-end tests of the subcommand CLI, run in-process via cli.main()."""
 
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 from graphgcd import cli
 from graphgcd.embed_io import (
     EmbeddingSet,
+    RunConfig,
     parse_config,
     read_embedding_file,
     write_embedding_file,
@@ -124,6 +127,37 @@ def test_train_dump_graph_flag(ws, tmp_path):
     assert (tmp_path / "graph.csv").exists()
 
 
+def config_flag(name):
+    return "--lr" if name == "learn_rate" else "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("base", [["train"], ["run-all", "--synthetic"]], ids=["train", "run-all"])
+def test_config_flags_mirror_run_config_fields(base):
+    # each RunConfig field but seed has one flag with the field's default, and
+    # a non-default value on that flag changes exactly that field
+    parser = cli.build_parser()
+    assert cli._config_from_args(parser.parse_args(base)) == RunConfig(seed=0)
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "seed":
+            continue
+        value = type(f.default)(f.default + 1)
+        args = parser.parse_args([*base, config_flag(f.name), str(value)])
+        expected = dataclasses.replace(RunConfig(seed=0), **{f.name: value})
+        assert cli._config_from_args(args) == expected, f.name
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--temperature"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_hyperparameters_rejected_before_training(tmp_path, capsys, flag, value):
+    rc = cli.main([
+        "run-all", "--synthetic", *SMALL, *TRAIN_OPTS, flag, value,
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.gvlp").exists()
+
+
 # ---------------------------------------------------------------- cluster
 
 def cluster_args(ws, out_dir, *extra):
@@ -179,12 +213,45 @@ def test_cluster_estimate_k_writes_scan(ws, tmp_path, capsys):
     assert (tmp_path / "assignments.csv").exists()
 
 
-def test_cluster_corrupt_checkpoint_is_an_input_error(ws, tmp_path):
+def corrupt_checkpoint_run(ws, tmp_path, edit):
+    """Run cluster on a copy of the shared checkpoint after edit(raw bytearray)."""
+    raw = bytearray(ws["checkpoint"].read_bytes())
+    edit(raw)
     bad = tmp_path / "bad.gvlp"
-    bad.write_bytes(b"GARBAGE")
+    bad.write_bytes(bytes(raw))
     args = cluster_args(ws, tmp_path, "--k-total", "4")
     args[args.index("--checkpoint") + 1] = str(bad)
-    assert cli.main(args) == 2
+    return cli.main(args)
+
+
+def test_cluster_corrupt_checkpoint_is_an_input_error(ws, tmp_path):
+    def garbage(raw):
+        raw[:] = b"GARBAGE"
+
+    assert corrupt_checkpoint_run(ws, tmp_path, garbage) == 2
+
+
+def first_tensor_name_offset(raw):
+    (config_len,) = struct.unpack_from("<I", raw, 4)
+    return 8 + config_len + 4 + 2
+
+
+@pytest.mark.parametrize("where", ["config", "tensor-name"])
+def test_cluster_non_utf8_checkpoint_is_a_format_error(ws, tmp_path, capsys, where):
+    def flip(raw):
+        raw[8 if where == "config" else first_tensor_name_offset(raw)] ^= 0xFF
+
+    assert corrupt_checkpoint_run(ws, tmp_path, flip) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
+def test_cluster_checkpoint_with_invalid_config_is_an_input_error(ws, tmp_path, capsys):
+    def zero_knn_k(raw):
+        at = raw.index(b"knn_k=1\n")
+        raw[at : at + 8] = b"knn_k=0\n"
+
+    assert corrupt_checkpoint_run(ws, tmp_path, zero_knn_k) == 2
+    assert "knn_k must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- eval

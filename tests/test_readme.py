@@ -1,7 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written and names only real CLI flags."""
 
 import re
 from pathlib import Path
+
+from graphgcd import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +16,14 @@ def test_readme_library_example_runs(capsys):
     accuracies = [float(v) for v in capsys.readouterr().out.split()]
     assert len(accuracies) == 3
     assert all(0.0 <= a <= 1.0 for a in accuracies)
+
+
+def test_readme_flags_exist():
+    # from Quick start on, every --flag belongs to graphgcd (the install
+    # section above it names pip's flags)
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", text[text.index("## Quick start") :]))
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and "run-all" in a.choices]
+    known = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    assert named and not named - known, sorted(named - known)
