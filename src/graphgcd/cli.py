@@ -28,10 +28,11 @@ from .clustering import (
 from .embed_io import (
     EmbeddingSet,
     RunConfig,
+    check_run_inputs,
     format_config,
     generate_synthetic,
     read_embedding_file,
-    write_config,
+    write_csv,
     write_embedding_file,
 )
 from .errors import InputError, InvariantError, NumericError
@@ -113,45 +114,36 @@ def _check_k_flags(args) -> None:
 
 
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
-    sys.stdout.write(format_config(config))
-    write_config(config, out_dir / "config.txt")
+    text = format_config(config)
+    sys.stdout.write(text)
+    (out_dir / "config.txt").write_text(text, encoding="utf-8")
 
 
 def _read_inputs(args, names=("labeled", "unlabeled", "class_emb")) -> list[EmbeddingSet]:
-    """Read the named input files in order; the labeled file must carry labels."""
+    """Read the named input files in order."""
     for name in names:
         if getattr(args, name) is None:
             raise InputError(f"--{name.replace('_', '-')} is required "
                              "(or pass --synthetic where supported)")
-    sets = {name: read_embedding_file(getattr(args, name)) for name in names}
-    if sets["labeled"].labels is None:
-        raise InputError(f"{args.labeled} has no labels; the labeled file needs them")
-    return list(sets.values())
+    return [read_embedding_file(getattr(args, name)) for name in names]
 
 
-def _write_synthetic(args, out: Path) -> tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet]:
-    labeled, unlabeled, class_emb = generate_synthetic(
-        class_count=args.classes,
-        known_count=args.known,
-        per_class=args.per_class,
-        d=args.dim,
-        separation=args.separation,
-        seed=args.seed,
-    )
-    for name, emb in (("labeled.gvle", labeled),
-                      ("unlabeled.gvle", unlabeled),
-                      ("class_emb.gvle", class_emb)):
+def _generate_synthetic(args) -> tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet]:
+    return generate_synthetic(args.classes, args.known, args.per_class, args.dim,
+                              args.separation, args.seed)
+
+
+def _write_synthetic(sets: tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet], out: Path) -> None:
+    for name, emb in zip(("labeled.gvle", "unlabeled.gvle", "class_emb.gvle"), sets):
         path = out / name
         write_embedding_file(emb, path)
         print(f"wrote {path}")
-    return labeled, unlabeled, class_emb
 
 
 def _write_assignments(result: ClusterAssignment, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("sample_index,cluster_id,is_constrained\n")
-        for i, (cid, pinned) in enumerate(zip(result.assignment, result.constrained_mask)):
-            f.write(f"{i},{int(cid)},{int(pinned)}\n")
+    rows = zip(range(len(result.assignment)), result.assignment.tolist(),
+               result.constrained_mask.astype(int).tolist())
+    write_csv(path, ("sample_index", "cluster_id", "is_constrained"), rows)
     print(f"wrote {path}")
 
 
@@ -186,12 +178,8 @@ def _emit_report(report: EvalReport, out: Path) -> None:
         value = getattr(report, metric)
         rows.append((metric, "n/a" if value is None else f"{value:.4f}"))
     print("\n".join(f"{metric} {value}" for metric, value in rows))
-    with open(out / "report.csv", "w", encoding="utf-8") as f:
-        f.write("metric,value\n")
-        f.writelines(f"{metric},{value}\n" for metric, value in rows)
-    with open(out / "confusion.csv", "w", encoding="utf-8") as f:
-        for row in report.confusion:
-            f.write(",".join(str(int(v)) for v in row) + "\n")
+    write_csv(out / "report.csv", ("metric", "value"), rows)
+    write_csv(out / "confusion.csv", (), report.confusion.tolist())
     print(f"wrote {out / 'report.csv'}")
     print(f"wrote {out / 'confusion.csv'}")
 
@@ -205,10 +193,6 @@ def cluster_features(
     i of both results is row i of assignments.csv.
     """
     graph = build_knn_graph(class_emb.data, state.config.knn_k)
-    if labeled.dim != unlabeled.dim:
-        raise InputError(f"labeled dim {labeled.dim} != unlabeled dim {unlabeled.dim}")
-    if labeled.labels.max() >= class_emb.n:
-        raise InputError("labeled file references a class with no class embedding")
     both = EmbeddingSet(data=np.vstack([labeled.data, unlabeled.data]))
     labels = np.concatenate([
         labeled.labels.astype(np.int64),
@@ -248,10 +232,7 @@ def _estimate_k(args, k_bounds: tuple[int, int], features: np.ndarray, labels: n
     """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
     scan = scan_inertia(features, labels, *k_bounds, args.seed)
     path = out / "inertia_scan.csv"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("k,inertia\n")
-        for k, inertia in scan:
-            f.write(f"{k},{inertia:.6f}\n")
+    write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
     print(f"wrote {path}")
     k = elbow_point([k for k, _ in scan], [v for _, v in scan])
     print(f"estimated k {k}")
@@ -281,30 +262,32 @@ def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb,
     return result
 
 
-def _load_for_clustering(
-    args, out: Path
-) -> tuple[TrainState, EmbeddingSet, EmbeddingSet, EmbeddingSet]:
-    """Read the inputs and the checkpoint, default --seed to its seed, echo its config."""
+def _load_for_clustering(args, out: Path):
+    """Read and check the inputs, the checkpoint and the cluster-count bounds,
+    default --seed to the checkpoint's seed, then echo its config."""
     labeled, unlabeled, class_emb = _read_inputs(args)
     state = load_checkpoint(args.checkpoint)
     if args.seed is None:
         args.seed = state.config.seed
+    check_run_inputs(state.config, labeled, class_emb, unlabeled)
+    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
     _echo_config(state.config, out)
-    return state, labeled, unlabeled, class_emb
+    return state, labeled, unlabeled, class_emb, k_bounds
 
 
 def cmd_gen_synthetic(args) -> int:
     out = _check_common(args)
+    sets = _generate_synthetic(args)
     _echo_config(RunConfig(seed=args.seed), out)
-    _write_synthetic(args, out)
+    _write_synthetic(sets, out)
     return 0
 
 
 def cmd_train(args) -> int:
     out = _check_common(args)
-    config = _config_from_args(args)
     labeled, class_emb = _read_inputs(args, ("labeled", "class_emb"))
-    _echo_config(config.resolved(labeled.dim), out)
+    config = check_run_inputs(_config_from_args(args), labeled, class_emb)
+    _echo_config(config, out)
     _train_artifacts(labeled, class_emb, config, args, out)
     return 0
 
@@ -312,8 +295,7 @@ def cmd_train(args) -> int:
 def cmd_cluster(args) -> int:
     out = _check_common(args)
     _check_k_flags(args)
-    state, labeled, unlabeled, class_emb = _load_for_clustering(args, out)
-    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
+    state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
     _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
     return 0
 
@@ -342,8 +324,7 @@ def cmd_eval(args) -> int:
 
 def cmd_estimate_k(args) -> int:
     out = _check_common(args)
-    state, labeled, unlabeled, class_emb = _load_for_clustering(args, out)
-    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
+    state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
     _estimate_k(args, k_bounds, features, labels, out)
     return 0
@@ -352,13 +333,13 @@ def cmd_estimate_k(args) -> int:
 def cmd_run_all(args) -> int:
     out = _check_common(args)
     _check_k_flags(args)
-    config = _config_from_args(args)
-    if args.synthetic:
-        labeled, unlabeled, class_emb = _write_synthetic(args, out)
-    else:
-        labeled, unlabeled, class_emb = _read_inputs(args)
+    sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
+    labeled, unlabeled, class_emb = sets
+    config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
     k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
-    _echo_config(config.resolved(labeled.dim), out)
+    if args.synthetic:
+        _write_synthetic(sets, out)
+    _echo_config(config, out)
 
     state = _train_artifacts(labeled, class_emb, config, args, out)
     result = _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)

@@ -1,11 +1,14 @@
-"""Embedding-set file I/O (GVLE format), run configuration, synthetic data.
+"""The input boundary: GVLE file I/O, run configuration, input checks, synthetic data.
 
 The GVLE layout is little-endian throughout:
 
     magic "GVLE" | n: uint32 | d: uint32 | has_labels: uint8
     | n*d float32 row-major | if has_labels: n int32 labels
 
-Config files are UTF-8 ``key=value`` lines mirroring RunConfig field names.
+GVLE files and GVLP checkpoints are both read through ByteReader. Config
+files are UTF-8 ``key=value`` lines mirroring RunConfig field names.
+check_run_inputs decides whether the input sets agree with each other and
+with a RunConfig. Also here: write_csv for every CSV artifact.
 """
 
 from __future__ import annotations
@@ -99,57 +102,88 @@ def write_embedding_file(emb: EmbeddingSet, path) -> None:
     Path(path).write_bytes(bytes(buf))
 
 
+class ByteReader:
+    """Bounded little-endian reads through one file's bytes, after its magic.
+
+    Every error names the byte offset where reading failed.
+    """
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        raw = Path(path).read_bytes()
+        if raw[: len(magic)] != magic:
+            raise BadMagicError(path, magic, raw[: len(magic)])
+        self._view = memoryview(raw)
+        self.offset = len(magic)
+
+    def take(self, nbytes: int) -> memoryview:
+        available = len(self._view) - self.offset
+        if nbytes > available:
+            raise TruncatedError(self.path, self.offset, nbytes, available)
+        self.offset += nbytes
+        return self._view[self.offset - nbytes : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, nbytes: int) -> str:
+        start = self.offset
+        try:
+            return str(self.take(nbytes), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: bytes at offset {start} are not UTF-8") from None
+
+    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A copy of the next prod(shape) items of dtype."""
+        dtype = np.dtype(dtype)
+        chunk = self.take(dtype.itemsize * math.prod(shape))
+        return np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+
+    def end(self) -> None:
+        """Reject bytes left after the last field."""
+        extra = len(self._view) - self.offset
+        if extra:
+            raise FormatError(f"{self.path}: {extra} trailing bytes at offset {self.offset}")
+
+
 def read_embedding_file(path) -> EmbeddingSet:
     """Parse a GVLE file back into an EmbeddingSet.
 
     Round-trips bit-exactly with write_embedding_file on data and labels.
     Errors name the byte offset of the offending field.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"embedding file not found: {p}")
-    raw = p.read_bytes()
-
-    if len(raw) < 4 or raw[:4] != GVLE_MAGIC:
-        raise BadMagicError(p, GVLE_MAGIC, raw[:4])
-    off = 4
-
-    def take(nbytes: int) -> bytes:
-        nonlocal off
-        if len(raw) - off < nbytes:
-            raise TruncatedError(p, off, nbytes, len(raw) - off)
-        chunk = raw[off : off + nbytes]
-        off += nbytes
-        return chunk
-
-    n, d = struct.unpack("<II", take(8))
-    (has_labels,) = struct.unpack("<B", take(1))
+    r = ByteReader(path, GVLE_MAGIC)
+    n, d, has_labels = r.unpack("<IIB")
     if n == 0 or d == 0:
-        raise FormatError(f"{p}: header declares empty set (n={n}, d={d})")
+        raise FormatError(f"{path}: header declares empty set (n={n}, d={d})")
     if has_labels not in (0, 1):
-        raise FormatError(f"{p}: has_labels byte at offset 12 must be 0/1, got {has_labels}")
+        raise FormatError(f"{path}: has_labels byte at offset 12 must be 0/1, got {has_labels}")
 
-    payload_off = off
-    data = np.frombuffer(take(4 * n * d), dtype="<f4").reshape(n, d)
+    payload_off = r.offset
+    data = r.array("<f4", (n, d))
     finite = np.isfinite(data)
     if not finite.all():
         bad = int(np.flatnonzero(~finite.ravel())[0])
-        raise NonFiniteError(
-            f"{p}: non-finite value at offset {payload_off + 4 * bad}"
-        )
+        raise NonFiniteError(f"{path}: non-finite value at offset {payload_off + 4 * bad}")
 
     labels = None
     if has_labels:
-        labels_off = off
-        labels = np.frombuffer(take(4 * n), dtype="<i4")
+        labels_off = r.offset
+        labels = r.array("<i4", (n,))
         bad = np.flatnonzero(labels < -1)
         if bad.size:
             i = int(bad[0])
-            raise LabelRangeError(p, labels_off + 4 * i, int(labels[i]))
-    if off != len(raw):
-        raise FormatError(f"{p}: {len(raw) - off} trailing bytes at offset {off}")
+            raise LabelRangeError(path, labels_off + 4 * i, int(labels[i]))
+    r.end()
+    return EmbeddingSet(data=data, labels=labels)
 
-    return EmbeddingSet(data=data.copy(), labels=None if labels is None else labels.copy())
+
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """Write comma-joined rows under the header line (none when header is empty)."""
+    with open(path, "w", encoding="utf-8") as f:
+        if header:
+            f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 @dataclass
@@ -206,7 +240,7 @@ def format_config(config: RunConfig) -> str:
     lines = []
     for f in dataclasses.fields(RunConfig):
         value = getattr(config, f.name)
-        if f.type in ("float", float):
+        if type(f.default) is float:
             lines.append(f"{f.name}={value!r}")
         else:
             lines.append(f"{f.name}={value}")
@@ -231,24 +265,39 @@ def parse_config(text: str) -> RunConfig:
         if key not in fields:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if fields[key].type in ("float", float):
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
+            values[key] = type(fields[key].default)(raw)
         except ValueError as exc:
             raise InputError(f"config line {lineno}: bad value for {key}: {raw!r}") from exc
     return RunConfig(**values)
 
 
-def write_config(config: RunConfig, path) -> None:
-    Path(path).write_text(format_config(config), encoding="utf-8")
+def check_run_inputs(
+    config: RunConfig,
+    labeled: EmbeddingSet,
+    class_emb: EmbeddingSet,
+    unlabeled: EmbeddingSet | None = None,
+) -> RunConfig:
+    """Check that the input sets agree with each other and with config.
 
-
-def read_config(path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    The labeled set must carry labels that are class ids contiguous from 0,
+    each with a row in class_emb; every set must share the labeled dimension;
+    config must be valid for class_emb.n known classes. Returns config with
+    hidden_dim resolved against the input dimension.
+    """
+    labels = labeled.labels
+    if labels is None:
+        raise InputError("the labeled file has no labels")
+    if labels.min() < 0:
+        raise InputError("the labeled file contains unlabeled rows (label -1)")
+    if labels.max() >= class_emb.n:
+        raise InputError(f"label {int(labels.max())} outside the {class_emb.n} known classes")
+    if not np.bincount(labels).all():
+        raise InputError("labeled class ids must be contiguous from 0")
+    for name, other in (("class embedding", class_emb), ("unlabeled", unlabeled)):
+        if other is not None and other.dim != labeled.dim:
+            raise InputError(f"{name} dim {other.dim} != labeled dim {labeled.dim}")
+    config.validate(known_class_count=class_emb.n)
+    return config.resolved(labeled.dim)
 
 
 def _draw_centers(rng: np.random.Generator, class_count: int, d: int) -> np.ndarray:

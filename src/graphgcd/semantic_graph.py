@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .embed_io import write_csv
 from .errors import InvariantError, NonFiniteError
 
 
@@ -51,17 +51,13 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> SemanticGraph:
         raise NonFiniteError("zero-norm class embedding row")
     unit = x / norms
     sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
 
     adjacency = np.eye(c, dtype=np.int8)
-    if k >= c - 1:
-        adjacency[:] = 1
-    else:
-        for i in range(c):
-            row = sims[i].copy()
-            row[i] = -np.inf
-            # stable sort on descending similarity -> lower index wins ties
-            order = np.argsort(-row, kind="stable")
-            adjacency[i, order[:k]] = 1
+    # stable sort on descending similarity -> lower index wins ties; each
+    # node sorts itself last, so k >= c - 1 selects every other node
+    nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    adjacency[np.arange(c)[:, None], nearest] = 1
 
     return SemanticGraph(adjacency=adjacency, norm_adjacency=row_normalize(adjacency))
 
@@ -77,5 +73,4 @@ def row_normalize(adjacency: np.ndarray) -> np.ndarray:
 
 def dump_graph_csv(graph: SemanticGraph, path) -> None:
     """Write the binary adjacency as CSV, one node row per line."""
-    lines = [",".join(str(int(v)) for v in row) for row in graph.adjacency]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, (), graph.adjacency.tolist())

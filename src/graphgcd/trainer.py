@@ -25,16 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed_io import EmbeddingSet, RunConfig, format_config, parse_config
-from .errors import (
-    BadMagicError,
-    FormatError,
-    InputError,
-    InvariantError,
-    NonFiniteError,
-    NumericError,
-    TruncatedError,
+from .embed_io import (
+    ByteReader,
+    EmbeddingSet,
+    RunConfig,
+    check_run_inputs,
+    format_config,
+    parse_config,
+    write_csv,
 )
+from .errors import FormatError, InputError, InvariantError, NonFiniteError, NumericError
 from .losses import Batch, loss_total, sample_triplets
 from .neural_core import (
     AdamState,
@@ -95,22 +95,9 @@ def train(
     exact backward, and one Adam update. Passing a loaded `state` resumes at
     state.epoch; the in-memory trace restarts at the resume point.
     """
-    if labeled.labels is None:
-        raise InputError("training requires a labeled embedding file")
+    config = check_run_inputs(config, labeled, class_embeddings)
     known = class_embeddings.n
     labels = labeled.labels
-    if labels.min() < 0:
-        raise InputError("labeled set contains unlabeled rows")
-    if labels.max() >= known:
-        raise InputError(
-            f"label {int(labels.max())} outside the {known} known classes"
-        )
-    if labeled.dim != class_embeddings.dim:
-        raise InputError(
-            f"labeled dim {labeled.dim} != class embedding dim {class_embeddings.dim}"
-        )
-    config = config.resolved(labeled.dim)
-    config.validate(known_class_count=known)
 
     if state is None:
         params = init_params(
@@ -190,10 +177,9 @@ def train(
 
 
 def write_loss_trace(trace: list[EpochRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,l_cma,l_sdp,l_cs,l_tot\n")
-        for r in trace:
-            f.write(f"{r.epoch},{r.l_cma:.6f},{r.l_sdp:.6f},{r.l_cs:.6f},{r.l_tot:.6f}\n")
+    rows = ((r.epoch, f"{r.l_cma:.6f}", f"{r.l_sdp:.6f}", f"{r.l_cs:.6f}", f"{r.l_tot:.6f}")
+            for r in trace)
+    write_csv(path, ("epoch", "l_cma", "l_sdp", "l_cs", "l_tot"), rows)
 
 
 def _chunks16(value: int) -> list[int]:
@@ -243,49 +229,25 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read a GVLP file back into a TrainState (trace starts empty)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != GVLP_MAGIC:
-        raise BadMagicError(path, GVLP_MAGIC, raw[:4])
-    offset = 4
-
-    def take(nbytes: int) -> bytes:
-        nonlocal offset
-        if offset + nbytes > len(raw):
-            raise TruncatedError(path, offset, nbytes, len(raw) - offset)
-        piece = raw[offset : offset + nbytes]
-        offset += nbytes
-        return piece
-
-    def take_text(nbytes: int) -> str:
-        start = offset
-        try:
-            return take(nbytes).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: bytes at offset {start} are not UTF-8") from None
-
-    (config_len,) = struct.unpack("<I", take(4))
-    config = parse_config(take_text(config_len))
+    r = ByteReader(path, GVLP_MAGIC)
+    (config_len,) = r.unpack("<I")
+    config = parse_config(r.text(config_len))
     config.validate()
-    (count,) = struct.unpack("<I", take(4))
+    (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take_text(name_len)
-        (rank,) = struct.unpack("<B", take(1))
+        (name_len,) = r.unpack("<H")
+        name = r.text(name_len)
+        (rank,) = r.unpack("<B")
         if rank > 4:
             raise FormatError(f"{path}: tensor {name!r} has implausible rank {rank}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(4 * size)
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        arr = r.array("<f4", r.unpack(f"<{rank}I"))
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite values")
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = arr
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after tensors")
+    r.end()
 
     def pull(name: str) -> np.ndarray:
         if name not in tensors:

@@ -501,6 +501,89 @@ def test_run_all_skips_eval_without_ground_truth(ws, tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+# ---------------------------------------------------------------- inputs that disagree
+
+@pytest.fixture(scope="module")
+def ws4(tmp_path_factory):
+    """Four known classes, so knn_k=3 trains; a 2-layer and a 0-layer checkpoint."""
+    root = tmp_path_factory.mktemp("cli4")
+    data = root / "data"
+    assert cli.main(["gen-synthetic", "--out-dir", str(data), "--seed", "5", "--classes", "6",
+                     "--known", "4", "--per-class", "4", "--dim", "8"]) == 0
+    for layers in ("2", "0"):
+        assert cli.main([
+            "train", "--labeled", str(data / "labeled.gvle"),
+            "--class-emb", str(data / "class_emb.gvle"), "--out-dir", str(root / layers),
+            "--epochs", "1", "--gcn-layers", layers,
+        ]) == 0
+    return root
+
+
+def _edited(ws4, tmp_path, name, edit):
+    emb = read_embedding_file(ws4 / "data" / name)
+    path = tmp_path / name
+    write_embedding_file(edit(emb), path)
+    return path
+
+
+def _narrow_class_emb(ws4, tmp_path):
+    return _edited(ws4, tmp_path, "class_emb.gvle", lambda e: EmbeddingSet(e.data[:, :4]))
+
+
+def _relabeled(ws4, tmp_path, old, new):
+    def edit(e):
+        labels = e.labels.copy()
+        labels[labels == old] = new
+        return EmbeddingSet(e.data, labels)
+    return _edited(ws4, tmp_path, "labeled.gvle", edit)
+
+
+def _knn_k_5_checkpoint(ws4, tmp_path):
+    raw = (ws4 / "2" / "checkpoint.gvlp").read_bytes()
+    assert raw.count(b"knn_k=3\n") == 1
+    path = tmp_path / "knn5.gvlp"
+    path.write_bytes(raw.replace(b"knn_k=3\n", b"knn_k=5\n"))
+    return path
+
+
+def _files_run(command, ws4, checkpoint=None, **files):
+    paths = {name: ws4 / "data" / f"{name}.gvle" for name in ("labeled", "unlabeled", "class_emb")}
+    paths.update(files)
+    args = [command, *(a for name, path in paths.items()
+                       for a in ("--" + name.replace("_", "-"), str(path))), "--k-total", "6"]
+    if command == "cluster":
+        return args + ["--checkpoint", str(checkpoint or ws4 / "2" / "checkpoint.gvlp")]
+    return args + ["--epochs", "1"]
+
+
+REJECTED = {
+    "cluster-class-emb-dim-0-layer": lambda ws4, tmp: _files_run(
+        "cluster", ws4, ws4 / "0" / "checkpoint.gvlp", class_emb=_narrow_class_emb(ws4, tmp)),
+    "cluster-class-emb-dim-2-layer": lambda ws4, tmp: _files_run(
+        "cluster", ws4, class_emb=_narrow_class_emb(ws4, tmp)),
+    "run-all-class-ids-not-contiguous": lambda ws4, tmp: _files_run(
+        "run-all", ws4, labeled=_relabeled(ws4, tmp, 2, 3)),
+    # the highest class, so the ids left stay contiguous
+    "cluster-labeled-rows-marked-unlabeled": lambda ws4, tmp: _files_run(
+        "cluster", ws4, labeled=_relabeled(ws4, tmp, 3, -1)),
+    "run-all-synthetic-lr-nan": lambda ws4, tmp: [
+        "run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--lr", "nan"],
+    "run-all-synthetic-knn-k-5": lambda ws4, tmp: [
+        "run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--knn-k", "5"],
+    "cluster-checkpoint-knn-k-5": lambda ws4, tmp: _files_run(
+        "cluster", ws4, _knn_k_5_checkpoint(ws4, tmp)),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_disagreeing_inputs_rejected_before_any_write(ws4, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    rc = cli.main([*REJECTED[case](ws4, tmp_path), "--out-dir", str(out)])
+    assert rc == 2
+    assert "InputError" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------- flag and error handling
 
 def test_missing_input_file_reports_path(tmp_path, capsys):

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgcd.embed_io import (
+    GVLE_MAGIC,
+    ByteReader,
     EmbeddingSet,
     RunConfig,
     _draw_centers,
+    check_run_inputs,
     format_config,
     generate_synthetic,
     parse_config,
-    read_config,
     read_embedding_file,
-    write_config,
     write_embedding_file,
 )
 from graphgcd.errors import (
@@ -118,8 +119,27 @@ def test_gvle_trailing_bytes(tmp_path):
     path = tmp_path / "trail.gvle"
     data = np.zeros((1, 1), dtype="<f4").tobytes()
     path.write_bytes(b"GVLE" + struct.pack("<IIB", 1, 1, 0) + data + b"xx")
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(FormatError, match="2 trailing bytes at offset 17"):
         read_embedding_file(path)
+
+
+@pytest.mark.parametrize("magic", [GVLE_MAGIC, b"GVLP"], ids=["gvle", "gvlp"])
+def test_byte_reader_names_offsets(tmp_path, magic):
+    # both file formats go through the same reader, so both get the same checks
+    path = tmp_path / "f.bin"
+    path.write_bytes(magic + struct.pack("<H", 3) + b"ab\xff" + b"tail")
+    r = ByteReader(path, magic)
+    assert r.unpack("<H") == (3,)
+    with pytest.raises(FormatError, match="bytes at offset 6 are not UTF-8"):
+        r.text(3)
+    with pytest.raises(FormatError, match="4 trailing bytes at offset 9"):
+        r.end()
+    with pytest.raises(TruncatedError, match="offset 9: needed 8 bytes, only 4"):
+        r.array("<f4", (2,))
+    np.testing.assert_array_equal(r.array("<u1", (2, 2)), [[116, 97], [105, 108]])
+    r.end()
+    with pytest.raises(BadMagicError, match="offset 0"):
+        ByteReader(path, b"XXXX")
 
 
 def test_gvle_bad_flag_and_empty_header(tmp_path):
@@ -176,8 +196,8 @@ def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp):
 def test_config_file_roundtrip(tmp_path):
     cfg = RunConfig(seed=123456789012345678, learn_rate=3e-4)
     path = tmp_path / "config.txt"
-    write_config(cfg, path)
-    assert read_config(path) == cfg
+    path.write_text(format_config(cfg), encoding="utf-8")
+    assert parse_config(path.read_text(encoding="utf-8")) == cfg
 
 
 def test_config_rejects_unknown_key():
@@ -236,6 +256,42 @@ def test_config_validate_knn_vs_classes():
     RunConfig(knn_k=3).validate(known_class_count=5)
     with pytest.raises(InputError, match="knn_k"):
         RunConfig(knn_k=5).validate(known_class_count=5)
+
+
+def _run_inputs(labels=(0, 0, 1, 1, 2), d=4, class_rows=3, class_dim=4, unlabeled_dim=4):
+    rng = np.random.default_rng(0)
+    labeled = EmbeddingSet(rng.normal(size=(5, d)),
+                           None if labels is None else np.asarray(labels))
+    class_emb = EmbeddingSet(rng.normal(size=(class_rows, class_dim)))
+    unlabeled = EmbeddingSet(rng.normal(size=(6, unlabeled_dim)))
+    return labeled, class_emb, unlabeled
+
+
+def test_check_run_inputs_resolves_config():
+    labeled, class_emb, unlabeled = _run_inputs()
+    config = RunConfig(knn_k=2)
+    assert check_run_inputs(config, labeled, class_emb, unlabeled) == RunConfig(
+        knn_k=2, hidden_dim=4)
+    assert check_run_inputs(RunConfig(knn_k=2, hidden_dim=7), labeled, class_emb).hidden_dim == 7
+    assert config.hidden_dim == 0
+    # class embeddings beyond the largest label are allowed
+    check_run_inputs(config, *_run_inputs(class_rows=5)[:2])
+
+
+@pytest.mark.parametrize("inputs,config,match", [
+    (dict(labels=None), RunConfig(knn_k=2), "no labels"),
+    (dict(labels=(0, -1, 1, 2, 2)), RunConfig(knn_k=2), "unlabeled rows"),
+    (dict(labels=(0, 1, 3, 3, 1)), RunConfig(knn_k=2), "label 3 outside the 3 known classes"),
+    (dict(labels=(0, 0, 2, 2, 3), class_rows=4), RunConfig(knn_k=2), "contiguous"),
+    (dict(class_dim=5), RunConfig(knn_k=2), "class embedding dim 5"),
+    (dict(unlabeled_dim=3), RunConfig(knn_k=2), "unlabeled dim 3"),
+    (dict(), RunConfig(knn_k=3), "knn_k=3 must be < known class count 3"),
+    (dict(), RunConfig(knn_k=2, learn_rate=float("nan")), "learn_rate"),
+], ids=["no-labels", "negative-label", "label-without-class", "gap", "class-dim",
+        "unlabeled-dim", "knn-k", "config"])
+def test_check_run_inputs_rejects(inputs, config, match):
+    with pytest.raises(InputError, match=match):
+        check_run_inputs(config, *_run_inputs(**inputs))
 
 
 def test_config_resolved_hidden_dim():

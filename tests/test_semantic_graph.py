@@ -61,6 +61,34 @@ def test_row_structure_invariants(c, k, seed):
     )
 
 
+def loop_knn_adjacency(x: np.ndarray, k: int) -> np.ndarray:
+    """Reference: one stable descending sort per row, the node itself excluded."""
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    sims = unit @ unit.T
+    adjacency = np.eye(len(x), dtype=np.int8)
+    for i in range(len(x)):
+        row = sims[i].copy()
+        row[i] = -np.inf
+        adjacency[i, np.argsort(-row, kind="stable")[:k]] = 1
+    return adjacency
+
+
+@pytest.mark.filterwarnings("ignore:knn_k")
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_per_row_reference_with_ties(seed):
+    # coarse integer rows and duplicated rows give exact cosine ties
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 9))
+    x = rng.integers(-1, 2, size=(c, 3)).astype(np.float64)
+    x[np.abs(x).sum(axis=1) == 0, 0] = 1.0
+    if c > 2:
+        x[-1] = x[0]
+    for k in range(1, c + 2):
+        got = build_knn_graph(x, k).adjacency
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, loop_knn_adjacency(x, k))
+
+
 def test_row_normalize_hand_cases():
     np.testing.assert_allclose(
         row_normalize(np.asarray([[1, 1], [1, 1]])),

@@ -324,7 +324,7 @@ def test_load_rejects_truncation(saved_bytes, tmp_path):
 
 
 def test_load_rejects_trailing_bytes(saved_bytes, tmp_path):
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(FormatError, match=f"2 trailing bytes at offset {len(saved_bytes)}"):
         reload(tmp_path, saved_bytes + b"\x00\x00")
 
 
@@ -377,6 +377,17 @@ def test_load_rejects_implausible_rank(saved_bytes, tmp_path):
     raw[rank_pos] = 5
     with pytest.raises(FormatError, match="rank"):
         reload(tmp_path, bytes(raw))
+
+
+def test_load_rejects_dims_whose_product_overflows_int64(saved_bytes, tmp_path):
+    # 65536**4 = 2**64 elements: the declared payload cannot fit in the file
+    spans, _ = record_spans(saved_bytes)
+    start, _, name = spans[0]
+    rank_pos = start + 2 + len(name.encode())
+    raw = (saved_bytes[:rank_pos] + struct.pack("<B4I", 4, *[65536] * 4)
+           + saved_bytes[rank_pos + 1 + 4 * 2 :])  # first tensor has rank 2
+    with pytest.raises(TruncatedError, match=f"offset {rank_pos + 17}"):
+        reload(tmp_path, raw)
 
 
 def test_load_rejects_non_finite_payload(saved_bytes, tmp_path):
