@@ -3,8 +3,10 @@
 Every command echoes its fully resolved configuration to stdout and to
 <out-dir>/config.txt. All artifacts are deterministic byte-for-byte given the
 same inputs and --seed: no timestamps, no machine identifiers. --threads is
-accepted for interface compatibility; computation runs in-process with
-fixed-order reductions, so the flag cannot change results.
+the most processes the elbow scan (--estimate-k, estimate-k) runs its K values
+in; it defaults to the CPUs this process may use and is capped by them and by
+the number of K values. Each K is computed alone from its own seed, so the
+flag cannot change results.
 
 Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 invariant violation.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -83,11 +86,24 @@ def _add_k_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-max", type=int, help="elbow scan upper bound")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan_workers(threads: int, k_bounds: tuple[int, int]) -> int:
+    """Elbow-scan worker processes: --threads, capped by the usable CPUs and the K count."""
+    return min(threads, _usable_cpus(), k_bounds[1] - k_bounds[0] + 1)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; has no effect")
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="most worker processes for the elbow scan, capped by the usable "
+                        "CPUs and the K count (default: the usable CPUs); "
+                        "results do not depend on it")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -230,7 +246,8 @@ def _k_bounds(args, known: int, n_total: int) -> tuple[int, int]:
 def _estimate_k(args, k_bounds: tuple[int, int], features: np.ndarray, labels: np.ndarray,
                 out: Path) -> int:
     """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
-    scan = scan_inertia(features, labels, *k_bounds, args.seed)
+    scan = scan_inertia(features, labels, *k_bounds, args.seed,
+                        workers=_scan_workers(args.threads, k_bounds))
     path = out / "inertia_scan.csv"
     write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
     print(f"wrote {path}")

@@ -161,6 +161,23 @@ def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray
     return float((diff * diff).sum())
 
 
+def _update_centroids(
+    features: np.ndarray, assignment: np.ndarray, counts: np.ndarray, centroids: np.ndarray
+) -> None:
+    """Set each non-empty cluster's centroid to its members' mean; empty ones keep theirs.
+
+    counts[c] must be the number of rows assigned to c. A stable sort keeps
+    each cluster's rows in index order, so every mean has the bits of
+    features[assignment == c].mean(axis=0) without a masked pass per cluster.
+    """
+    members = features[np.argsort(assignment, kind="stable")]
+    start = 0
+    for c, count in enumerate(counts.tolist()):
+        if count:
+            centroids[c] = np.add.reduce(members[start:start + count], axis=0) / count
+        start += count
+
+
 def semisup_kmeans(
     features: np.ndarray,
     labels: np.ndarray,
@@ -222,10 +239,7 @@ def semisup_kmeans(
             assignment[steal] = c
             counts[c] = 1
 
-        for c in range(k):
-            members = assignment == c
-            if members.any():
-                centroids[c] = features[members].mean(axis=0)
+        _update_centroids(features, assignment, counts, centroids)
 
         iterations = it + 1
         inertia = _inertia(features, centroids, assignment)
@@ -251,21 +265,59 @@ def semisup_kmeans(
     )
 
 
+def _scan_one(features: np.ndarray, labels: np.ndarray, seed, k: int) -> tuple[int, float]:
+    """One elbow-scan entry: K and the final inertia from K's own derived seed."""
+    sub = np.random.SeedSequence([int(seed), 3, k])
+    return k, semisup_kmeans(features, labels, k, sub).inertia
+
+
+# (features, labels, seed) of the scan a forked worker serves, set by its initializer
+_scan_inputs: tuple | None = None
+
+
+def _init_scan_worker(features: np.ndarray, labels: np.ndarray, seed) -> None:
+    global _scan_inputs
+    _scan_inputs = (features, labels, seed)
+
+
+def _scan_worker(k: int) -> tuple[int, float]:
+    return _scan_one(*_scan_inputs, k)
+
+
 def scan_inertia(
-    features: np.ndarray, labels: np.ndarray, k_min: int, k_max: int, seed
+    features: np.ndarray, labels: np.ndarray, k_min: int, k_max: int, seed, workers: int = 1
 ) -> list[tuple[int, float]]:
     """Final inertia of semisup_kmeans for each K in [k_min, k_max].
 
-    Each K gets its own derived seed so the scan is order-independent.
+    Each K gets its own derived seed so the scan is order-independent. With
+    workers > 1 the K values run in up to that many forked processes, which
+    inherit the inputs instead of receiving a pickled copy per task; results
+    are equal to the serial scan's, and if several K fail, the lowest K's
+    error is raised, as in the serial scan. Without fork the scan is serial.
     """
     if k_min > k_max:
         raise InputError(f"k_min={k_min} exceeds k_max={k_max}")
-    out = []
-    for k in range(k_min, k_max + 1):
-        sub = np.random.SeedSequence([int(seed), 3, k])
-        res = semisup_kmeans(features, labels, k, sub)
-        out.append((k, res.inertia))
-    return out
+    ks = range(k_min, k_max + 1)
+    workers = min(workers, len(ks))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_scan_worker, initargs=(features, labels, seed),
+            ) as pool:
+                # largest K first: the longest runs start early, so workers finish together
+                futures = {k: pool.submit(_scan_worker, k) for k in reversed(ks)}
+                try:
+                    return [futures[k].result() for k in ks]
+                except BaseException:
+                    # the scan has failed: start none of the K values still queued
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    return [_scan_one(features, labels, seed, k) for k in ks]
 
 
 def elbow_point(ks: list[int], inertias: list[float]) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphgcd import cli
+from graphgcd import cli, clustering
 from graphgcd.embed_io import (
     EmbeddingSet,
     RunConfig,
@@ -21,6 +21,7 @@ from graphgcd.embed_io import (
     read_embedding_file,
     write_embedding_file,
 )
+from graphgcd.errors import InvariantError
 from graphgcd.evaluation import split_accuracy
 from graphgcd.trainer import load_checkpoint
 
@@ -197,6 +198,61 @@ def test_cluster_threads_flag_cannot_change_results(ws, tmp_path):
     assert cli.main(cluster_args(ws, a, "--k-total", "4", "--threads", "1")) == 0
     assert cli.main(cluster_args(ws, b, "--k-total", "4", "--threads", "8")) == 0
     assert (a / "assignments.csv").read_bytes() == (b / "assignments.csv").read_bytes()
+
+
+def _scan_outputs(ws, where, monkeypatch, capsys, command, threads):
+    """Run an elbow-scan command into `where`/out and return its stdout and artifacts.
+
+    The out-dir is given relative to `where`, so stdout names the same paths
+    for every run.
+    """
+    where.mkdir()
+    monkeypatch.chdir(where)
+    capsys.readouterr()
+    args = cluster_args(ws, "out", "--k-min", "2", "--k-max", "7", "--threads", threads)
+    args[0] = command
+    if command == "cluster":
+        args.append("--estimate-k")
+    assert cli.main(args) == 0
+    files = sorted(p.name for p in (where / "out").iterdir())
+    return capsys.readouterr().out, {name: (where / "out" / name).read_bytes() for name in files}
+
+
+@pytest.mark.parametrize("command", ["estimate-k", "cluster"])
+def test_scan_threads_cannot_change_results(ws, tmp_path, monkeypatch, capsys, command):
+    runs = {t: _scan_outputs(ws, tmp_path / t, monkeypatch, capsys, command, t)
+            for t in ("1", "2", "8")}
+    files = runs["1"][1]
+    assert "inertia_scan.csv" in files
+    assert ("assignments.csv" in files) == (command == "cluster")
+    assert runs["2"] == runs["1"] and runs["8"] == runs["1"]
+
+
+def test_scan_workers_capped_by_cpus_and_k_count():
+    # a pure function of the flag: no process is started here
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._scan_workers(100000, (12, 27)) == min(cpus, 16)
+    assert cli._scan_workers(100000, (5, 5)) == 1
+    assert cli._scan_workers(1, (2, 40)) == 1
+    args = cli.build_parser().parse_args(["estimate-k", "--checkpoint", "x"])
+    assert args.threads == cpus
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_failure_exits_4_with_the_lowest_k(ws, tmp_path, monkeypatch, capsys, threads):
+    real = clustering.semisup_kmeans
+
+    def failing(features, labels, k, seed):
+        if k in (4, 6):
+            raise InvariantError(f"forced failure at k={k}")
+        return real(features, labels, k, seed)
+
+    monkeypatch.setattr(clustering, "semisup_kmeans", failing)
+    args = cluster_args(ws, tmp_path, "--estimate-k", "--k-min", "2", "--k-max", "7",
+                        "--threads", threads)
+    assert cli.main(args) == 4
+    assert capsys.readouterr().err == "graphgcd: InvariantError: forced failure at k=4\n"
+    assert not (tmp_path / "inertia_scan.csv").exists()
 
 
 def test_cluster_k_total_below_known_rejected(ws, tmp_path):
@@ -668,11 +724,11 @@ def test_tracer_wrapped_sites_resolve():
         )
 
 
-def _scipy_loaded_after(code: str) -> str:
-    """Run `code` in a fresh interpreter; report whether scipy got imported."""
+def _loaded_after(code: str, module: str = "scipy") -> str:
+    """Run `code` in a fresh interpreter; report whether `module` got imported."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nprint('scipy' in sys.modules)"],
+        [sys.executable, "-c", code + f"\nprint({module!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
@@ -681,7 +737,13 @@ def _scipy_loaded_after(code: str) -> str:
 
 def test_cli_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing the CLI must not load it
-    assert _scipy_loaded_after("import sys, graphgcd.cli") == "False"
+    assert _loaded_after("import sys, graphgcd.cli") == "False"
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+def test_cli_import_does_not_load_process_pools(module):
+    # only the elbow scan's worker path imports them, so other commands start as fast
+    assert _loaded_after("import sys, graphgcd.cli", module) == "False"
 
 
 def test_scoring_commands_do_not_load_scipy(tmp_path):
@@ -697,5 +759,5 @@ def test_scoring_commands_do_not_load_scipy(tmp_path):
         f"assert main({run_all!r}) == 0\n"
         f"assert main({evaluate!r}) == 0"
     )
-    assert _scipy_loaded_after(code) == "False"
+    assert _loaded_after(code) == "False"
     assert (tmp_path / "eval" / "report.csv").exists()

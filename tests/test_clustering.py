@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphgcd import clustering
 from graphgcd.clustering import (
     ClusterAssignment,
     elbow_point,
@@ -340,6 +341,29 @@ def test_kmeans_result_type():
     assert res.iterations_run >= 1
 
 
+@pytest.mark.parametrize("f", [1, 3, 17])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_update_centroids_has_the_bits_of_the_masked_mean(f, scale):
+    # the sorted-slice sums must reproduce features[assignment == c].mean(axis=0)
+    # exactly; empty clusters keep their old centroid
+    rng = np.random.default_rng([f, int(np.log10(scale)) + 3])
+    for _ in range(20):
+        n = int(rng.integers(1, 200))
+        k = int(rng.integers(2, 12))
+        features = scale * rng.normal(size=(n, f))
+        assignment = rng.integers(0, k, size=n)
+        assignment[assignment == k // 2] = 0  # at least one empty cluster, mid-range
+        counts = np.bincount(assignment, minlength=k)
+        old = rng.normal(size=(k, f))
+        centroids = old.copy()
+        clustering._update_centroids(features, assignment, counts, centroids)
+        expected = old.copy()
+        for c in range(k):
+            if counts[c]:
+                expected[c] = features[assignment == c].mean(axis=0)
+        np.testing.assert_array_equal(centroids.view(np.int64), expected.view(np.int64))
+
+
 # ---------------------------------------------------------------- inertia scan and elbow
 
 def test_scan_inertia_covers_range_and_is_deterministic():
@@ -360,6 +384,35 @@ def test_scan_inertia_entries_do_not_depend_on_range():
     narrow = dict(scan_inertia(features, unlabeled(15), 4, 5, seed=9))
     assert narrow[4] == wide[4]
     assert narrow[5] == wide[5]
+
+
+def test_scan_inertia_workers_do_not_change_results():
+    # forked workers compute each K exactly as the serial scan does
+    rng = np.random.default_rng(21)
+    features = rng.normal(size=(60, 4))
+    labels = unlabeled(60)
+    labels[:9] = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    serial = scan_inertia(features, labels, 3, 9, seed=13)
+    assert [k for k, _ in serial] == list(range(3, 10))
+    for workers in (2, 3):
+        scan = scan_inertia(features, labels, 3, 9, seed=13, workers=workers)
+        assert [(k, v.hex()) for k, v in scan] == [(k, v.hex()) for k, v in serial]
+
+
+def test_scan_inertia_raises_the_lowest_failing_k(monkeypatch):
+    # forked workers inherit the patch; K=5 and K=7 fail, K=7 is submitted first
+    real = clustering.semisup_kmeans
+
+    def failing(features, labels, k, seed):
+        if k in (5, 7):
+            raise InvariantError(f"forced failure at k={k}")
+        return real(features, labels, k, seed)
+
+    monkeypatch.setattr(clustering, "semisup_kmeans", failing)
+    features = np.random.default_rng(22).normal(size=(30, 3))
+    for workers in (1, 2, 3):
+        with pytest.raises(InvariantError, match=r"^forced failure at k=5$"):
+            scan_inertia(features, unlabeled(30), 2, 8, seed=0, workers=workers)
 
 
 def test_scan_inertia_rejects_bad_range():
