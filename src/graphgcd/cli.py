@@ -92,9 +92,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_workers(threads: int, k_bounds: tuple[int, int]) -> int:
-    """Elbow-scan worker processes: --threads, capped by the usable CPUs and the K count."""
-    return min(threads, _usable_cpus(), k_bounds[1] - k_bounds[0] + 1)
+def _scan_workers(threads: int) -> int:
+    """Elbow-scan worker processes: --threads capped by the usable CPUs (scan_inertia caps by K)."""
+    return min(threads, _usable_cpus())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -102,8 +102,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
     p.add_argument("--threads", type=int, default=_usable_cpus(),
                    help="most worker processes for the elbow scan, capped by the usable "
-                        "CPUs and the K count (default: the usable CPUs); "
-                        "results do not depend on it")
+                        "CPUs and the K count (default: the usable CPUs); each worker "
+                        "adds memory; results do not depend on it")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -247,7 +247,7 @@ def _estimate_k(args, k_bounds: tuple[int, int], features: np.ndarray, labels: n
                 out: Path) -> int:
     """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
     scan = scan_inertia(features, labels, *k_bounds, args.seed,
-                        workers=_scan_workers(args.threads, k_bounds))
+                        workers=_scan_workers(args.threads))
     path = out / "inertia_scan.csv"
     write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
     print(f"wrote {path}")

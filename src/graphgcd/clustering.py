@@ -275,9 +275,38 @@ def _scan_one(features: np.ndarray, labels: np.ndarray, seed, k: int) -> tuple[i
 _scan_inputs: tuple | None = None
 
 
+def _one_blas_thread() -> None:
+    """Shrink each loaded OpenBLAS's thread pool in this process to one thread.
+
+    The scan's workers already share the CPUs; BLAS threads of their own would
+    oversubscribe them. Finds the libraries through /proc/self/maps and does
+    nothing where that file or the setter is missing (other BLAS, other OS).
+    OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads, so setting it here
+    would be too late.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
 def _init_scan_worker(features: np.ndarray, labels: np.ndarray, seed) -> None:
     global _scan_inputs
     _scan_inputs = (features, labels, seed)
+    _one_blas_thread()
 
 
 def _scan_worker(k: int) -> tuple[int, float]:

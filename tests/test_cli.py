@@ -228,12 +228,11 @@ def test_scan_threads_cannot_change_results(ws, tmp_path, monkeypatch, capsys, c
     assert runs["2"] == runs["1"] and runs["8"] == runs["1"]
 
 
-def test_scan_workers_capped_by_cpus_and_k_count():
+def test_scan_workers_capped_by_usable_cpus():
     # a pure function of the flag: no process is started here
     cpus = len(os.sched_getaffinity(0))
-    assert cli._scan_workers(100000, (12, 27)) == min(cpus, 16)
-    assert cli._scan_workers(100000, (5, 5)) == 1
-    assert cli._scan_workers(1, (2, 40)) == 1
+    assert cli._scan_workers(100000) == cpus
+    assert cli._scan_workers(1) == 1
     args = cli.build_parser().parse_args(["estimate-k", "--checkpoint", "x"])
     assert args.threads == cpus
 

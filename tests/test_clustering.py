@@ -1,6 +1,10 @@
 """Tests for similarity features, constrained k-means, and the elbow scan."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,66 @@ def test_scan_inertia_workers_do_not_change_results():
     for workers in (2, 3):
         scan = scan_inertia(features, labels, 3, 9, seed=13, workers=workers)
         assert [(k, v.hex()) for k, v in scan] == [(k, v.hex()) for k, v in serial]
+
+
+_BLAS_THREADS_AFTER_WORKER_INIT = """
+import ctypes
+from graphgcd import clustering
+
+def blas_threads():
+    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads64_", "openblas_get_num_threads")
+    found = set()
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            if "openblas" in line:
+                lib = ctypes.CDLL(line.split(maxsplit=5)[5].strip())
+                found.update(getattr(lib, g)() for g in getters if hasattr(lib, g))
+    return sorted(found)
+
+clustering._init_scan_worker(None, None, 0)
+print(blas_threads())
+"""
+
+
+def test_scan_worker_init_leaves_one_blas_thread():
+    # a fresh interpreter asked for two OpenBLAS threads; a scan worker runs on one
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_AFTER_WORKER_INIT],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if out == "[]":
+        pytest.skip("numpy does not use OpenBLAS here")
+    assert out == "[1]"
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k_max, started", [(8, 7), (2, None)])
+def test_scan_inertia_caps_workers_by_k_count(monkeypatch, k_max, started):
+    # records the pool size instead of starting one; a single K stays serial
+    import concurrent.futures
+
+    sizes = []
+
+    def no_pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        raise _PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    features = np.random.default_rng(23).normal(size=(20, 3))
+    if started is None:
+        assert len(scan_inertia(features, unlabeled(20), 2, k_max, seed=0, workers=100000)) == 1
+    else:
+        with pytest.raises(_PoolStarted):
+            scan_inertia(features, unlabeled(20), 2, k_max, seed=0, workers=100000)
+    assert sizes == ([] if started is None else [started])
 
 
 def test_scan_inertia_raises_the_lowest_failing_k(monkeypatch):
