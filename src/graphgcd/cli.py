@@ -8,13 +8,23 @@ in; it defaults to the CPUs this process may use and is capped by them and by
 the number of K values. Each K is computed alone from its own seed, so the
 flag cannot change results.
 
-Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 invariant violation.
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
+Imported before numpy, as the graphgcd command does, that runs OpenBLAS on one
+thread in the CLI and in each scan worker.
+
+Exit codes: 0 success, 2 bad input (including a path that cannot be read or
+written), 3 numeric failure, 4 invariant violation.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+
+# OpenBLAS reads this once, when numpy loads it, and forked scan workers inherit
+# the pool it sized, so it must be set before the first numpy import below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -426,8 +436,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"graphgcd: InputError: file not found: {e.filename or e}", file=sys.stderr)
+    except OSError as e:
+        if e.filename is None:  # not a path the user gave (fork, pipes, ...)
+            raise
+        what = "file not found" if isinstance(e, FileNotFoundError) else e.strerror
+        print(f"graphgcd: InputError: {what}: {e.filename}", file=sys.stderr)
         return 2
     except tuple(_EXIT_CODES) as e:
         print(f"graphgcd: {type(e).__name__}: {e}", file=sys.stderr)

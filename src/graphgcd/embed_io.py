@@ -348,7 +348,7 @@ def generate_synthetic(
         raise InputError(f"per_class must be >= 2, got {per_class}")
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
-    if separation <= 0:
+    if not separation > 0:  # also rejects NaN; inf means zero noise
         raise InputError(f"separation must be > 0, got {separation}")
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))

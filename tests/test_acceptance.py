@@ -5,8 +5,8 @@ the ones from passing tests. Three criteria (synthetic recovery, elbow
 recovery, depth ablation) are expected to fail at the default desk-scale
 configuration; the assertion messages state the measured numbers and the
 mechanism. They fail honestly rather than being loosened: the gradient and
-oracle suites pin the implementation, so the misses are a property of the
-configured regime, not of the code.
+oracle suites pin the implementation, and the similarity features of the
+configured regime already merge classes before clustering starts.
 """
 
 import time
@@ -456,14 +456,18 @@ def test_criterion_4_synthetic_recovery(bench):
         f"mean acc_new {mean_new:.4f} vs required 0.70, {bench['elapsed']:.0f}s",
     )
     assert ok, (
-        line + ". Mechanism: with 3 graph neighbors over 5 known classes each "
-        "class keeps every class but one, adjacent classes end up with identical "
-        "normalized adjacency rows, and rows that share an adjacency row get "
-        "identical GCN outputs for any weights. Training then collapses the "
-        "class anchors onto a single line, the similarity features become "
-        "effectively one-dimensional, and novel classes merge. The gradient "
-        "suite (criterion 1) passes, so the miss is a property of this "
-        "configuration scale, not of the implementation."
+        line + ". Mechanism: the similarity features lose the novel classes "
+        "before clustering starts. Sending each novel unlabeled row to the "
+        "nearest true-class mean (an oracle that knows the labels) gets "
+        "0.33/0.25/0.22 of them right in the 2-layer features of seeds 0/1/2, "
+        "against 1.00/1.00/1.00 in the raw embeddings, and the k-means reaches "
+        "about the same (acc_new 0.32/0.28/0.24). With 3 graph neighbors over 5 "
+        "known classes, adjacent classes end up with identical normalized "
+        "adjacency rows, hence identical GCN outputs for any weights; training "
+        "collapses the class anchors onto a single line. The gradient suite "
+        "(criterion 1) passes, so the miss is not an implementation defect: the "
+        "feature map's ceiling sits below the 0.70 acc_new bar, and no "
+        "clustering change alone can close the gap."
     )
 
 
@@ -500,12 +504,15 @@ def test_criterion_7_depth_ablation_direction(bench):
         f"mean acc_all {mean_deep:.4f} with 2 layers vs {mean_flat:.4f} with 0",
     )
     assert ok, (
-        line + ". Mechanism: at 0 layers the class anchors are the raw class "
-        "embeddings and stay distinct, so known classes resolve almost "
-        "perfectly; at 2 layers the adjacency-row collisions described under "
-        "criterion 4 make anchors of adjacent classes identical before any "
-        "weight is applied, which inverts the ablation direction at this "
-        "class count and neighbor setting."
+        line + ". Mechanism: the 0-layer model wins on the known classes. Its "
+        "anchors are the raw class embeddings and stay distinct: the nearest "
+        "true-class mean in its features classifies 0.99-1.00 of known and "
+        "0.55/0.49/0.45 of novel unlabeled rows (seeds 0/1/2), and the k-means "
+        "scores acc_known 1.00. At 2 layers the adjacency-row collisions "
+        "described under criterion 4 make anchors of adjacent classes identical "
+        "before any weight is applied; the same probe gives 0.47/0.45/0.42 known "
+        "and 0.33/0.25/0.22 novel, and acc_known falls to 0.43/0.45/0.39. That "
+        "inverts the ablation direction at this class count and neighbor setting."
     )
 
 

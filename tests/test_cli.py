@@ -653,6 +653,30 @@ def test_missing_input_file_reports_path(tmp_path, capsys):
     assert "nope.gvle" in err
 
 
+@pytest.mark.parametrize("command, bad_is_dir", [
+    ("train", True), ("eval", True), ("gen-synthetic", False),
+])
+def test_unusable_path_exits_2_naming_it(ws, tmp_path, command, bad_is_dir):
+    # a directory where an input file goes, or a file where the out-dir goes
+    bad = tmp_path / "bad"
+    if bad_is_dir:
+        bad.mkdir()
+    else:
+        bad.touch()
+    data, out = ws["data"], str(tmp_path / "out")
+    args = {
+        "train": ["--labeled", str(bad), "--class-emb", str(data / "class_emb.gvle"),
+                  "--out-dir", out],
+        "eval": ["--assignments", str(bad), "--unlabeled", str(data / "unlabeled.gvle"),
+                 "--known", "2", "--out-dir", out],
+        "gen-synthetic": ["--out-dir", str(bad), *SMALL],
+    }[command]
+    run = _fresh_python("-m", "graphgcd.cli", command, *args)
+    assert run.returncode == 2
+    assert "InputError" in run.stderr and str(bad) in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         cli.main(["train", "--bogus"])
@@ -723,14 +747,20 @@ def test_tracer_wrapped_sites_resolve():
         )
 
 
+def _fresh_python(*args: str, env=None) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter that imports graphgcd from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**(os.environ if env is None else env), "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+
+
 def _loaded_after(code: str, module: str = "scipy") -> str:
     """Run `code` in a fresh interpreter; report whether `module` got imported."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", code + f"\nprint({module!r} in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True,
-    )
+    out = _fresh_python("-c", code + f"\nprint({module!r} in sys.modules)")
+    assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()[-1]
 
 
@@ -760,3 +790,40 @@ def test_scoring_commands_do_not_load_scipy(tmp_path):
     )
     assert _loaded_after(code) == "False"
     assert (tmp_path / "eval" / "report.csv").exists()
+
+
+_SCAN_WORKER_THREADS = """
+from types import SimpleNamespace
+import graphgcd.cli
+import numpy as np
+from graphgcd import clustering
+
+def threads_after_one_gemm(features, labels, k, seed):
+    a = np.ones((256, 256))
+    a @ a
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+    return SimpleNamespace(inertia=threads)
+
+clustering.semisup_kmeans = threads_after_one_gemm
+scan = clustering.scan_inertia(np.zeros((8, 2)), np.full(8, -1), 2, 5, seed=0, workers=2)
+print([threads for _, threads in scan])
+"""
+
+
+def test_cli_scan_workers_run_one_blas_thread():
+    # OpenBLAS sizes its pool once, at load; the CLI picks one thread before
+    # numpy loads, so each forked scan worker adds no BLAS thread of its own
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = _fresh_python("-c", _SCAN_WORKER_THREADS, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[1, 1, 1, 1]"
+
+
+def test_cli_import_keeps_a_caller_set_blas_thread_count():
+    code = "import os, graphgcd.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = _fresh_python("-c", code, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2"]

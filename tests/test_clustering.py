@@ -1,10 +1,6 @@
 """Tests for similarity features, constrained k-means, and the elbow scan."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,41 +397,6 @@ def test_scan_inertia_workers_do_not_change_results():
     for workers in (2, 3):
         scan = scan_inertia(features, labels, 3, 9, seed=13, workers=workers)
         assert [(k, v.hex()) for k, v in scan] == [(k, v.hex()) for k, v in serial]
-
-
-_BLAS_THREADS_AFTER_WORKER_INIT = """
-import ctypes
-from graphgcd import clustering
-
-def blas_threads():
-    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-               "openblas_get_num_threads64_", "openblas_get_num_threads")
-    found = set()
-    with open("/proc/self/maps") as maps:
-        for line in maps:
-            if "openblas" in line:
-                lib = ctypes.CDLL(line.split(maxsplit=5)[5].strip())
-                found.update(getattr(lib, g)() for g in getters if hasattr(lib, g))
-    return sorted(found)
-
-clustering._init_scan_worker(None, None, 0)
-print(blas_threads())
-"""
-
-
-def test_scan_worker_init_leaves_one_blas_thread():
-    # a fresh interpreter asked for two OpenBLAS threads; a scan worker runs on one
-    if not Path("/proc/self/maps").exists():
-        pytest.skip("no /proc/self/maps")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS_AFTER_WORKER_INIT],
-        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    if out == "[]":
-        pytest.skip("numpy does not use OpenBLAS here")
-    assert out == "[1]"
 
 
 class _PoolStarted(Exception):

@@ -337,18 +337,23 @@ def test_synthetic_infeasible_separation():
         generate_synthetic(40, 2, 2, 2, 6.0, seed=0)
 
 
+SYNTHETIC_ARGUMENT_CASES = [
+    (dict(class_count=3, known_count=0, per_class=2, d=4, separation=6.0), "known_count"),
+    (dict(class_count=3, known_count=4, per_class=2, d=4, separation=6.0), "known_count"),
+    (dict(class_count=3, known_count=1, per_class=1, d=4, separation=6.0), "per_class"),
+    (dict(class_count=3, known_count=1, per_class=2, d=0, separation=6.0), "d must"),
+    (dict(class_count=3, known_count=1, per_class=2, d=4, separation=0.0), "separation"),
+    (dict(class_count=3, known_count=1, per_class=2, d=4, separation=np.nan), "separation"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(class_count=3, known_count=0, per_class=2, d=4, separation=6.0),
-        dict(class_count=3, known_count=4, per_class=2, d=4, separation=6.0),
-        dict(class_count=3, known_count=1, per_class=1, d=4, separation=6.0),
-        dict(class_count=3, known_count=1, per_class=2, d=0, separation=6.0),
-        dict(class_count=3, known_count=1, per_class=2, d=4, separation=0.0),
-    ],
+    "kwargs, match", SYNTHETIC_ARGUMENT_CASES,
+    ids=[f"kwargs{i}" for i in range(len(SYNTHETIC_ARGUMENT_CASES))],
 )
-def test_synthetic_argument_validation(kwargs):
-    with pytest.raises(InputError):
+def test_synthetic_argument_validation(kwargs, match):
+    # each rejection names its argument; NaN fails `> 0` where it passed `<= 0`
+    with pytest.raises(InputError, match=match):
         generate_synthetic(seed=0, **kwargs)
 
 
