@@ -6,7 +6,8 @@ same inputs and --seed: no timestamps, no machine identifiers. --threads is
 the most processes the elbow scan (--estimate-k, estimate-k) runs its K values
 in; it defaults to the CPUs this process may use and is capped by them and by
 the number of K values. Each K is computed alone from its own seed, so the
-flag cannot change results.
+flag cannot change results. --losses-as-printed changes training, but neither
+config.txt nor the checkpoint records it.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
 Imported before numpy, as the graphgcd command does, that runs OpenBLAS on one
@@ -219,34 +220,34 @@ def cluster_features(
     i of both results is row i of assignments.csv.
     """
     graph = build_knn_graph(class_emb.data, state.config.knn_k)
-    both = EmbeddingSet(data=np.vstack([labeled.data, unlabeled.data]))
-    labels = np.concatenate([
-        labeled.labels.astype(np.int64),
-        np.full(unlabeled.n, -1, dtype=np.int64),
-    ])
-    return similarity_features(both, state.params, graph, class_emb), labels
+    both = np.vstack([labeled.data, unlabeled.data])
+    labels = np.concatenate([labeled.labels, np.full(unlabeled.n, -1)]).astype(np.int64)
+    return similarity_features(both, state.params, graph, class_emb.data), labels
 
 
-def _k_bounds(args, known: int, n_total: int) -> tuple[int, int]:
+def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
     """Checked cluster-count bounds: the elbow-scan range under --estimate-k, else (K, K).
 
-    Needs only the class and sample counts, so run-all checks before it trains.
+    K is at most the labeled classes plus the unlabeled rows (one free cluster each).
     """
+    reserved = int(labeled.labels.max()) + 1
+    cap = reserved + unlabeled.n
+    too_many = f"{cap}: {reserved} labeled classes plus {unlabeled.n} unlabeled rows"
     if args.estimate_k:
         k_min = args.k_min if args.k_min is not None else max(1, known)
-        k_max = args.k_max if args.k_max is not None else min(n_total, k_min + 15)
+        k_max = args.k_max if args.k_max is not None else min(cap, k_min + 15)
         if k_min < max(1, known):
             raise InputError(f"--k-min {k_min} is below the {known} known classes")
         if k_min > k_max:
             raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
-        if k_max > n_total:
-            raise InputError(f"--k-max {k_max} exceeds the {n_total} samples")
+        if k_max > cap:
+            raise InputError(f"--k-max {k_max} exceeds {too_many}")
         return k_min, k_max
     if args.k_total is not None:
         if args.k_total < known:
             raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
-        if args.k_total > n_total:
-            raise InputError(f"--k-total {args.k_total} exceeds the {n_total} samples")
+        if args.k_total > cap:
+            raise InputError(f"--k-total {args.k_total} exceeds {too_many}")
         return args.k_total, args.k_total
     if getattr(args, "synthetic", False):
         return args.classes, args.classes
@@ -297,7 +298,7 @@ def _load_for_clustering(args, out: Path):
     if args.seed is None:
         args.seed = state.config.seed
     check_run_inputs(state.config, labeled, class_emb, unlabeled)
-    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
+    k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     _echo_config(state.config, out)
     return state, labeled, unlabeled, class_emb, k_bounds
 
@@ -363,7 +364,7 @@ def cmd_run_all(args) -> int:
     sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
     labeled, unlabeled, class_emb = sets
     config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
-    k_bounds = _k_bounds(args, class_emb.n, labeled.n + unlabeled.n)
+    k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     if args.synthetic:
         _write_synthetic(sets, out)
     _echo_config(config, out)

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .embed_io import EmbeddingSet
 from .errors import InputError, InvariantError
 from .neural_core import ModelParams, gcn_forward, projector_forward
 from .semantic_graph import SemanticGraph
@@ -33,14 +32,12 @@ class ClusterAssignment:
 
 
 def similarity_features(
-    x_set: EmbeddingSet,
-    params: ModelParams,
-    graph: SemanticGraph,
-    class_embeddings: EmbeddingSet,
+    x: np.ndarray, params: ModelParams, graph: SemanticGraph, h0: np.ndarray
 ) -> np.ndarray:
-    """Rows of cosine similarities between projected samples and class embeddings."""
-    ybar, _ = gcn_forward(graph, class_embeddings.data, params)
-    z, _ = projector_forward(x_set.data, params)
+    """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row."""
+    # take [0] so that no local name keeps a trace (and the hidden layer) alive
+    ybar = gcn_forward(graph, h0, params)[0]
+    z = projector_forward(x, params)[0]
     # both factors are row-normalized, so the product is already cosine
     return np.clip(z @ ybar.T, -1.0, 1.0)
 

@@ -190,10 +190,9 @@ def gcn_backward(
 
 @dataclass
 class ProjTrace:
-    """Caches from projector_forward, consumed by projector_backward."""
+    """What projector_backward reads; `x` is the caller's array, not a copy."""
 
     x: np.ndarray
-    pre1: np.ndarray
     act1: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
@@ -204,18 +203,21 @@ def projector_forward(
     x: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, ProjTrace]:
     """Two-layer projection head: row L2-norm of W2.relu(W1 x + b1) + b2."""
-    x = np.asarray(x, dtype=np.float64)
+    # matmul casts a float32 x to float64 exactly, so the trace keeps x itself
+    x = np.asarray(x)
     w1 = np.asarray(params.proj_w1, dtype=np.float64)
     b1 = np.asarray(params.proj_b1, dtype=np.float64)
     w2 = np.asarray(params.proj_w2, dtype=np.float64)
     b2 = np.asarray(params.proj_b2, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise InvariantError(f"input shape {x.shape} does not match W1 {w1.shape}")
-    pre1 = x @ w1 + b1
-    act1 = np.maximum(pre1, 0.0)
-    pre2 = act1 @ w2 + b2
+    act1 = x @ w1
+    act1 += b1
+    np.maximum(act1, 0.0, out=act1)
+    pre2 = act1 @ w2
+    pre2 += b2
     z, norm = normalize_rows(pre2)
-    return z, ProjTrace(x=x, pre1=pre1, act1=act1, w1=w1, w2=w2, norm=norm)
+    return z, ProjTrace(x=x, act1=act1, w1=w1, w2=w2, norm=norm)
 
 
 @dataclass
@@ -233,7 +235,8 @@ def projector_backward(
     g2 = normalize_rows_backward(trace.norm, grad_z)
     gw2 = trace.act1.T @ g2
     gb2 = g2.sum(axis=0)
-    g1 = (g2 @ trace.w2.T) * (trace.pre1 > 0)
+    # relu output is positive exactly where its input is (NaN fails both)
+    g1 = (g2 @ trace.w2.T) * (trace.act1 > 0)
     gw1 = trace.x.T @ g1
     gb1 = g1.sum(axis=0)
     grad_x = g1 @ trace.w1.T

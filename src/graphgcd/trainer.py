@@ -155,15 +155,8 @@ def train(
             proj_grads, _ = projector_backward(proj_tr, grads.z)
             g_prompt = normalize_rows_backward(prompt_tr, grads.t)
             grad_map = {f"gcn.w{i}": g for i, g in enumerate(gcn_w_grads)}
-            grad_map.update(
-                {
-                    "proj.w1": proj_grads.w1,
-                    "proj.b1": proj_grads.b1,
-                    "proj.w2": proj_grads.w2,
-                    "proj.b2": proj_grads.b2,
-                    "prompt.t": g_prompt,
-                }
-            )
+            grad_map.update({f"proj.{k}": g for k, g in vars(proj_grads).items()})
+            grad_map["prompt.t"] = g_prompt
             adam_step(state.params, grad_map, config.learn_rate)
             sums += (parts["l_cma"], parts["l_sdp"], parts["l_cs"], parts["l_tot"])
             steps += 1

@@ -242,7 +242,8 @@ def _check_projector(rng):
             z, trace = projector_forward(x, params)
         except NumericError:
             continue
-        if np.abs(trace.pre1).min() > KINK_MARGIN and trace.norm.norms.min() > MIN_ROW_NORM:
+        pre1 = x @ params.proj_w1 + params.proj_b1
+        if np.abs(pre1).min() > KINK_MARGIN and trace.norm.norms.min() > MIN_ROW_NORM:
             break
     else:
         raise AssertionError("no kink-free projector instance found")

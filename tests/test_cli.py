@@ -128,6 +128,24 @@ def test_train_dump_graph_flag(ws, tmp_path):
     assert (tmp_path / "graph.csv").exists()
 
 
+def test_train_losses_as_printed_changes_losses_but_is_not_recorded(ws, tmp_path):
+    outs = {}
+    for name, extra in (("plain", []), ("printed", ["--losses-as-printed"])):
+        outs[name] = tmp_path / name
+        assert cli.main([
+            "train", "--labeled", str(ws["data"] / "labeled.gvle"),
+            "--class-emb", str(ws["data"] / "class_emb.gvle"),
+            "--out-dir", str(outs[name]), "--seed", "11", *TRAIN_OPTS, *extra,
+        ]) == 0
+    trace = {name: (out / "loss_trace.csv").read_bytes() for name, out in outs.items()}
+    assert trace["plain"] != trace["printed"]
+    # neither config.txt nor the checkpoint's config records the flag
+    config = {name: (out / "config.txt").read_bytes() for name, out in outs.items()}
+    assert config["plain"] == config["printed"]
+    assert (load_checkpoint(outs["plain"] / "checkpoint.gvlp").config
+            == load_checkpoint(outs["printed"] / "checkpoint.gvlp").config)
+
+
 def config_flag(name):
     return "--lr" if name == "learn_rate" else "--" + name.replace("_", "-")
 
@@ -438,6 +456,8 @@ def test_estimate_k_range_validation(ws, tmp_path):
     assert cli.main(base + ["--k-min", "1"]) == 2          # below the known classes
     assert cli.main(base + ["--k-min", "5", "--k-max", "4"]) == 2
     assert cli.main(base + ["--k-max", "9999"]) == 2       # beyond the sample count
+    assert cli.main(base + ["--k-max", "40"]) == 2         # beyond 2 classes + 32 free rows
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["estimate-k", "cluster"])
@@ -527,15 +547,19 @@ def test_run_all_file_inputs_need_a_cluster_count(ws, tmp_path):
     ("--estimate-k", "--k-min", "1"),
     ("--estimate-k", "--k-min", "5", "--k-max", "4"),
     ("--estimate-k", "--k-max", "9999"),
+    # 48 samples, but only 2 classes + 32 unlabeled rows can seed clusters
+    ("--k-total", "40"),
+    ("--estimate-k", "--k-max", "40"),
 ], ids=["k-total-below-known", "k-total-above-samples", "k-min-below-known",
-        "k-min-above-k-max", "k-max-above-samples"])
+        "k-min-above-k-max", "k-max-above-samples", "k-total-above-free-rows",
+        "k-max-above-free-rows"])
 def test_run_all_checks_cluster_count_before_training(ws, tmp_path, capsys, flags):
     args = cluster_args(ws, tmp_path, *flags, *TRAIN_OPTS)
     args[0] = "run-all"
     del args[args.index("--checkpoint") : args.index("--checkpoint") + 2]
     assert cli.main(args) == 2
     assert "InputError" in capsys.readouterr().err
-    assert not (tmp_path / "checkpoint.gvlp").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_all_skips_eval_without_ground_truth(ws, tmp_path, capsys):
@@ -732,19 +756,51 @@ def test_invariant_failure_maps_to_exit_4(ws, tmp_path):
 
 # ---------------------------------------------------------------- benchmark tracer
 
-def test_tracer_wrapped_sites_resolve():
-    # perfbench/tracer.py wraps functions at the names modules bind; a site
-    # that no longer resolves would make its per-layer metric silently read 0
+def _tracer_sites() -> list[tuple[str, str]]:
+    """Every (module, attribute) binding that perfbench/tracer.py wraps."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    sites = [site for _, group in tracer.WRAPPED for site in group]
+    return [site for _, group in tracer.WRAPPED for site in group]
+
+
+def test_tracer_wrapped_sites_resolve():
+    # perfbench/tracer.py wraps functions at the names modules bind; a site
+    # that no longer resolves would make its per-layer metric silently read 0
+    sites = _tracer_sites()
     assert sites
     for module, attr in sites:
         assert callable(getattr(importlib.import_module(f"graphgcd.{module}"), attr, None)), (
             f"graphgcd.{module}.{attr}"
         )
+
+
+def test_tracer_wrapped_sites_are_called(tmp_path, monkeypatch):
+    # a binding that exists but that no code path calls through would also
+    # make its per-layer metric read 0; --threads 1 keeps the scan's calls in
+    # this process, where the counters see them
+    calls = {}
+    for module, attr in _tracer_sites():
+        mod = importlib.import_module(f"graphgcd.{module}")
+        fn = getattr(mod, attr)
+
+        def counted(*args, _site=(module, attr), _fn=fn, **kwargs):
+            calls[_site] = calls.get(_site, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    run = tmp_path / "run"
+    assert cli.main(["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--estimate-k",
+                     "--threads", "1", "--out-dir", str(run)]) == 0
+    assert cli.main([
+        "cluster", "--labeled", str(run / "labeled.gvle"),
+        "--unlabeled", str(run / "unlabeled.gvle"),
+        "--class-emb", str(run / "class_emb.gvle"),
+        "--checkpoint", str(run / "checkpoint.gvlp"),
+        "--k-total", "4", "--out-dir", str(tmp_path / "cluster"),
+    ]) == 0
+    assert [site for site in _tracer_sites() if site not in calls] == []
 
 
 def _fresh_python(*args: str, env=None) -> subprocess.CompletedProcess:

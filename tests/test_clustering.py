@@ -14,7 +14,6 @@ from graphgcd.clustering import (
     semisup_kmeans,
     similarity_features,
 )
-from graphgcd.embed_io import EmbeddingSet
 from graphgcd.errors import InputError, InvariantError
 from graphgcd.neural_core import init_params
 from graphgcd.semantic_graph import build_knn_graph
@@ -32,8 +31,8 @@ def test_similarity_features_pinned_projector():
     # zero both weight matrices and point the output bias at class 3: every
     # sample projects to e3 and the feature row must read 1.0 there, 0 elsewhere
     d = 4
-    class_emb = EmbeddingSet(np.eye(d, dtype=np.float32))
-    graph = build_knn_graph(class_emb.data, k=1)
+    class_emb = np.eye(d, dtype=np.float32)
+    graph = build_knn_graph(class_emb, k=1)
     params = init_params(d, d, d, gcn_layers=0, seed=0)
     params.proj_w1[:] = 0.0
     params.proj_b1[:] = 0.0
@@ -44,7 +43,7 @@ def test_similarity_features_pinned_projector():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, d)).astype(np.float32)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    feats = similarity_features(EmbeddingSet(x), params, graph, class_emb)
+    feats = similarity_features(x, params, graph, class_emb)
     assert feats.shape == (3, d)
     np.testing.assert_allclose(feats[:, 3], 1.0, atol=1e-12)
     np.testing.assert_allclose(feats[:, :3], 0.0, atol=1e-12)
@@ -53,16 +52,13 @@ def test_similarity_features_pinned_projector():
 def test_similarity_features_identical_inputs_identical_rows():
     d, c = 6, 4
     rng = np.random.default_rng(2)
-    class_emb = EmbeddingSet(
-        (lambda m: (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32))(
-            rng.normal(size=(c, d))
-        )
-    )
-    graph = build_knn_graph(class_emb.data, k=2)
+    ce = rng.normal(size=(c, d))
+    class_emb = (ce / np.linalg.norm(ce, axis=1, keepdims=True)).astype(np.float32)
+    graph = build_knn_graph(class_emb, k=2)
     params = init_params(d, 8, c, gcn_layers=2, seed=5)
     row = rng.normal(size=d)
     row /= np.linalg.norm(row)
-    x = EmbeddingSet(np.stack([row, row]).astype(np.float32))
+    x = np.stack([row, row]).astype(np.float32)
     feats = similarity_features(x, params, graph, class_emb)
     np.testing.assert_array_equal(feats[0], feats[1])
 
@@ -74,21 +70,40 @@ def test_similarity_features_bounded_and_matches_pairwise_cosine():
     rng = np.random.default_rng(9)
     ce = rng.normal(size=(c, d))
     ce /= np.linalg.norm(ce, axis=1, keepdims=True)
-    class_emb = EmbeddingSet(ce.astype(np.float32))
-    graph = build_knn_graph(class_emb.data, k=2)
+    class_emb = ce.astype(np.float32)
+    graph = build_knn_graph(class_emb, k=2)
     params = init_params(d, 6, c, gcn_layers=1, seed=3)
     x = rng.normal(size=(n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x_set = EmbeddingSet(x.astype(np.float32))
+    x = x.astype(np.float32)
 
-    feats = similarity_features(x_set, params, graph, class_emb)
+    feats = similarity_features(x, params, graph, class_emb)
     assert np.abs(feats).max() <= 1.0
 
-    ybar, _ = gcn_forward(graph, class_emb.data, params)
-    z, _ = projector_forward(x_set.data, params)
+    ybar, _ = gcn_forward(graph, class_emb, params)
+    z, _ = projector_forward(x, params)
     for i in range(n):
         for j in range(c):
             assert feats[i, j] == pytest.approx(cosine(z[i], ybar[j]), abs=1e-12)
+
+
+def test_similarity_features_memory_holds_no_trace():
+    # cluster-heavy's shape: 4500 rows of 128 dims, hidden = d, 25 classes.
+    # Three n x d float64 arrays live at once (hidden layer, output, unit rows);
+    # a float64 copy of x or a trace kept alive would each add one more
+    n, d, c = 4500, 128, 25
+    rng = np.random.default_rng(4)
+    class_emb = rng.normal(size=(c, d)).astype(np.float32)
+    graph = build_knn_graph(class_emb, k=3)
+    params = init_params(d, d, c, gcn_layers=2, seed=0)
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        similarity_features(x, params, graph, class_emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * d * 8, f"peak {peak / (n * d * 8):.2f} x n*d*8 bytes"
 
 
 # ---------------------------------------------------------------- kmeans_pp_init
