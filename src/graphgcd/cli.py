@@ -238,8 +238,9 @@ def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
         k_max = args.k_max if args.k_max is not None else min(cap, k_min + 15)
         if k_min < max(1, known):
             raise InputError(f"--k-min {k_min} is below the {known} known classes")
-        if k_min > k_max:
-            raise InputError(f"--k-min {k_min} exceeds --k-max {k_max}")
+        if k_min > k_max:  # without --k-max, only the cap can fall below --k-min
+            bound = too_many if args.k_max is None else f"--k-max {k_max}"
+            raise InputError(f"--k-min {k_min} exceeds {bound}")
         if k_max > cap:
             raise InputError(f"--k-max {k_max} exceeds {too_many}")
         return k_min, k_max
@@ -298,6 +299,10 @@ def _load_for_clustering(args, out: Path):
     if args.seed is None:
         args.seed = state.config.seed
     check_run_inputs(state.config, labeled, class_emb, unlabeled)
+    trained_dim = state.params.prompt_vectors.shape[1]
+    if trained_dim != labeled.dim:
+        raise InputError(f"{args.checkpoint} was trained on dim {trained_dim} inputs, "
+                         f"but the input files have dim {labeled.dim}")
     k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     _echo_config(state.config, out)
     return state, labeled, unlabeled, class_emb, k_bounds

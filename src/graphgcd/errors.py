@@ -30,7 +30,6 @@ class TruncatedError(InputError):
             f"{path}: truncated at offset {offset}: "
             f"needed {needed} bytes, only {available} available"
         )
-        self.offset = offset
 
 
 class LabelRangeError(InputError):
@@ -40,7 +39,6 @@ class LabelRangeError(InputError):
         super().__init__(
             f"{path}: label {value} at offset {offset} is out of range (must be >= -1)"
         )
-        self.offset = offset
 
 
 class NonFiniteError(InputError):

@@ -50,6 +50,13 @@ class ModelParams:
         out["prompt.t"] = self.prompt_vectors
         return out
 
+    @classmethod
+    def from_named(cls, named: dict[str, np.ndarray]) -> "ModelParams":
+        """Inverse of named_tensors(); the Adam state starts empty."""
+        gcn = [named[f"gcn.w{i}"] for i in range(sum(n.startswith("gcn.w") for n in named))]
+        return cls(gcn, named["proj.w1"], named["proj.b1"], named["proj.w2"],
+                   named["proj.b2"], named["prompt.t"])
+
 
 def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[int, int]]:
     """Per-layer (fan_in, fan_out) chain: input_dim -> hidden... -> input_dim."""
@@ -63,6 +70,18 @@ def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[i
     return dims
 
 
+def param_shapes(
+    input_dim: int, hidden_dim: int, known_class_count: int, gcn_layers: int
+) -> dict[str, tuple[int, ...]]:
+    """The model's layout: every trainable tensor's name and shape, in
+    named_tensors() order. Init, resume and the checkpoint loader follow it."""
+    gcn = gcn_layer_dims(input_dim, hidden_dim, gcn_layers)
+    return {**{f"gcn.w{i}": dims for i, dims in enumerate(gcn)},
+            "proj.w1": (input_dim, hidden_dim), "proj.b1": (hidden_dim,),
+            "proj.w2": (hidden_dim, input_dim), "proj.b2": (input_dim,),
+            "prompt.t": (known_class_count, input_dim)}
+
+
 def init_params(
     input_dim: int,
     hidden_dim: int,
@@ -70,30 +89,22 @@ def init_params(
     gcn_layers: int,
     seed,
 ) -> ModelParams:
-    """Seeded glorot-uniform init; biases start at zero.
+    """Seeded glorot-uniform init of the matrices, in layout order; biases start at zero.
 
     Output dimension equals input_dim (projector and GCN project back to the
     embedding dimension of the input files).
     """
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
-
-    gcn_weights = [glorot(a, b) for a, b in gcn_layer_dims(input_dim, hidden_dim, gcn_layers)]
-    proj_w1 = glorot(input_dim, hidden_dim)
-    proj_b1 = np.zeros(hidden_dim, dtype=np.float32)
-    proj_w2 = glorot(hidden_dim, input_dim)
-    proj_b2 = np.zeros(input_dim, dtype=np.float32)
-    prompt_vectors = glorot(known_class_count, input_dim)
-
-    params = ModelParams(gcn_weights, proj_w1, proj_b1, proj_w2, proj_b2, prompt_vectors)
-    params.adam = AdamState(
-        m={k: np.zeros_like(t) for k, t in params.named_tensors().items()},
-        v={k: np.zeros_like(t) for k, t in params.named_tensors().items()},
-        step=0,
-    )
+    named = {}
+    for name, shape in param_shapes(input_dim, hidden_dim, known_class_count, gcn_layers).items():
+        if len(shape) == 1:
+            named[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            limit = np.sqrt(6.0 / sum(shape))
+            named[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    params = ModelParams.from_named(named)
+    params.adam = AdamState({k: np.zeros_like(t) for k, t in named.items()},
+                            {k: np.zeros_like(t) for k, t in named.items()})
     return params
 
 

@@ -9,9 +9,10 @@ Checkpoint layout (little-endian), all of it produced and consumed here:
                 uint32 dim per axis | float32 row-major payload
 
 Tensors are written in a fixed order: trainable tensors as "param/<name>",
-Adam moments as "adam.m/<name>" and "adam.v/<name>", then "meta/progress"
-holding seed, epoch, and Adam step as exact 16-bit chunks (each chunk is an
-integer below 2^16, representable in float32 without rounding). Nothing in
+Adam moments as "adam.m/<name>" and "adam.v/<name>", each group in the
+order and shapes of neural_core.param_shapes, then "meta/progress" holding
+seed, epoch, and Adam step as exact 16-bit chunks (each chunk is an integer
+below 2^16, representable in float32 without rounding). Nothing in
 the file depends on wall-clock time, so identical runs produce identical
 bytes. Per-epoch randomness is derived from (seed, 1, epoch), which is why
 resuming from a checkpoint reproduces an uninterrupted run bit for bit.
@@ -42,16 +43,17 @@ from .neural_core import (
     adam_step,
     gcn_backward,
     gcn_forward,
-    gcn_layer_dims,
     init_params,
     normalize_rows,
     normalize_rows_backward,
+    param_shapes,
     projector_backward,
     projector_forward,
 )
 from .semantic_graph import SemanticGraph, build_knn_graph
 
 GVLP_MAGIC = b"GVLP"
+_GROUPS = ("param", "adam.m", "adam.v")  # file order; each holds one tensor per layout name
 
 
 @dataclass
@@ -109,17 +111,10 @@ def train(
         )
         state = TrainState(params=params, epoch=0, config=config)
     else:
-        expect = gcn_layer_dims(labeled.dim, config.hidden_dim, config.gcn_layers)
-        got = [w.shape for w in state.params.gcn_weights]
-        if got != [tuple(s) for s in expect]:
-            raise InvariantError(f"checkpoint GCN shapes {got} do not match config {expect}")
-        if state.params.prompt_vectors.shape != (known, labeled.dim):
-            raise InvariantError(
-                f"checkpoint prompts {state.params.prompt_vectors.shape} do not match "
-                f"({known}, {labeled.dim})"
-            )
-        if state.params.proj_w1.shape != (labeled.dim, config.hidden_dim):
-            raise InvariantError("checkpoint projector does not match config dimensions")
+        got = {name: t.shape for name, t in state.params.named_tensors().items()}
+        expect = param_shapes(labeled.dim, config.hidden_dim, known, config.gcn_layers)
+        if got != expect:
+            raise InvariantError(f"checkpoint tensor shapes {got} do not match config {expect}")
         state = TrainState(params=state.params, epoch=state.epoch, config=config)
     if state.epoch > config.epochs:
         raise InputError(
@@ -154,10 +149,9 @@ def train(
             gcn_w_grads, _ = gcn_backward(gcn_tr, grads.ybar)
             proj_grads, _ = projector_backward(proj_tr, grads.z)
             g_prompt = normalize_rows_backward(prompt_tr, grads.t)
-            grad_map = {f"gcn.w{i}": g for i, g in enumerate(gcn_w_grads)}
-            grad_map.update({f"proj.{k}": g for k, g in vars(proj_grads).items()})
-            grad_map["prompt.t"] = g_prompt
-            adam_step(state.params, grad_map, config.learn_rate)
+            param_grads = ModelParams(gcn_w_grads, proj_grads.w1, proj_grads.b1, proj_grads.w2,
+                                      proj_grads.b2, g_prompt)
+            adam_step(state.params, param_grads.named_tensors(), config.learn_rate)
             sums += (parts["l_cma"], parts["l_sdp"], parts["l_cs"], parts["l_tot"])
             steps += 1
         mean = sums / max(steps, 1)
@@ -180,29 +174,18 @@ def _chunks16(value: int) -> list[int]:
 
 
 def _unchunk16(chunks) -> int:
-    return sum(int(round(float(c))) << (16 * i) for i, c in enumerate(chunks))
-
-
-def _progress_tensor(state: TrainState) -> np.ndarray:
-    vals = (
-        _chunks16(state.config.seed)
-        + _chunks16(state.epoch)
-        + _chunks16(state.params.adam.step)
-    )
-    return np.asarray(vals, dtype=np.float32)
+    return sum(int(c) << (16 * i) for i, c in enumerate(chunks))
 
 
 def save_checkpoint(state: TrainState, path) -> None:
     """Write params, Adam state, and progress meta to a GVLP file."""
-    tensors: list[tuple[str, np.ndarray]] = []
     named = state.params.named_tensors()
-    for name, t in named.items():
-        tensors.append((f"param/{name}", np.asarray(t, dtype=np.float32)))
-    for name in named:
-        tensors.append((f"adam.m/{name}", np.asarray(state.params.adam.m[name], dtype=np.float32)))
-    for name in named:
-        tensors.append((f"adam.v/{name}", np.asarray(state.params.adam.v[name], dtype=np.float32)))
-    tensors.append(("meta/progress", _progress_tensor(state)))
+    groups = (named, state.params.adam.m, state.params.adam.v)
+    tensors = [(f"{prefix}/{name}", np.asarray(group[name], dtype=np.float32))
+               for prefix, group in zip(_GROUPS, groups) for name in named]
+    progress = [c for v in (state.config.seed, state.epoch, state.params.adam.step)
+                for c in _chunks16(v)]
+    tensors.append(("meta/progress", np.asarray(progress, dtype=np.float32)))
 
     config_bytes = format_config(state.config).encode("utf-8")
     with open(path, "wb") as f:
@@ -242,39 +225,37 @@ def load_checkpoint(path) -> TrainState:
         tensors[name] = arr
     r.end()
 
-    def pull(name: str) -> np.ndarray:
+    def shape_of(name: str) -> tuple[int, ...]:
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name!r}")
+        return tensors[name].shape
+
+    def pull(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if shape_of(name) != shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {shape_of(name)}, "
+                              f"but the config block implies {shape}")
         return tensors.pop(name)
 
-    gcn_names = sorted(
-        (n for n in tensors if n.startswith("param/gcn.w")),
-        key=lambda n: int(n.split("param/gcn.w")[1]),
-    )
-    gcn_weights = [pull(n) for n in gcn_names]
-    params = ModelParams(
-        gcn_weights=gcn_weights,
-        proj_w1=pull("param/proj.w1"),
-        proj_b1=pull("param/proj.b1"),
-        proj_w2=pull("param/proj.w2"),
-        proj_b2=pull("param/proj.b2"),
-        prompt_vectors=pull("param/prompt.t"),
-    )
-    names = list(params.named_tensors())
-    adam = AdamState(
-        m={n: pull(f"adam.m/{n}") for n in names},
-        v={n: pull(f"adam.v/{n}") for n in names},
-    )
-    progress = pull("meta/progress")
-    if progress.shape != (12,):
+    # the prompts hold what the config block does not: the known-class count
+    # and the input dimension
+    prompt_shape = shape_of("param/prompt.t")
+    if len(prompt_shape) != 2:
+        raise FormatError(f"{path}: tensor 'param/prompt.t' has shape {prompt_shape}, "
+                          "not (classes, dim)")
+    layout = param_shapes(prompt_shape[1], config.hidden_dim, prompt_shape[0], config.gcn_layers)
+    named, m, v = ({name: pull(f"{prefix}/{name}", shape) for name, shape in layout.items()}
+                   for prefix in _GROUPS)
+    if shape_of("meta/progress") != (12,):
         raise FormatError(f"{path}: meta/progress must hold 12 values")
+    progress = tensors.pop("meta/progress")
+    if ((progress % 1 != 0) | (progress < 0) | (progress > 0xFFFF)).any():
+        raise FormatError(f"{path}: meta/progress values must be integers in [0, 65535]")
     if tensors:
         raise FormatError(f"{path}: unexpected tensors {sorted(tensors)}")
 
     seed = _unchunk16(progress[0:4])
-    epoch = _unchunk16(progress[4:8])
-    adam.step = _unchunk16(progress[8:12])
     if seed != config.seed:
         raise FormatError(f"{path}: progress seed {seed} disagrees with config {config.seed}")
-    params.adam = adam
-    return TrainState(params=params, epoch=epoch, config=config)
+    params = ModelParams.from_named(named)
+    params.adam = AdamState(m, v, step=_unchunk16(progress[8:12]))
+    return TrainState(params=params, epoch=_unchunk16(progress[4:8]), config=config)

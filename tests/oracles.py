@@ -3,8 +3,8 @@
 Everything in this file except `estimate_k` is written from the textbook
 definition and shares no code with the package: brute-force assignment
 enumeration, a plain Lloyd's k-means, list-deletion k-means++ seeding, a
-per-anchor triplet sampler, a two-vector cosine, and central finite
-differences. Keeping these separate is the point; do not "simplify" them by
+per-anchor triplet sampler, a two-vector cosine, central finite
+differences, and an explicit-order parameter init. Keeping these separate is the point; do not "simplify" them by
 calling into graphgcd. `estimate_k` is the one composition of package
 functions the tests share; the CLI runs the same two calls itself.
 """
@@ -167,3 +167,32 @@ def estimate_k(features, labels, k_min: int, k_max: int, seed) -> int:
 
     scan = scan_inertia(features, labels, k_min, k_max, seed)
     return elbow_point([k for k, _ in scan], [i for _, i in scan])
+
+
+def plain_init_params(input_dim: int, hidden_dim: int, known_class_count: int,
+                      gcn_layers: int, rng) -> dict[str, np.ndarray]:
+    """Glorot-uniform init drawn from `rng` in a fixed, explicit order.
+
+    The GCN weights first (input_dim -> hidden_dim ... -> input_dim; one
+    input_dim square layer when gcn_layers is 1), then projector W1, then
+    projector W2, then the prompt vectors. Each matrix is
+    rng.uniform(-limit, limit, (fan_in, fan_out)) with
+    limit = sqrt(6 / (fan_in + fan_out)), cast to float32; both projector
+    biases are float32 zeros. Returns the tensors by name, in checkpoint order.
+    """
+
+    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
+
+    if gcn_layers > 1:
+        widths = [input_dim] + [hidden_dim] * (gcn_layers - 1) + [input_dim]
+    else:
+        widths = [input_dim] * (gcn_layers + 1)
+    named = {f"gcn.w{i}": glorot(a, b) for i, (a, b) in enumerate(zip(widths, widths[1:]))}
+    named["proj.w1"] = glorot(input_dim, hidden_dim)
+    named["proj.b1"] = np.zeros(hidden_dim, dtype=np.float32)
+    named["proj.w2"] = glorot(hidden_dim, input_dim)
+    named["proj.b2"] = np.zeros(input_dim, dtype=np.float32)
+    named["prompt.t"] = glorot(known_class_count, input_dim)
+    return named

@@ -25,6 +25,8 @@ from graphgcd.errors import InvariantError
 from graphgcd.evaluation import split_accuracy
 from graphgcd.trainer import load_checkpoint
 
+from test_trainer import rewrite_tensor
+
 SMALL = ["--classes", "4", "--known", "2", "--per-class", "8", "--dim", "8",
          "--separation", "6.0"]
 TRAIN_OPTS = ["--knn-k", "1", "--epochs", "2", "--batch-size", "32"]
@@ -327,6 +329,18 @@ def test_cluster_checkpoint_with_invalid_config_is_an_input_error(ws, tmp_path, 
     assert "knn_k must be >= 1" in capsys.readouterr().err
 
 
+def test_cluster_checkpoint_off_its_layout_is_a_format_error(ws, tmp_path, capsys):
+    def cut_proj_b1(raw):
+        for group in ("param", "adam.m", "adam.v"):
+            raw[:] = rewrite_tensor(bytes(raw), f"{group}/proj.b1", np.zeros(3))
+
+    assert corrupt_checkpoint_run(ws, tmp_path, cut_proj_b1) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "'param/proj.b1' has shape (3,)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "config.txt").exists()
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_matches_library_scoring(ws, tmp_path, capsys):
@@ -444,7 +458,7 @@ def test_estimate_k_command(ws, tmp_path, capsys):
     assert len(scan) == 1 + 5
 
 
-def test_estimate_k_range_validation(ws, tmp_path):
+def test_estimate_k_range_validation(ws, tmp_path, capsys):
     base = [
         "estimate-k",
         "--labeled", str(ws["data"] / "labeled.gvle"),
@@ -457,6 +471,11 @@ def test_estimate_k_range_validation(ws, tmp_path):
     assert cli.main(base + ["--k-min", "5", "--k-max", "4"]) == 2
     assert cli.main(base + ["--k-max", "9999"]) == 2       # beyond the sample count
     assert cli.main(base + ["--k-max", "40"]) == 2         # beyond 2 classes + 32 free rows
+    capsys.readouterr()
+    assert cli.main(base + ["--k-min", "36"]) == 2         # beyond the default --k-max cap
+    err = capsys.readouterr().err
+    assert "--k-min 36 exceeds 34: 2 labeled classes plus 32 unlabeled rows" in err
+    assert "--k-max" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -617,6 +636,14 @@ def _relabeled(ws4, tmp_path, old, new):
     return _edited(ws4, tmp_path, "labeled.gvle", edit)
 
 
+def _doubled_dim_files(ws4, tmp_path):
+    """All three input files at dim 16: they agree with each other, not with a checkpoint."""
+    def double(e):
+        return EmbeddingSet(np.hstack([e.data, e.data]), e.labels)
+    return {name: _edited(ws4, tmp_path, f"{name}.gvle", double)
+            for name in ("labeled", "unlabeled", "class_emb")}
+
+
 def _knn_k_5_checkpoint(ws4, tmp_path):
     raw = (ws4 / "2" / "checkpoint.gvlp").read_bytes()
     assert raw.count(b"knn_k=3\n") == 1
@@ -651,6 +678,8 @@ REJECTED = {
         "run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--knn-k", "5"],
     "cluster-checkpoint-knn-k-5": lambda ws4, tmp: _files_run(
         "cluster", ws4, _knn_k_5_checkpoint(ws4, tmp)),
+    "cluster-checkpoint-of-another-dim": lambda ws4, tmp: _files_run(
+        "cluster", ws4, **_doubled_dim_files(ws4, tmp)),
 }
 
 
@@ -736,22 +765,15 @@ def test_numeric_failure_maps_to_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_invariant_failure_maps_to_exit_4(ws, tmp_path):
-    # checkpoint trained at dim 8 cannot project dim-4 inputs
-    other = tmp_path / "d4"
-    assert cli.main([
-        "gen-synthetic", "--out-dir", str(other), "--seed", "1",
-        "--classes", "4", "--known", "2", "--per-class", "4", "--dim", "4",
-    ]) == 0
-    rc = cli.main([
-        "cluster",
-        "--labeled", str(other / "labeled.gvle"),
-        "--unlabeled", str(other / "unlabeled.gvle"),
-        "--class-emb", str(other / "class_emb.gvle"),
-        "--checkpoint", str(ws["checkpoint"]),
-        "--k-total", "4", "--out-dir", str(tmp_path),
-    ])
-    assert rc == 4
+def test_invariant_failure_maps_to_exit_4(ws, tmp_path, monkeypatch, capsys):
+    # a broken internal contract, forced: bad inputs exit 2 before clustering starts
+    def broken(features, labels, k, seed):
+        raise InvariantError("forced failure in the clustering stage")
+
+    monkeypatch.setattr(cli, "semisup_kmeans", broken)
+    assert cli.main(cluster_args(ws, tmp_path, "--k-total", "4")) == 4
+    assert capsys.readouterr().err == (
+        "graphgcd: InvariantError: forced failure in the clustering stage\n")
 
 
 # ---------------------------------------------------------------- benchmark tracer

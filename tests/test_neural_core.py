@@ -13,12 +13,13 @@ from graphgcd.neural_core import (
     init_params,
     normalize_rows,
     normalize_rows_backward,
+    param_shapes,
     projector_backward,
     projector_forward,
 )
 from graphgcd.semantic_graph import SemanticGraph, build_knn_graph
 
-from oracles import fd_gradient, grad_error
+from oracles import fd_gradient, grad_error, plain_init_params
 
 
 def _graph_from_norm(norm: np.ndarray) -> SemanticGraph:
@@ -49,6 +50,36 @@ def test_init_glorot_bounds_and_zero_biases():
     for name, t in p.named_tensors().items():
         assert not p.adam.m[name].any() and not p.adam.v[name].any()
         assert p.adam.m[name].shape == np.asarray(t).shape
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_param_shapes_is_the_layout_of_init_and_named_tensors(layers):
+    p = _params(d=5, hidden=7, classes=3, layers=layers)
+    named = p.named_tensors()
+    assert {n: t.shape for n, t in named.items()} == param_shapes(5, 7, 3, layers)
+    assert list(named) == list(param_shapes(5, 7, 3, layers))
+    back = ModelParams.from_named(named).named_tensors()
+    assert list(back) == list(named)
+    assert all(back[n] is named[n] for n in named)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("d, hidden", [(5, 3), (4, 7)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_init_params_matches_explicit_order_oracle(layers, d, hidden, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    params = init_params(d, hidden, 4, layers, ours)
+    expect = plain_init_params(d, hidden, 4, layers, theirs)
+    named = params.named_tensors()
+    assert list(named) == list(expect)
+    for name, t in expect.items():
+        assert named[name].dtype == np.float32 and np.array_equal(named[name], t), name
+        for moments in (params.adam.m, params.adam.v):
+            assert moments[name].dtype == np.float32, name
+            assert np.array_equal(moments[name], np.zeros_like(t)), name
+    assert params.adam.step == 0
+    # both consumed the generator equally: the next draw agrees
+    assert ours.random() == theirs.random()
 
 
 def test_init_deterministic():

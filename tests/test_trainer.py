@@ -256,15 +256,10 @@ def test_checkpoint_with_retired_config_key_loads(tiny, tmp_path):
     state = train(labeled, class_emb, dataclasses.replace(config, epochs=1))
     path = tmp_path / "new.gvlp"
     save_checkpoint(state, path)
-    raw = path.read_bytes()
     # rewrite the config block as older checkpoints carry it
-    (config_len,) = struct.unpack_from("<I", raw, 4)
-    block = raw[8 : 8 + config_len].replace(
-        b"temperature=", b"context_vectors_m=16\ntemperature="
-    )
-    assert block.count(b"context_vectors_m=16\n") == 1
+    raw = rewrite_config(path.read_bytes(), "temperature=", "context_vectors_m=16\ntemperature=")
     old = tmp_path / "old.gvlp"
-    old.write_bytes(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + config_len :])
+    old.write_bytes(raw)
     back = load_checkpoint(old)
     tensors_equal(load_checkpoint(path).params, back.params)
     assert back.epoch == state.epoch
@@ -294,6 +289,24 @@ def record_spans(raw):
         off += 4 * size
         spans.append((start, off, name))
     return spans, 8 + config_len
+
+
+def rewrite_tensor(raw, name, array):
+    """Replace one tensor record's rank, dims and payload; every other byte stays."""
+    ((start, end),) = [(s, e) for s, e, n in record_spans(raw)[0] if n == name]
+    array = np.asarray(array, dtype="<f4")
+    nb = name.encode("utf-8")
+    head = struct.pack(f"<H{len(nb)}sB{array.ndim}I", len(nb), nb, array.ndim, *array.shape)
+    return raw[:start] + head + array.tobytes() + raw[end:]
+
+
+def rewrite_config(raw, old, new):
+    """Replace the one occurrence of `old` in the config block and fix its length."""
+    (config_len,) = struct.unpack_from("<I", raw, 4)
+    block = raw[8 : 8 + config_len].decode("utf-8")
+    assert block.count(old) == 1, old
+    block = block.replace(old, new).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + config_len :]
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +433,65 @@ def test_load_rejects_wrong_progress_shape(saved_bytes, tmp_path):
     shrunk = header + struct.pack("<I", 11) + payload[: 4 * 11]
     with pytest.raises(FormatError, match="12 values"):
         reload(tmp_path, saved_bytes[:start] + shrunk)
+
+
+def progress_values(raw):
+    """The 12 meta/progress values: the record is the file's last 48 bytes."""
+    assert record_spans(raw)[0][-1][2] == "meta/progress"
+    return np.frombuffer(raw[-48:], "<f4").copy()
+
+
+def test_rewrite_tensor_with_its_own_values_changes_no_byte(saved_bytes):
+    raw = rewrite_tensor(saved_bytes, "meta/progress", progress_values(saved_bytes))
+    assert raw == saved_bytes
+
+
+# the tiny config's layout: dim 8, hidden 8, 5 known classes, 2 GCN layers
+OFF_LAYOUT = {
+    "proj.b1-cut-to-3": (
+        {f"{group}/proj.b1": np.zeros(3) for group in ("param", "adam.m", "adam.v")},
+        r"'param/proj\.b1' has shape \(3,\), but the config block implies \(8,\)"),
+    "proj.w2-cut-to-5-columns": (
+        {"param/proj.w2": np.zeros((8, 5))}, r"'param/proj\.w2' has shape \(8, 5\)"),
+    "adam.m-proj.w1-cut-to-2-rows": (
+        {"adam.m/proj.w1": np.zeros((2, 8))}, r"'adam\.m/proj\.w1' has shape \(2, 8\)"),
+    "prompts-not-a-matrix": (
+        {"param/prompt.t": np.ones(40)}, r"'param/prompt\.t' has shape \(40,\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_LAYOUT))
+def test_load_rejects_tensor_shapes_off_the_layout(saved_bytes, tmp_path, case):
+    edits, message = OFF_LAYOUT[case]
+    raw = saved_bytes
+    for name, array in edits.items():
+        raw = rewrite_tensor(raw, name, array)
+    with pytest.raises(FormatError, match=message):
+        reload(tmp_path, raw)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("hidden_dim=8\n", "hidden_dim=32\n",
+     r"'param/gcn\.w0' has shape \(8, 8\), but the config block implies \(8, 32\)"),
+    ("gcn_layers=2\n", "gcn_layers=1\n", r"unexpected tensors \['adam\.m/gcn\.w1'"),
+    ("gcn_layers=2\n", "gcn_layers=3\n", r"missing tensor 'param/gcn\.w2'"),
+], ids=["hidden-dim-32", "gcn-layers-1", "gcn-layers-3"])
+def test_load_rejects_config_block_that_does_not_describe_the_tensors(
+    saved_bytes, tmp_path, old, new, message
+):
+    with pytest.raises(FormatError, match=message):
+        reload(tmp_path, rewrite_config(saved_bytes, old, new))
+
+
+# chunk 4 is the low epoch chunk, 5 the next one, 8 the low Adam step chunk
+@pytest.mark.parametrize("edits", [{4: -3.0, 8: 0.5}, {5: 65536.0}],
+                         ids=["negative-epoch-fractional-step", "epoch-chunk-above-16-bits"])
+def test_load_rejects_progress_values_that_are_not_16_bit_integers(saved_bytes, tmp_path, edits):
+    progress = progress_values(saved_bytes)
+    for i, value in edits.items():
+        progress[i] = value
+    with pytest.raises(FormatError, match=r"meta/progress values must be integers in \[0, 65535\]"):
+        reload(tmp_path, rewrite_tensor(saved_bytes, "meta/progress", progress))
 
 
 # ---------------------------------------------------------------- loss trace file
