@@ -220,9 +220,11 @@ def cluster_features(
     i of both results is row i of assignments.csv.
     """
     graph = build_knn_graph(class_emb.data, state.config.knn_k)
-    both = np.vstack([labeled.data, unlabeled.data])
+    # each set on its own: no n x d copy of both, only the n x C results are joined
+    features = np.concatenate([similarity_features(s.data, state.params, graph, class_emb.data)
+                               for s in (labeled, unlabeled)])
     labels = np.concatenate([labeled.labels, np.full(unlabeled.n, -1)]).astype(np.int64)
-    return similarity_features(both, state.params, graph, class_emb.data), labels
+    return features, labels
 
 
 def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
@@ -299,10 +301,13 @@ def _load_for_clustering(args, out: Path):
     if args.seed is None:
         args.seed = state.config.seed
     check_run_inputs(state.config, labeled, class_emb, unlabeled)
-    trained_dim = state.params.prompt_vectors.shape[1]
+    trained_known, trained_dim = state.params.prompt_vectors.shape
     if trained_dim != labeled.dim:
         raise InputError(f"{args.checkpoint} was trained on dim {trained_dim} inputs, "
                          f"but the input files have dim {labeled.dim}")
+    if trained_known != class_emb.n:
+        raise InputError(f"{args.checkpoint} was trained on {trained_known} known classes, "
+                         f"but {args.class_emb} holds {class_emb.n}")
     k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     _echo_config(state.config, out)
     return state, labeled, unlabeled, class_emb, k_bounds

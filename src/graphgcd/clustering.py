@@ -19,7 +19,7 @@ from .semantic_graph import SemanticGraph
 
 MAX_LLOYD_ITERATIONS = 300
 _INERTIA_SLACK = 1e-9
-_CHUNK_ROWS = 2048  # rows per distance GEMM: a chunk's g is _CHUNK_ROWS x k floats
+_CHUNK_ROWS = 2048  # rows per feature block and per distance GEMM (g is _CHUNK_ROWS x k)
 
 
 @dataclass
@@ -34,12 +34,24 @@ class ClusterAssignment:
 def similarity_features(
     x: np.ndarray, params: ModelParams, graph: SemanticGraph, h0: np.ndarray
 ) -> np.ndarray:
-    """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row."""
-    # take [0] so that no local name keeps a trace (and the hidden layer) alive
+    """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row.
+
+    Rows go through in blocks of _CHUNK_ROWS, so memory beyond x and the
+    n x C result is one block's. Every block is full-size (the last one is
+    the final _CHUNK_ROWS rows and recomputes those it shares with the one
+    before): BLAS may round a product with fewer rows differently, and with
+    full-size blocks the bits equal one whole-array product on tested shapes.
+    """
     ybar = gcn_forward(graph, h0, params)[0]
-    z = projector_forward(x, params)[0]
-    # both factors are row-normalized, so the product is already cosine
-    return np.clip(z @ ybar.T, -1.0, 1.0)
+    n = x.shape[0]
+    out = np.empty((n, ybar.shape[0]))
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = slice(min(lo, max(n - _CHUNK_ROWS, 0)), lo + _CHUNK_ROWS)
+        # take [0] so that no local name keeps a trace (and the hidden layer) alive
+        z = projector_forward(x[rows], params)[0]
+        # both factors are row-normalized, so the product is already cosine
+        np.clip(z @ ybar.T, -1.0, 1.0, out=out[rows])
+    return out
 
 
 def _reserved_count(labels: np.ndarray) -> int:

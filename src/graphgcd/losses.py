@@ -50,61 +50,24 @@ class Batch:
                 raise InvariantError(f"{name} rows are not unit-norm")
 
 
-@dataclass
-class _CosTrace:
-    a: NormTrace
-    b: NormTrace
-    s: np.ndarray
+def _unit_traces(batch: Batch) -> tuple[NormTrace, NormTrace]:
+    """Row normalizations of batch.z and batch.ybar, shared by every term."""
+    return normalize_rows(batch.z)[1], normalize_rows(batch.ybar)[1]
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> _CosTrace:
-    a_hat, ta = normalize_rows(a)
-    b_hat, tb = normalize_rows(b)
-    return _CosTrace(ta, tb, a_hat @ b_hat.T)
-
-
-def _cosine_matrix_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # d s_ij / d a_i = (b̂_j - s_ij â_i) / ||a_i||, symmetric in b
-    ga = (gs @ tr.b.unit - (gs * tr.s).sum(axis=1, keepdims=True) * tr.a.unit) / tr.a.norms
-    gb = (gs.T @ tr.a.unit - (gs * tr.s).sum(axis=0)[:, None] * tr.b.unit) / tr.b.norms
-    return ga, gb
-
-
-def _cosine_pairs(ta: NormTrace, b: np.ndarray) -> _CosTrace:
-    """Row-aligned cosines of already normalised rows `ta` against raw rows b."""
-    if ta.unit.shape != b.shape:
-        raise InvariantError(f"pair shapes differ: {ta.unit.shape} vs {b.shape}")
-    b_hat, tb = normalize_rows(b)
-    return _CosTrace(ta, tb, (ta.unit * b_hat).sum(axis=1))
-
-
-def _cosine_pairs_backward(tr: _CosTrace, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gs = gs[:, None]
-    s = tr.s[:, None]
-    ga = gs * (tr.b.unit - s * tr.a.unit) / tr.a.norms
-    gb = gs * (tr.a.unit - s * tr.b.unit) / tr.b.norms
-    return ga, gb
-
-
-def loss_cma(
-    batch: Batch, alpha: float, temperature: float, as_printed: bool = False
+def _cma_terms(
+    tz: NormTrace, tybar: NormTrace, y: np.ndarray, alpha: float, temperature: float,
+    as_printed: bool,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Class-matching loss: CE over cosine logits plus margin hinge.
-
-    Returns (loss, grad_z, grad_ybar), batch-mean reduction.
-    """
+    """loss_cma from the row normalizations of z and ybar."""
     if not 0.0 <= alpha <= 1.0:
         raise InvariantError(f"alpha must lie in [0,1], got {alpha}")
     if temperature <= 0.0:
         raise InvariantError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(batch.z, dtype=np.float64)
-    ybar = np.asarray(batch.ybar, dtype=np.float64)
-    y = np.asarray(batch.y_idx)
-    b = z.shape[0]
+    b = tz.unit.shape[0]
     rows = np.arange(b)
 
-    tr = _cosine_matrix(z, ybar)
-    s = tr.s
+    s = tz.unit @ tybar.unit.T
     logits = s / temperature
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -130,8 +93,50 @@ def loss_cma(
         gs += active
         gs[rows, y] -= active.sum(axis=1)
     gs /= b
-    gz, gybar = _cosine_matrix_backward(tr, gs)
+    # d s_ij / d z_i = (ŷ_j - s_ij ẑ_i) / ||z_i||, symmetric in ybar
+    gz = (gs @ tybar.unit - (gs * s).sum(axis=1, keepdims=True) * tz.unit) / tz.norms
+    gybar = (gs.T @ tz.unit - (gs * s).sum(axis=0)[:, None] * tybar.unit) / tybar.norms
     return loss, gz, gybar
+
+
+def loss_cma(
+    batch: Batch, alpha: float, temperature: float, as_printed: bool = False
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Class-matching loss: CE over cosine logits plus margin hinge.
+
+    Returns (loss, grad_z, grad_ybar), batch-mean reduction.
+    """
+    return _cma_terms(*_unit_traces(batch), np.asarray(batch.y_idx), alpha, temperature,
+                      as_printed)
+
+
+def _sdp_terms(
+    ta: NormTrace, tp: NormTrace, tn: NormTrace, as_printed: bool, out: np.ndarray
+) -> float:
+    """loss_sdp from the row normalizations of the m triplets' rows.
+
+    Writes the anchor, positive and negative gradients, in that order, into
+    the three m-row blocks of `out` [3m x d]; returns the loss.
+    """
+    m = ta.unit.shape[0]
+    sp = (ta.unit * tp.unit).sum(axis=1)
+    sn = (ta.unit * tn.unit).sum(axis=1)
+    if as_printed:
+        loss = float((sp - 1.0).mean() + sn.mean())
+        gsp = np.full(m, 1.0 / m)
+        gsn = np.full(m, 1.0 / m)
+    else:
+        loss = float((1.0 - sp).mean() + np.maximum(sn, 0.0).mean())
+        gsp = np.full(m, -1.0 / m)
+        gsn = (sn > 0.0).astype(np.float64) / m
+    gsp, sp, gsn, sn = gsp[:, None], sp[:, None], gsn[:, None], sn[:, None]
+    ga, gp, gn = out.reshape(3, m, -1)
+    # d s / d a = (b̂ - s â) / ||a||, symmetric in b; the anchor sums both pairs' terms
+    np.divide(gsp * (tp.unit - sp * ta.unit), ta.norms, out=ga)
+    ga += gsn * (tn.unit - sn * ta.unit) / ta.norms
+    np.divide(gsp * (ta.unit - sp * tp.unit), tp.norms, out=gp)
+    np.divide(gsn * (ta.unit - sn * tn.unit), tn.norms, out=gn)
+    return loss
 
 
 def loss_sdp(
@@ -145,26 +150,16 @@ def loss_sdp(
     Returns (loss, grad_anchors, grad_positives, grad_negatives).
     """
     anchors = np.asarray(anchors, dtype=np.float64)
-    positives = np.asarray(positives, dtype=np.float64)
-    negatives = np.asarray(negatives, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise InvariantError("loss_sdp needs at least one triplet")
+    for other in (positives, negatives):
+        if np.shape(other) != anchors.shape:
+            raise InvariantError(f"pair shapes differ: {anchors.shape} vs {np.shape(other)}")
     m = anchors.shape[0]
-
-    _, ta = normalize_rows(anchors)
-    trp = _cosine_pairs(ta, positives)
-    trn = _cosine_pairs(ta, negatives)
-    if as_printed:
-        loss = float((trp.s - 1.0).mean() + trn.s.mean())
-        gsp = np.full(m, 1.0 / m)
-        gsn = np.full(m, 1.0 / m)
-    else:
-        loss = float((1.0 - trp.s).mean() + np.maximum(trn.s, 0.0).mean())
-        gsp = np.full(m, -1.0 / m)
-        gsn = (trn.s > 0.0).astype(np.float64) / m
-    ga_p, gp = _cosine_pairs_backward(trp, gsp)
-    ga_n, gn = _cosine_pairs_backward(trn, gsn)
-    return loss, ga_p + ga_n, gp, gn
+    out = np.empty((3 * m, anchors.shape[1]))
+    traces = [normalize_rows(rows)[1] for rows in (anchors, positives, negatives)]
+    loss = _sdp_terms(*traces, as_printed, out)
+    return (loss, *out.reshape(3, m, -1))
 
 
 def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
@@ -218,7 +213,9 @@ def loss_total(
     allowed; no triplets drops the triplet term.
     Returns (loss, grads, per-term values keyed l_cma/l_sdp/l_cs/l_tot).
     """
-    l_cma, gz, gybar = loss_cma(batch, alpha, temperature, as_printed)
+    tz, tybar = _unit_traces(batch)
+    l_cma, gz, gybar = _cma_terms(tz, tybar, np.asarray(batch.y_idx), alpha, temperature,
+                                  as_printed)
     gt = np.zeros_like(np.asarray(batch.t, dtype=np.float64))
 
     l_sdp = 0.0
@@ -228,11 +225,12 @@ def loss_total(
             raise InvariantError(f"triplets must have shape (m, 3), got {idx.shape}")
         if idx.min() < 0 or idx.max() >= gz.shape[0]:
             raise InvariantError("triplet index outside the batch")
-        a, p, n = idx[:, 0], idx[:, 1], idx[:, 2]
-        z = np.asarray(batch.z, dtype=np.float64)
-        l_sdp, ga, gp, gn = loss_sdp(z[a], z[p], z[n], as_printed)
+        # normalization is row by row, so gathered unit rows equal renormalized gathered rows
+        traces = [NormTrace(tz.norms[col], tz.unit[col]) for col in idx.T]
+        grads = np.empty((3 * idx.shape[0], gz.shape[1]))
+        l_sdp = _sdp_terms(*traces, as_printed, grads)
         # the a, p, n columns in sequence: the order of three np.add.at calls
-        _scatter_add_rows(gz, idx.T.ravel(), np.concatenate((ga, gp, gn)))
+        _scatter_add_rows(gz, idx.T.ravel(), grads)
 
     # centers are the per-class graph embeddings, detached
     l_cs, gcs = loss_cs(batch.t, batch.ybar)

@@ -4,7 +4,8 @@ Everything in this file except `estimate_k` is written from the textbook
 definition and shares no code with the package: brute-force assignment
 enumeration, a plain Lloyd's k-means, list-deletion k-means++ seeding, a
 per-anchor triplet sampler, a two-vector cosine, central finite
-differences, and an explicit-order parameter init. Keeping these separate is the point; do not "simplify" them by
+differences, an explicit-order parameter init, and one-product similarity
+features. Keeping these separate is the point; do not "simplify" them by
 calling into graphgcd. `estimate_k` is the one composition of package
 functions the tests share; the CLI runs the same two calls itself.
 """
@@ -159,6 +160,29 @@ def cosine(u, v) -> float:
     if nu < _MIN_NORM or nv < _MIN_NORM:
         raise ValueError("cosine of a zero vector is undefined")
     return float(u @ v / (nu * nv))
+
+
+def plain_similarity_features(x, params, graph, h0) -> np.ndarray:
+    """Cosine of each projected row of x to each GCN class row, one product per layer.
+
+    GCN: H <- (A_norm H) W per layer, ReLU on all but the last, then unit
+    rows. Projector: unit rows of relu(x W1 + b1) W2 + b2, all n rows at
+    once. Each step is written in the order the definition reads, so results
+    agree with the package bit for bit wherever BLAS rounds a row alike in
+    any product.
+    """
+    h = np.asarray(h0, dtype=np.float64)
+    weights = [np.asarray(w, dtype=np.float64) for w in params.gcn_weights]
+    for i, w in enumerate(weights):
+        h = (graph.norm_adjacency @ h) @ w
+        if i < len(weights) - 1:
+            h = np.maximum(h, 0.0)
+    ybar = h / np.linalg.norm(h, axis=1, keepdims=True)
+    w1, b1, w2, b2 = (np.asarray(t, dtype=np.float64) for t in
+                      (params.proj_w1, params.proj_b1, params.proj_w2, params.proj_b2))
+    out = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    z = out / np.linalg.norm(out, axis=1, keepdims=True)
+    return np.clip(z @ ybar.T, -1.0, 1.0)
 
 
 def estimate_k(features, labels, k_min: int, k_max: int, seed) -> int:

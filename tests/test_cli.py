@@ -644,12 +644,21 @@ def _doubled_dim_files(ws4, tmp_path):
             for name in ("labeled", "unlabeled", "class_emb")}
 
 
-def _knn_k_5_checkpoint(ws4, tmp_path):
+def _knn_k_checkpoint(ws4, tmp_path, knn_k):
     raw = (ws4 / "2" / "checkpoint.gvlp").read_bytes()
     assert raw.count(b"knn_k=3\n") == 1
-    path = tmp_path / "knn5.gvlp"
-    path.write_bytes(raw.replace(b"knn_k=3\n", b"knn_k=5\n"))
+    path = tmp_path / f"knn{knn_k}.gvlp"
+    path.write_bytes(raw.replace(b"knn_k=3\n", f"knn_k={knn_k}\n".encode()))
     return path
+
+
+def _two_class_files(ws4, tmp_path):
+    """Labeled rows and class embeddings of the first 2 of the 4 known classes."""
+    def first_two(e):
+        keep = e.labels < 2
+        return EmbeddingSet(e.data[keep], e.labels[keep])
+    return {name: _edited(ws4, tmp_path, f"{name}.gvle", first_two)
+            for name in ("labeled", "class_emb")}
 
 
 def _files_run(command, ws4, checkpoint=None, **files):
@@ -677,9 +686,12 @@ REJECTED = {
     "run-all-synthetic-knn-k-5": lambda ws4, tmp: [
         "run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--knn-k", "5"],
     "cluster-checkpoint-knn-k-5": lambda ws4, tmp: _files_run(
-        "cluster", ws4, _knn_k_5_checkpoint(ws4, tmp)),
+        "cluster", ws4, _knn_k_checkpoint(ws4, tmp, 5)),
     "cluster-checkpoint-of-another-dim": lambda ws4, tmp: _files_run(
         "cluster", ws4, **_doubled_dim_files(ws4, tmp)),
+    # knn_k=1 is valid for both class counts, so only the count itself disagrees
+    "cluster-checkpoint-of-4-known-classes-on-2": lambda ws4, tmp: _files_run(
+        "cluster", ws4, _knn_k_checkpoint(ws4, tmp, 1), **_two_class_files(ws4, tmp)),
 }
 
 

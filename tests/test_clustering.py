@@ -18,7 +18,13 @@ from graphgcd.errors import InputError, InvariantError
 from graphgcd.neural_core import init_params
 from graphgcd.semantic_graph import build_knn_graph
 
-from oracles import cosine, estimate_k, plain_kmeans, plain_kmeans_pp
+from oracles import (
+    cosine,
+    estimate_k,
+    plain_kmeans,
+    plain_kmeans_pp,
+    plain_similarity_features,
+)
 
 
 def unlabeled(n):
@@ -87,23 +93,61 @@ def test_similarity_features_bounded_and_matches_pairwise_cosine():
             assert feats[i, j] == pytest.approx(cosine(z[i], ybar[j]), abs=1e-12)
 
 
-def test_similarity_features_memory_holds_no_trace():
-    # cluster-heavy's shape: 4500 rows of 128 dims, hidden = d, 25 classes.
-    # Three n x d float64 arrays live at once (hidden layer, output, unit rows);
-    # a float64 copy of x or a trace kept alive would each add one more
-    n, d, c = 4500, 128, 25
-    rng = np.random.default_rng(4)
+def _feature_inputs(n, d, hidden, c, seed=4):
+    rng = np.random.default_rng(seed)
     class_emb = rng.normal(size=(c, d)).astype(np.float32)
     graph = build_knn_graph(class_emb, k=3)
-    params = init_params(d, d, c, gcn_layers=2, seed=0)
-    x = rng.normal(size=(n, d)).astype(np.float32)
+    params = init_params(d, hidden, c, gcn_layers=2, seed=0)
+    return rng.normal(size=(n, d)).astype(np.float32), params, graph, class_emb
+
+
+@pytest.mark.parametrize("n, d, hidden, c", [
+    (6000, 128, 128, 10), (4500, 128, 128, 25), (3600, 64, 64, 12),
+    (2049, 128, 128, 10), (4097, 128, 128, 10), (2049, 33, 65, 15),
+])
+def test_similarity_features_blocks_equal_one_product(n, d, hidden, c):
+    # full-size blocks only: a short last block could take another BLAS kernel
+    x, params, graph, class_emb = _feature_inputs(n, d, hidden, c)
+    np.testing.assert_array_equal(similarity_features(x, params, graph, class_emb),
+                                  plain_similarity_features(x, params, graph, class_emb))
+
+
+def test_cluster_features_equal_features_of_both_sets_stacked():
+    from types import SimpleNamespace
+
+    from graphgcd.cli import cluster_features
+    from graphgcd.embed_io import generate_synthetic
+
+    # cluster-heavy's shape: 1500 labeled rows, 3000 unlabeled rows, 25 known classes
+    labeled, unlabeled, class_emb = generate_synthetic(50, 25, 60, 128, 4.0, seed=1)
+    state = SimpleNamespace(params=init_params(128, 128, 25, gcn_layers=2, seed=0),
+                            config=SimpleNamespace(knn_k=3))
+    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
+    graph = build_knn_graph(class_emb.data, 3)
+    both = np.vstack([labeled.data, unlabeled.data])
+    np.testing.assert_array_equal(features,
+                                  similarity_features(both, state.params, graph, class_emb.data))
+    np.testing.assert_array_equal(labels, np.r_[labeled.labels, np.full(unlabeled.n, -1)])
+
+
+def _feature_peak(n, d=128, c=25):
+    x, params, graph, class_emb = _feature_inputs(n, d, d, c)
     tracemalloc.start()
     try:
         similarity_features(x, params, graph, class_emb)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * n * d * 8, f"peak {peak / (n * d * 8):.2f} x n*d*8 bytes"
+
+
+def test_similarity_features_memory_holds_no_trace():
+    # Beyond the n x C result, memory is one block's: a copy of x, a trace
+    # kept alive or any n x d temporary would grow with the rows
+    small, large, c = 4096, 16384, 25
+    growth = (large - small) * c * 8
+    peak_small, peak_large = _feature_peak(small, c=c), _feature_peak(large, c=c)
+    assert peak_large - peak_small <= 1.1 * growth, (
+        f"peak {peak_small} B at {small} rows, {peak_large} B at {large} rows")
 
 
 # ---------------------------------------------------------------- kmeans_pp_init

@@ -258,29 +258,51 @@ def _random_total_inputs(seed, b=5, d=4, c=3):
     return make_batch(z, y, ybar, t)
 
 
+def _anchor_opposite_row_4(seed):
+    # row 4 = -row 0: as the negative of anchor 0 its cosine is -1, so its
+    # hinge term is inactive under the default convention
+    batch = _random_total_inputs(seed)
+    batch.z[4] = -batch.z[0]
+    return batch
+
+
+_REPEATS = [(0, 1, 4), (0, 1, 2), (1, 0, 4), (4, 2, 0), (0, 3, 4)]
+
+
 def test_total_is_sum_of_parts():
-    batch = _random_total_inputs(3)
-    triplets = [(0, 1, 2), (1, 0, 3), (4, 2, 0)]
-    total, grads, parts = loss_total(batch, triplets, 0.3, 1.0)
-    assert parts["l_tot"] == pytest.approx(parts["l_cma"] + parts["l_sdp"] + parts["l_cs"])
+    # bit for bit: the shared traces and gradient buffer of loss_total must
+    # give exactly what the three terms give on their own
+    for make, triplets in ((_random_total_inputs, [(0, 1, 2), (1, 0, 3), (4, 2, 0)]),
+                           (_anchor_opposite_row_4, _REPEATS)):
+        for as_printed in (False, True):
+            gn = _check_total_is_sum_of_parts(make(3), triplets, as_printed)
+            if make is _anchor_opposite_row_4 and not as_printed:
+                assert not gn[0].any()  # triplet (0, 1, 4): its negative term is inactive
+
+
+def _check_total_is_sum_of_parts(batch, triplets, as_printed):
+    total, grads, parts = loss_total(batch, triplets, 0.3, 1.0, as_printed)
+    assert parts["l_tot"] == parts["l_cma"] + parts["l_sdp"] + parts["l_cs"]
     assert total == parts["l_tot"]
 
-    l_cma, gz_c, gybar_c = loss_cma(batch, 0.3, 1.0)
+    l_cma, gz_c, gybar_c = loss_cma(batch, 0.3, 1.0, as_printed)
     idx = np.asarray(triplets)
     z = np.asarray(batch.z, dtype=np.float64)
-    l_sdp, ga, gp, gn = loss_sdp(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]])
+    l_sdp, ga, gp, gn = loss_sdp(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]], as_printed)
     l_cs, gcs = loss_cs(batch.t, batch.ybar)
-    assert parts["l_cma"] == pytest.approx(l_cma)
-    assert parts["l_sdp"] == pytest.approx(l_sdp)
-    assert parts["l_cs"] == pytest.approx(l_cs)
+    assert parts["l_cma"] == l_cma
+    assert parts["l_sdp"] == l_sdp
+    assert parts["l_cs"] == l_cs
 
     # scatter-add the triplet grads onto the batch rows by hand
     gz_manual = gz_c.copy()
     np.add.at(gz_manual, idx[:, 0], ga)
     np.add.at(gz_manual, idx[:, 1], gp)
     np.add.at(gz_manual, idx[:, 2], gn)
-    np.testing.assert_allclose(grads.z, gz_manual, atol=1e-15)
-    np.testing.assert_allclose(grads.t, gcs, atol=1e-15)
+    np.testing.assert_array_equal(grads.z, gz_manual)
+    np.testing.assert_array_equal(grads.ybar, gybar_c)
+    np.testing.assert_array_equal(grads.t, gcs)
+    return gn
 
 
 def test_total_centers_are_stop_gradient():
