@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +55,13 @@ from .semantic_graph import build_knn_graph, dump_graph_csv
 from .trainer import TrainState, load_checkpoint, save_checkpoint, train, write_loss_trace
 
 _EXIT_CODES = {InputError: 2, NumericError: 3, InvariantError: 4}
+_ASSIGNMENTS_HEADER = ("sample_index", "cluster_id", "is_constrained")
 
 
-def _add_io_flags(p: argparse.ArgumentParser, synthetic: bool = False) -> None:
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labeled", help="GVLE file with known-class training samples")
     p.add_argument("--unlabeled", help="GVLE file with samples to cluster")
     p.add_argument("--class-emb", help="GVLE file with one row per known class")
-    if synthetic:
-        p.add_argument("--synthetic", action="store_true",
-                       help="generate inputs instead of reading files")
-        _add_synthetic_flags(p)
 
 
 def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
@@ -93,8 +90,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _add_k_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-total", type=int, help="total cluster count (known + novel)")
     p.add_argument("--estimate-k", action="store_true", help="pick K by elbow scan")
-    p.add_argument("--k-min", type=int, help="elbow scan lower bound")
-    p.add_argument("--k-max", type=int, help="elbow scan upper bound")
+    _add_k_range_flags(p)
+
+
+def _add_k_range_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-min", type=int, help="elbow scan lower bound (default: known classes)")
+    p.add_argument("--k-max", type=int, help="elbow scan upper bound (default: "
+                   "min(k-min + 15, labeled classes + unlabeled rows))")
 
 
 def _usable_cpus() -> int:
@@ -132,14 +134,6 @@ def _check_common(args) -> Path:
     return out
 
 
-def _check_k_flags(args) -> None:
-    """Reject cluster-count flags that would otherwise be silently ignored."""
-    if args.estimate_k and args.k_total is not None:
-        raise InputError("pass either --k-total or --estimate-k, not both")
-    if not args.estimate_k and (args.k_min is not None or args.k_max is not None):
-        raise InputError("--k-min and --k-max need --estimate-k")
-
-
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
     text = format_config(config)
     sys.stdout.write(text)
@@ -162,15 +156,14 @@ def _generate_synthetic(args) -> tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet]
 
 def _write_synthetic(sets: tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet], out: Path) -> None:
     for name, emb in zip(("labeled.gvle", "unlabeled.gvle", "class_emb.gvle"), sets):
-        path = out / name
-        write_embedding_file(emb, path)
-        print(f"wrote {path}")
+        write_embedding_file(emb, out / name)
+        print(f"wrote {out / name}")
 
 
 def _write_assignments(result: ClusterAssignment, path: Path) -> None:
     rows = zip(range(len(result.assignment)), result.assignment.tolist(),
                result.constrained_mask.astype(int).tolist())
-    write_csv(path, ("sample_index", "cluster_id", "is_constrained"), rows)
+    write_csv(path, _ASSIGNMENTS_HEADER, rows)
     print(f"wrote {path}")
 
 
@@ -178,7 +171,7 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
-            if header != "sample_index,cluster_id,is_constrained":
+            if header != ",".join(_ASSIGNMENTS_HEADER):
                 raise InputError(f"{path}: unrecognized assignments header {header!r}")
             ids, pinned = [], []
             for lineno, line in enumerate(f, start=2):
@@ -196,14 +189,20 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"assignments file not found: {path}") from None
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
+    for row, cid in enumerate(ids):  # K never exceeds the rows, so neither can a cluster id
+        if not 0 <= cid < len(ids):
+            raise InputError(f"{path}:{row + 2}: cluster_id {cid} is outside [0, {len(ids)})")
     return np.asarray(ids, dtype=np.int64), np.asarray(pinned, dtype=bool)
 
 
+def _check_truth(unlabeled: EmbeddingSet, path) -> None:
+    if unlabeled.labels is not None and (missing := int((unlabeled.labels < 0).sum())):
+        raise InputError(f"{path} has {missing} rows labeled -1: no class id to score against")
+
+
 def _emit_report(report: EvalReport, out: Path) -> None:
-    rows = []
-    for metric in ("acc_all", "acc_known", "acc_new"):
-        value = getattr(report, metric)
-        rows.append((metric, "n/a" if value is None else f"{value:.4f}"))
+    values = {m: getattr(report, m) for m in ("acc_all", "acc_known", "acc_new")}
+    rows = [(m, "n/a" if v is None else f"{v:.4f}") for m, v in values.items()]
     print("\n".join(f"{metric} {value}" for metric, value in rows))
     write_csv(out / "report.csv", ("metric", "value"), rows)
     write_csv(out / "confusion.csv", (), report.confusion.tolist())
@@ -230,38 +229,40 @@ def cluster_features(
 def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
     """Checked cluster-count bounds: the elbow-scan range under --estimate-k, else (K, K).
 
+    --k-total sets both ends; under --estimate-k, --k-min/--k-max or their defaults do.
     K is at most the labeled classes plus the unlabeled rows (one free cluster each).
     """
+    if args.estimate_k and args.k_total is not None:
+        raise InputError("pass either --k-total or --estimate-k, not both")
+    if not args.estimate_k and (args.k_min is not None or args.k_max is not None):
+        raise InputError("--k-min and --k-max need --estimate-k")
     reserved = int(labeled.labels.max()) + 1
     cap = reserved + unlabeled.n
     too_many = f"{cap}: {reserved} labeled classes plus {unlabeled.n} unlabeled rows"
     if args.estimate_k:
-        k_min = args.k_min if args.k_min is not None else max(1, known)
+        k_min = args.k_min if args.k_min is not None else known
         k_max = args.k_max if args.k_max is not None else min(cap, k_min + 15)
-        if k_min < max(1, known):
-            raise InputError(f"--k-min {k_min} is below the {known} known classes")
-        if k_min > k_max:  # without --k-max, only the cap can fall below --k-min
-            bound = too_many if args.k_max is None else f"--k-max {k_max}"
-            raise InputError(f"--k-min {k_min} exceeds {bound}")
-        if k_max > cap:
-            raise InputError(f"--k-max {k_max} exceeds {too_many}")
-        return k_min, k_max
-    if args.k_total is not None:
-        if args.k_total < known:
-            raise InputError(f"--k-total {args.k_total} is below the {known} known classes")
-        if args.k_total > cap:
-            raise InputError(f"--k-total {args.k_total} exceeds {too_many}")
-        return args.k_total, args.k_total
-    if getattr(args, "synthetic", False):
+    elif args.k_total is not None:
+        k_min = k_max = args.k_total
+    elif getattr(args, "synthetic", False):
         return args.classes, args.classes
-    raise InputError("pass --k-total or --estimate-k to choose the cluster count")
+    else:
+        raise InputError("pass --k-total or --estimate-k to choose the cluster count")
+    low, high = ("--k-min", "--k-max") if args.estimate_k else ("--k-total", "--k-total")
+    if k_min < known:
+        raise InputError(f"{low} {k_min} is below the {known} known classes")
+    if k_min > k_max:  # only a scan range; without --k-max, only the cap can fall below --k-min
+        bound = too_many if args.k_max is None else f"--k-max {k_max}"
+        raise InputError(f"--k-min {k_min} exceeds {bound}")
+    if k_max > cap:
+        raise InputError(f"{high} {k_max} exceeds {too_many}")
+    return k_min, k_max
 
 
-def _estimate_k(args, k_bounds: tuple[int, int], features: np.ndarray, labels: np.ndarray,
-                out: Path) -> int:
+def _estimate_k(args, seed: int, k_bounds: tuple[int, int], features: np.ndarray,
+                labels: np.ndarray, out: Path) -> int:
     """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
-    scan = scan_inertia(features, labels, *k_bounds, args.seed,
-                        workers=_scan_workers(args.threads))
+    scan = scan_inertia(features, labels, *k_bounds, seed, workers=_scan_workers(args.threads))
     path = out / "inertia_scan.csv"
     write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
     print(f"wrote {path}")
@@ -277,8 +278,7 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     write_loss_trace(state.trace, out / "loss_trace.csv")
     print(f"wrote {out / 'loss_trace.csv'}")
     if args.dump_graph:
-        graph = build_knn_graph(class_emb.data, state.config.knn_k)
-        dump_graph_csv(graph, out / "graph.csv")
+        dump_graph_csv(build_knn_graph(class_emb.data, state.config.knn_k), out / "graph.csv")
         print(f"wrote {out / 'graph.csv'}")
     return state
 
@@ -286,20 +286,20 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
 def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb,
                        k_bounds: tuple[int, int], args, out: Path):
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    k = _estimate_k(args, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
-    seed = np.random.SeedSequence([int(args.seed), 2])
-    result = semisup_kmeans(features, labels, k, seed)
+    seed = state.config.seed
+    k = _estimate_k(args, seed, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
+    result = semisup_kmeans(features, labels, k, np.random.SeedSequence([seed, 2]))
     _write_assignments(result, out / "assignments.csv")
     return result
 
 
 def _load_for_clustering(args, out: Path):
-    """Read and check the inputs, the checkpoint and the cluster-count bounds,
-    default --seed to the checkpoint's seed, then echo its config."""
+    """Read and check the inputs, the checkpoint and the cluster-count bounds, then
+    echo the checkpoint's config with its seed replaced by --seed when given."""
     labeled, unlabeled, class_emb = _read_inputs(args)
     state = load_checkpoint(args.checkpoint)
-    if args.seed is None:
-        args.seed = state.config.seed
+    if args.seed is not None:
+        state.config = replace(state.config, seed=args.seed)
     check_run_inputs(state.config, labeled, class_emb, unlabeled)
     trained_known, trained_dim = state.params.prompt_vectors.shape
     if trained_dim != labeled.dim:
@@ -332,7 +332,6 @@ def cmd_train(args) -> int:
 
 def cmd_cluster(args) -> int:
     out = _check_common(args)
-    _check_k_flags(args)
     state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
     _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
     return 0
@@ -345,17 +344,16 @@ def cmd_eval(args) -> int:
         raise InputError("eval needs --unlabeled with ground-truth labels")
     if unlabeled.labels is None:
         raise InputError(f"{args.unlabeled} has no labels to score against")
+    _check_truth(unlabeled, args.unlabeled)
     if args.known is None or args.known < 0:
         raise InputError("eval needs --known (count of known classes)")
     cluster_ids, pinned = _read_assignments(args.assignments)
     free_ids = cluster_ids[~pinned]
     if free_ids.shape[0] != unlabeled.n:
-        raise InputError(
-            f"assignments hold {free_ids.shape[0]} unconstrained rows but "
-            f"{args.unlabeled} has {unlabeled.n} samples"
-        )
-    _echo_config(RunConfig(seed=args.seed), out)
+        raise InputError(f"assignments hold {free_ids.shape[0]} unconstrained rows but "
+                         f"{args.unlabeled} has {unlabeled.n} samples")
     report = split_accuracy(free_ids, unlabeled.labels, args.known)
+    _echo_config(RunConfig(seed=args.seed), out)
     _emit_report(report, out)
     return 0
 
@@ -364,16 +362,16 @@ def cmd_estimate_k(args) -> int:
     out = _check_common(args)
     state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    _estimate_k(args, k_bounds, features, labels, out)
+    _estimate_k(args, state.config.seed, k_bounds, features, labels, out)
     return 0
 
 
 def cmd_run_all(args) -> int:
     out = _check_common(args)
-    _check_k_flags(args)
     sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
     labeled, unlabeled, class_emb = sets
     config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
+    _check_truth(unlabeled, args.unlabeled)
     k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     if args.synthetic:
         _write_synthetic(sets, out)
@@ -386,8 +384,7 @@ def cmd_run_all(args) -> int:
         print("eval skipped: unlabeled file carries no ground-truth labels")
         return 0
     free_ids = result.assignment[~result.constrained_mask]
-    report = split_accuracy(free_ids, unlabeled.labels, class_emb.n)
-    _emit_report(report, out)
+    _emit_report(split_accuracy(free_ids, unlabeled.labels, class_emb.n), out)
     return 0
 
 
@@ -428,13 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_io_flags(p)
     p.add_argument("--checkpoint", required=True, help="GVLP checkpoint from train")
-    p.add_argument("--k-min", type=int, help="scan lower bound (default: known classes)")
-    p.add_argument("--k-max", type=int, help="scan upper bound (default: k-min + 15)")
-    p.set_defaults(func=cmd_estimate_k, seed=None, estimate_k=True)
+    _add_k_range_flags(p)
+    p.set_defaults(func=cmd_estimate_k, seed=None, estimate_k=True, k_total=None)
 
     p = sub.add_parser("run-all", help="train, cluster, and score in one go")
     _add_common(p)
-    _add_io_flags(p, synthetic=True)
+    _add_io_flags(p)
+    p.add_argument("--synthetic", action="store_true",
+                   help="generate inputs instead of reading files")
+    _add_synthetic_flags(p)
     _add_config_flags(p)
     _add_k_flags(p)
     p.set_defaults(func=cmd_run_all)

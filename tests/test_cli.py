@@ -17,6 +17,7 @@ from graphgcd import cli, clustering
 from graphgcd.embed_io import (
     EmbeddingSet,
     RunConfig,
+    format_config,
     parse_config,
     read_embedding_file,
     write_embedding_file,
@@ -341,6 +342,26 @@ def test_cluster_checkpoint_off_its_layout_is_a_format_error(ws, tmp_path, capsy
     assert not (tmp_path / "config.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "estimate-k"])
+def test_config_records_the_seed_the_scan_and_clustering_used(ws, tmp_path, command):
+    checkpoint_config = load_checkpoint(ws["checkpoint"]).config
+    assert checkpoint_config.seed == 11
+    runs = {}
+    for seed in (None, "11", "5"):
+        out = tmp_path / str(seed)
+        args = cluster_args(ws, out, "--estimate-k", "--k-max", "6")
+        if command == "estimate-k":
+            args[0] = command
+            args.remove("--estimate-k")
+        assert cli.main(args + ([] if seed is None else ["--seed", seed])) == 0
+        runs[seed] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs[None]["config.txt"].decode() == format_config(checkpoint_config)
+    assert runs["11"] == runs[None]
+    assert runs["5"]["config.txt"].decode() == format_config(
+        dataclasses.replace(checkpoint_config, seed=5))
+    assert runs["5"]["inertia_scan.csv"] != runs[None]["inertia_scan.csv"]
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_matches_library_scoring(ws, tmp_path, capsys):
@@ -426,6 +447,49 @@ def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
     ])
     assert rc == 2
     assert not (tmp_path / "e" / "report.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def ws_assignments(ws, tmp_path_factory):
+    """assignments.csv of one --k-total 4 cluster run on the shared checkpoint."""
+    out = tmp_path_factory.mktemp("cluster")
+    assert cli.main(cluster_args(ws, out, "--k-total", "4")) == 0
+    return out / "assignments.csv"
+
+
+def _truth_with_unlabeled_rows(ws, tmp_path):
+    u = read_embedding_file(ws["data"] / "unlabeled.gvle")
+    labels = u.labels.copy()
+    labels[[0, 5]] = -1
+    path = tmp_path / "truth.gvle"
+    write_embedding_file(EmbeddingSet(u.data, labels), path)
+    return path
+
+
+@pytest.mark.parametrize("case", ["truth-minus-1", "id-negative", "id-row-count", "id-huge"])
+def test_eval_rejects_unscorable_inputs_before_any_write(ws, ws_assignments, tmp_path, capsys,
+                                                         case):
+    # a free row's id at the row count, or at 10**15, would be scored (or would
+    # ask bincount for petabytes) if it were not rejected
+    assignments, truth = ws_assignments, ws["data"] / "unlabeled.gvle"
+    if case == "truth-minus-1":
+        truth = _truth_with_unlabeled_rows(ws, tmp_path)
+        expected = f"{truth} has 2 rows labeled -1: no class id to score against"
+    else:
+        lines = ws_assignments.read_text().splitlines()
+        rows = len(lines) - 1
+        value = {"id-negative": -1, "id-row-count": rows, "id-huge": 10**15}[case]
+        index, _, flag = lines[-1].split(",")
+        lines[-1] = f"{index},{value},{flag}"
+        assignments = tmp_path / "bad.csv"
+        assignments.write_text("\n".join(lines) + "\n")
+        expected = f"{assignments}:{len(lines)}: cluster_id {value} is outside [0, {rows})"
+    out = tmp_path / "e"
+    rc = cli.main(["eval", "--assignments", str(assignments), "--unlabeled", str(truth),
+                   "--known", "2", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"graphgcd: InputError: {expected}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_eval_missing_assignments_file(ws, tmp_path):
@@ -515,6 +579,56 @@ def test_ignored_cluster_count_flags_rejected(ws, tmp_path, capsys, command, fla
     assert not (tmp_path / "checkpoint.gvlp").exists()
 
 
+_TOO_MANY = "34: 2 labeled classes plus 32 unlabeled rows"
+# every cluster-count rule of every command that takes K flags; the file inputs
+# and --synthetic both give 2 known classes and 32 unlabeled rows
+K_FLAG_GRID = [
+    ("cluster", "--estimate-k --k-total 4", "pass either --k-total or --estimate-k, not both"),
+    ("cluster", "--k-total 4 --k-min 3", "--k-min and --k-max need --estimate-k"),
+    ("cluster", "--k-max 6", "--k-min and --k-max need --estimate-k"),
+    ("cluster", "", "pass --k-total or --estimate-k to choose the cluster count"),
+    ("cluster", "--k-total 1", "--k-total 1 is below the 2 known classes"),
+    ("cluster", "--k-total 35", f"--k-total 35 exceeds {_TOO_MANY}"),
+    ("cluster", "--estimate-k --k-min 1", "--k-min 1 is below the 2 known classes"),
+    ("cluster", "--estimate-k --k-min 5 --k-max 4", "--k-min 5 exceeds --k-max 4"),
+    ("estimate-k", "--k-min 1", "--k-min 1 is below the 2 known classes"),
+    ("estimate-k", "--k-min 5 --k-max 4", "--k-min 5 exceeds --k-max 4"),
+    ("estimate-k", "--k-max 35", f"--k-max 35 exceeds {_TOO_MANY}"),
+    ("estimate-k", "--k-min 35", f"--k-min 35 exceeds {_TOO_MANY}"),
+    ("estimate-k", "--k-min 36 --k-max 35", "--k-min 36 exceeds --k-max 35"),
+    ("run-all", "--estimate-k --k-total 4", "pass either --k-total or --estimate-k, not both"),
+    ("run-all", "--k-min 3", "--k-min and --k-max need --estimate-k"),
+    ("run-all", "", "pass --k-total or --estimate-k to choose the cluster count"),
+    ("run-all", "--k-total 35", f"--k-total 35 exceeds {_TOO_MANY}"),
+    ("run-all", "--estimate-k --k-max 35", f"--k-max 35 exceeds {_TOO_MANY}"),
+    ("run-all", "--estimate-k --k-min 35", f"--k-min 35 exceeds {_TOO_MANY}"),
+    ("run-all --synthetic", "--estimate-k --k-total 4",
+     "pass either --k-total or --estimate-k, not both"),
+    ("run-all --synthetic", "--k-max 6", "--k-min and --k-max need --estimate-k"),
+    ("run-all --synthetic", "--k-total 1", "--k-total 1 is below the 2 known classes"),
+    ("run-all --synthetic", "--estimate-k --k-min 5 --k-max 4", "--k-min 5 exceeds --k-max 4"),
+    ("run-all --synthetic", "--estimate-k --k-max 35", f"--k-max 35 exceeds {_TOO_MANY}"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", K_FLAG_GRID,
+                         ids=[f"{c} {f}".replace(" ", "_") for c, f, _ in K_FLAG_GRID])
+def test_cluster_count_rules_give_one_message_each(ws, tmp_path, capsys, command, flags,
+                                                   message):
+    out = tmp_path / "out"
+    if command == "run-all --synthetic":
+        args = ["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--out-dir", str(out)]
+    else:
+        args = cluster_args(ws, out)
+        args[0] = command
+        if command == "run-all":
+            del args[args.index("--checkpoint") : args.index("--checkpoint") + 2]
+            args += TRAIN_OPTS
+    assert cli.main(args + flags.split()) == 2
+    assert capsys.readouterr().err == f"graphgcd: InputError: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_run_all_synthetic_end_to_end(tmp_path, capsys):
     rc = cli.main([
         "run-all", "--synthetic", *SMALL, *TRAIN_OPTS,
@@ -597,6 +711,22 @@ def test_run_all_skips_eval_without_ground_truth(ws, tmp_path, capsys):
     assert "eval skipped" in capsys.readouterr().out
     assert (tmp_path / "assignments.csv").exists()
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_run_all_rejects_truth_with_unlabeled_rows_before_any_write(ws, tmp_path, capsys):
+    truth = _truth_with_unlabeled_rows(ws, tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main([
+        "run-all",
+        "--labeled", str(ws["data"] / "labeled.gvle"),
+        "--unlabeled", str(truth),
+        "--class-emb", str(ws["data"] / "class_emb.gvle"),
+        *TRAIN_OPTS, "--k-total", "4", "--out-dir", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"graphgcd: InputError: {truth} has 2 rows labeled -1: no class id to score against\n")
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- inputs that disagree
