@@ -114,20 +114,27 @@ def kmeans_pp_init(
     return centroids
 
 
-def _nearest_centroid(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Per row of x, argmin over c of the direct ((x - c)**2).sum(-1), ties to the lowest id.
+def _nearest_centroid(
+    features: np.ndarray, rows: np.ndarray, xx: np.ndarray, centroids: np.ndarray,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of each listed row, and a bound gap that certifies it.
 
-    xx holds (x * x).sum(axis=1). Distances come from the expanded form
-    g = |x|^2 - 2 x.c + |c|^2, one GEMM per chunk of _CHUNK_ROWS rows, so no
-    n x k x f array is built. Let D be the exact squared distance, u the unit
-    roundoff and gamma_m = m u / (1 - m u). Over f features:
+    For x = features[rows[i]], best[i] is the argmin over c of the direct
+    ((x - c)**2).sum(-1), ties to the lowest id. xx holds (features *
+    features).sum(axis=1); each chunk's rows are gathered into scratch, which
+    needs at least min(rows.size, _CHUNK_ROWS) rows. Distances come from the
+    expanded form g = |x|^2 - 2 x.c + |c|^2, one centroid-major GEMM
+    (k x rows) per chunk of _CHUNK_ROWS rows, so no n x k x f array is
+    built. Let D be the exact squared distance, u the unit roundoff and
+    gamma_m = m u / (1 - m u). Over f features:
       - the direct form squares f rounded differences (relative error
         gamma_3 each) and sums them in some order (gamma_{f-1}), so
         |direct - D| <= gamma_{f+2} D;
       - |x|^2, |c|^2 and x.c (any summation order, with or without FMA) are
-        each off by at most gamma_f times |x|^2, |c|^2 and |x||c|, and the two
-        additions that form g add 2u of their operands' magnitude, so
-        |g - D| <= gamma_{f+2} (|x| + |c|)^2.
+        each off by at most gamma_f times |x|^2, |c|^2 and |x||c|, scaling c
+        by -2 is exact, and the two additions that form g add 2u of their
+        operands' magnitude, so |g - D| <= gamma_{f+2} (|x| + |c|)^2.
     With D <= (|x| + |c|)^2, |g - direct| <= E = 2 gamma_{f+2} (|x| + |c|)^2.
     If the runner-up g exceeds the best g by more than 2E, every other
     centroid's direct distance is strictly above the best one's, so the argmin
@@ -135,39 +142,63 @@ def _nearest_centroid(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> n
     a NaN are recomputed in the direct form, one centroid at a time.
     The code takes E = 2 (f + 2) eps (|x| + max |c|)^2 with eps = 2u, about
     twice the bound; the slack also covers the rounding of E itself.
+
+    gap[i] is sqrt(max(g_second - E, 0)) - sqrt(g_best + E): E is about
+    four times the bound on |g - D|, so the first term is at most (1 + u)
+    times the exact distance to every other centroid and the second at least
+    (1 - u) times the exact distance to the own one. Rows recomputed in the
+    direct form get gap -inf, so semisup_kmeans never skips them in the next
+    iteration.
     """
-    n, f = x.shape
-    k = centroids.shape[0]
+    k, f = centroids.shape
     cc = (centroids * centroids).sum(axis=1)
     c_max = np.sqrt(cc.max())
     e_scale = 2.0 * (f + 2) * np.finfo(np.float64).eps  # E per (|x| + max|c|)^2
-    out = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        g = x[lo:hi] @ centroids.T
-        g *= -2.0
-        g += xx[lo:hi, None]
-        g += cc
-        best = np.argmin(g, axis=1)
-        rows = np.arange(hi - lo)
-        g_best = g[rows, best]
-        g[rows, best] = np.inf
-        gap = g.min(axis=1) - g_best
-        tol = 2.0 * e_scale * (np.sqrt(xx[lo:hi]) + c_max) ** 2
-        near = np.flatnonzero(~(gap > tol))
+    m2c = -2.0 * centroids
+    # the lowest id among the columns' minima wins: rank[c] is largest for c = 0
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None]
+    best = np.empty(rows.size, dtype=np.int64)
+    gap = np.empty(rows.size)
+    for lo in range(0, rows.size, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, rows.size)
+        x = np.take(features, rows[lo:hi], axis=0, out=scratch[:hi - lo], mode="clip")
+        xx_x = xx[rows[lo:hi]]
+        g = m2c @ x.T
+        g += cc[:, None]
+        g_best = g.min(axis=0)
+        b = (k - 1) - ((g == g_best) * rank).max(axis=0)
+        g[b, np.arange(hi - lo)] = np.inf
+        # rounding is monotone, so adding |x|^2 after the minimum gives the best
+        # and runner-up of the full g with one pass over k x rows fewer
+        g_second = g.min(axis=0) + xx_x
+        g_best += xx_x
+        e = e_scale * (np.sqrt(xx_x) + c_max) ** 2
+        near = np.flatnonzero(~(g_second - g_best > 2.0 * e))
+        np.subtract(np.sqrt(np.maximum(g_second - e, 0.0)), np.sqrt(g_best + e), out=gap[lo:hi])
         if near.size:
-            xs = x[lo + near]
+            xs = x[near]
             direct = np.empty((near.size, k))
             for c in range(k):
                 direct[:, c] = ((xs - centroids[c]) ** 2).sum(axis=1)
-            best[near] = np.argmin(direct, axis=1)
-        out[lo:hi] = best
-    return out
+            b[near] = np.argmin(direct, axis=1)
+            gap[lo + near] = -np.inf
+        best[lo:hi] = b
+    return best, gap
 
 
-def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
-    diff = features - centroids[assignment]
-    return float((diff * diff).sum())
+def _inertia(
+    features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, out: np.ndarray
+) -> float:
+    """((features - centroids[assignment]) ** 2).sum(), bit for bit, in the n x f buffer out.
+
+    The indices are in range, so mode="clip" changes no value; it lets np.take
+    write into out directly, where the default mode="raise" fills a temporary
+    copy of the whole result first (the module's other np.take calls do the same).
+    """
+    np.take(centroids, assignment, axis=0, out=out, mode="clip")
+    np.subtract(features, out, out=out)
+    np.multiply(out, out, out=out)
+    return float(out.sum())
 
 
 def _update_centroids(
@@ -175,10 +206,19 @@ def _update_centroids(
 ) -> None:
     """Set each non-empty cluster's centroid to its members' mean; empty ones keep theirs.
 
-    counts[c] must be the number of rows assigned to c. A stable sort keeps
-    each cluster's rows in index order, so every mean has the bits of
-    features[assignment == c].mean(axis=0) without a masked pass per cluster.
+    counts[c] must be the number of rows assigned to c. Every mean has the
+    bits of features[assignment == c].mean(axis=0). For f >= 2 numpy reduces
+    a C-contiguous block over axis 0 by adding its rows in index order to
+    +0.0, which is the order in which one np.bincount per feature adds them.
+    For f = 1 it sums the column pairwise instead, so there a stable sort
+    gathers each cluster's rows, in index order, and each slice is reduced.
     """
+    filled = counts > 0
+    if features.shape[1] > 1:
+        sums = np.stack([np.bincount(assignment, weights=column, minlength=counts.size)
+                         for column in features.T], axis=1)
+        centroids[filled] = sums[filled] / counts[filled, None]
+        return
     members = features[np.argsort(assignment, kind="stable")]
     start = 0
     for c, count in enumerate(counts.tolist()):
@@ -198,15 +238,43 @@ def semisup_kmeans(
     """Lloyd iterations with labeled samples pinned to their class's cluster.
 
     Free samples go to the nearest centroid (Euclidean, ties to the lowest
-    cluster id). An empty free cluster is re-seeded to the free point farthest
-    from its current centroid. Stops when assignments repeat or at 300
-    iterations. `init` overrides the kmeans++ seeding (used by equivalence
-    tests); `on_iteration(i, assignment, centroids, inertia)` observes every
-    completed iteration.
+    cluster id). Empty free clusters are re-seeded in id order, each to the
+    free point then farthest from its own centroid. Stops when assignments
+    repeat or at 300 iterations. `init` overrides the kmeans++ seeding (used
+    by equivalence tests); `on_iteration(i, assignment, centroids, inertia)`
+    observes every completed iteration.
+
+    Hamerly's bounds (Hamerly, "Making k-means even faster", SDM 2010) spare
+    the distance step the rows whose cluster cannot change. Each free row
+    keeps one number, h: a lower bound on its distance to every other
+    centroid minus an upper bound on its distance to its own. The distance
+    step sets h (see _nearest_centroid); after each update h falls by the
+    own centroid's shift plus the largest shift among the others, by the
+    triangle inequality. A row with h > tol keeps its cluster with no
+    distance computed, and the proof below makes that the direct-form argmin,
+    strictly, so tie-breaking never decides it. Rows recomputed in the
+    direct form and rows moved by a re-seed have h = -inf, so they always
+    go through the distance step next time. The update re-sums only the
+    clusters whose members changed; the others would get the same bits.
+
+    Why tol = (300 + 2 (f + 8)) eps B, with B = |x| + the largest centroid
+    norm seen in this run (the code takes the largest |x| among the free
+    rows, which only widens tol): every distance and bound the row's h ever
+    held is at most about B. Setting h is off by at most 3uB (two square roots and a
+    subtraction). Each of the at most 300 updates adds one rounding of at
+    most uB to h and to the decrement (h stays in (tol, B] for a skipped row,
+    so the decrements sum to at most B), and a computed shift is within
+    gamma_{f+4} of the exact one, which over all updates costs gamma_{f+4} B.
+    So the exact margin min_c |x - c| - |x - own| exceeds
+    h - (300 + 3) u B - gamma_{f+4} B > (f + 3) u B. The direct form
+    misreads each squared distance by at most gamma_{f+2} of itself, which
+    needs a margin of about gamma_{f+2} |x - own| <= (f + 3) u B to keep the
+    own cluster strictly first. tol is about twice that sum, so the slack
+    also covers the rounding of tol and B.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    n = features.shape[0]
+    n, f = features.shape
     if labels.shape != (n,):
         raise InputError("labels length does not match feature rows")
     if k < 1 or k > n:
@@ -218,40 +286,72 @@ def semisup_kmeans(
     centroids = kmeans_pp_init(features, labels, k, seed) if init is None else (
         np.asarray(init, dtype=np.float64).copy()
     )
-    if centroids.shape != (k, features.shape[1]):
-        raise InvariantError(f"init centroids shape {centroids.shape} != ({k}, {features.shape[1]})")
+    if centroids.shape != (k, f):
+        raise InvariantError(f"init centroids shape {centroids.shape} != ({k}, {f})")
 
     constrained = labels >= 0
-    free = ~constrained
-    x_free = features[free]
-    xx_free = (x_free * x_free).sum(axis=1)
+    free_rows = np.flatnonzero(~constrained)
+    xx = (features * features).sum(axis=1)
+    x_max = np.sqrt(xx[free_rows].max(initial=0.0))
+    tol_scale = (MAX_LLOYD_ITERATIONS + 2 * (f + 8)) * np.finfo(np.float64).eps
+    gap = np.full(free_rows.size, -np.inf)  # h of each free row
+    c_run = 0.0
     assignment = np.empty(n, dtype=np.int64)
     assignment[constrained] = labels[constrained]
+    buffer = np.empty_like(features)
     prev = None
     last_inertia = np.inf
     iterations = 0
 
     for it in range(MAX_LLOYD_ITERATIONS):
-        assignment[free] = _nearest_centroid(x_free, xx_free, centroids)
+        c_run = max(c_run, np.sqrt((centroids * centroids).sum(axis=1).max()))
+        stale = np.flatnonzero(~(gap > tol_scale * (x_max + c_run)))
+        if stale.size:
+            # the inertia buffer is free until the inertia step, so the rows are gathered there
+            best, gap[stale] = _nearest_centroid(features, free_rows[stale], xx, centroids, buffer)
+            assignment[free_rows[stale]] = best
 
-        # re-seed empty free clusters before the update step
+        # re-seed empty free clusters, in id order, before the update step;
+        # a steal may empty a later cluster, which the loop then re-seeds too
         counts = np.bincount(assignment, minlength=k)
         for c in range(reserved, k):
             if counts[c] > 0:
                 continue
-            free_idx = np.flatnonzero(free)
-            if free_idx.size == 0:
+            if free_rows.size == 0:
                 raise InvariantError("empty cluster with no free points to steal")
-            dist_own = ((features[free_idx] - centroids[assignment[free_idx]]) ** 2).sum(axis=1)
-            steal = free_idx[int(np.argmax(dist_own))]
-            counts[assignment[steal]] -= 1
-            assignment[steal] = c
+            own = centroids[assignment[free_rows]]
+            dist_own = ((features[free_rows] - own) ** 2).sum(axis=1)
+            steal = int(np.argmax(dist_own))  # position among the free rows
+            counts[assignment[free_rows[steal]]] -= 1
+            assignment[free_rows[steal]] = c
             counts[c] = 1
+            gap[steal] = -np.inf
 
-        _update_centroids(features, assignment, counts, centroids)
+        old = centroids.copy()
+        # a cluster with the members of the last update would get the same
+        # bits, so only the touched ones are summed: every row of each, in
+        # index order, gathered into the buffer
+        if prev is None:
+            touched = np.ones(k, dtype=bool)
+        else:
+            moved = prev != assignment
+            touched = np.zeros(k, dtype=bool)
+            touched[prev[moved]] = touched[assignment[moved]] = True
+        if touched.all():
+            _update_centroids(features, assignment, counts, centroids)
+        else:
+            rows = np.flatnonzero(touched[assignment])
+            members = np.take(features, rows, axis=0, out=buffer[:rows.size], mode="clip")
+            _update_centroids(members, assignment[rows], np.where(touched, counts, 0), centroids)
+        shift = np.sqrt(((centroids - old) ** 2).sum(axis=1))
+        # own shift plus the largest shift among the other centroids
+        top = int(np.argmax(shift))
+        drop = shift + shift[top]
+        drop[top] = shift[top] + np.delete(shift, top).max(initial=0.0)
+        gap -= drop[assignment[free_rows]]
 
         iterations = it + 1
-        inertia = _inertia(features, centroids, assignment)
+        inertia = _inertia(features, centroids, assignment, buffer)
         if inertia > last_inertia + _INERTIA_SLACK:
             raise InvariantError(
                 f"inertia increased from {last_inertia!r} to {inertia!r} at iteration {it}"

@@ -5,9 +5,12 @@ definition and shares no code with the package: brute-force assignment
 enumeration, a plain Lloyd's k-means, list-deletion k-means++ seeding, a
 per-anchor triplet sampler, a two-vector cosine, central finite
 differences, an explicit-order parameter init, and one-product similarity
-features. Keeping these separate is the point; do not "simplify" them by
-calling into graphgcd. `estimate_k` is the one composition of package
-functions the tests share; the CLI runs the same two calls itself.
+features. `plain_semisup_kmeans` is no textbook form: it is the package's
+constrained loop as it ran before Hamerly's bounds, kept apart as the
+byte-identity reference. Keeping these separate is the point; do not
+"simplify" them by calling into graphgcd. `estimate_k` is the one
+composition of package functions the tests share; the CLI runs the same two
+calls itself.
 """
 
 from __future__ import annotations
@@ -71,6 +74,89 @@ def plain_kmeans(features, init, max_iters: int = 300):
         prev = assignment.copy()
     inertia = float(((x - centroids[assignment]) ** 2).sum())
     return assignment, centroids, inertia
+
+
+def plain_semisup_kmeans(features, labels, k: int, init, on_iteration=None):
+    """Constrained Lloyd's loop as the package ran it before Hamerly's bounds.
+
+    Kept verbatim as the byte-identity reference for semisup_kmeans: every
+    free row is reassigned every iteration through the expanded form
+    |x|^2 - 2 x.c + |c|^2, with rows whose runner-up is within 2E (or NaN)
+    recomputed in the direct form; labeled rows stay on their class; empty
+    free clusters are checked in id order, each re-seeded to the free row
+    then farthest from its own centroid; means are sums of sorted slices.
+    Calls on_iteration(i, assignment, centroids, inertia) like the package
+    and returns (assignment, centroids, iterations, inertia).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    n, f = features.shape
+    centroids = np.asarray(init, dtype=np.float64).copy()
+    reserved = int(labels.max()) + 1 if (labels >= 0).any() else 0
+    e_scale = 2.0 * (f + 2) * np.finfo(np.float64).eps
+
+    def nearest(x, xx):
+        cc = (centroids * centroids).sum(axis=1)
+        c_max = np.sqrt(cc.max())
+        out = np.empty(x.shape[0], dtype=np.int64)
+        for lo in range(0, x.shape[0], 2048):
+            hi = min(lo + 2048, x.shape[0])
+            g = x[lo:hi] @ centroids.T
+            g *= -2.0
+            g += xx[lo:hi, None]
+            g += cc
+            best = np.argmin(g, axis=1)
+            rows = np.arange(hi - lo)
+            g_best = g[rows, best]
+            g[rows, best] = np.inf
+            gap = g.min(axis=1) - g_best
+            tol = 2.0 * e_scale * (np.sqrt(xx[lo:hi]) + c_max) ** 2
+            near = np.flatnonzero(~(gap > tol))
+            if near.size:
+                xs = x[lo + near]
+                direct = np.empty((near.size, k))
+                for c in range(k):
+                    direct[:, c] = ((xs - centroids[c]) ** 2).sum(axis=1)
+                best[near] = np.argmin(direct, axis=1)
+            out[lo:hi] = best
+        return out
+
+    constrained = labels >= 0
+    free = ~constrained
+    x_free = features[free]
+    xx_free = (x_free * x_free).sum(axis=1)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[constrained] = labels[constrained]
+    prev = None
+    inertia = np.inf
+    iterations = 0
+    for it in range(300):
+        assignment[free] = nearest(x_free, xx_free)
+        counts = np.bincount(assignment, minlength=k)
+        for c in range(reserved, k):
+            if counts[c] > 0:
+                continue
+            free_idx = np.flatnonzero(free)
+            dist_own = ((features[free_idx] - centroids[assignment[free_idx]]) ** 2).sum(axis=1)
+            steal = free_idx[int(np.argmax(dist_own))]
+            counts[assignment[steal]] -= 1
+            assignment[steal] = c
+            counts[c] = 1
+        members = features[np.argsort(assignment, kind="stable")]
+        start = 0
+        for c, count in enumerate(counts.tolist()):
+            if count:
+                centroids[c] = np.add.reduce(members[start:start + count], axis=0) / count
+            start += count
+        iterations = it + 1
+        diff = features - centroids[assignment]
+        inertia = float((diff * diff).sum())
+        if on_iteration is not None:
+            on_iteration(it, assignment.copy(), centroids.copy(), inertia)
+        if prev is not None and np.array_equal(prev, assignment):
+            break
+        prev = assignment.copy()
+    return assignment, centroids, iterations, inertia
 
 
 def plain_kmeans_pp(features, labels, k: int, seed):

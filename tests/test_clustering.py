@@ -23,6 +23,7 @@ from oracles import (
     estimate_k,
     plain_kmeans,
     plain_kmeans_pp,
+    plain_semisup_kmeans,
     plain_similarity_features,
 )
 
@@ -348,6 +349,105 @@ def test_kmeans_exact_tie_goes_to_lowest_id(offset):
         np.testing.assert_array_equal(res.assignment, plain_kmeans(features, init)[0])
 
 
+def _record(store):
+    return lambda it, a, c, i: store.append(
+        (it, a.tolist(), c.view(np.int64).tolist(), np.float64(i).view(np.int64)))
+
+
+def _assert_matches_plain_loop(features, labels, k, init, case):
+    got, want = [], []
+    res = semisup_kmeans(features, labels, k, seed=0, init=init, on_iteration=_record(got))
+    assignment, centroids, iterations, inertia = plain_semisup_kmeans(
+        features, labels, k, init, on_iteration=_record(want))
+    assert got == want, case
+    np.testing.assert_array_equal(res.assignment, assignment, err_msg=case)
+    np.testing.assert_array_equal(res.centroids.view(np.int64), centroids.view(np.int64),
+                                  err_msg=case)
+    assert (res.iterations_run, np.float64(res.inertia).view(np.int64)) == (
+        iterations, np.float64(inertia).view(np.int64)), case
+
+
+def _random_constrained_case(rng):
+    # values on a coarse grid, some rows duplicated: ties between centroids
+    # and rows at equal distance occur often
+    n = int(rng.integers(2, 121))
+    f = int(rng.choice([1, 2, 3, 12]))
+    features = np.round(3.0 * rng.normal(size=(n, f))) * rng.choice([1.0, 0.5, 0.25])
+    if rng.random() < 0.3:
+        features[rng.integers(n, size=n // 2)] = features[rng.integers(n, size=n // 2)]
+    if rng.random() < 0.25:
+        # far from the origin the expanded form loses the low bits, and with
+        # one or two features the triangle inequality is often tight
+        features += 10.0 ** int(rng.integers(5, 9))
+    k = int(rng.integers(1, n + 1 if rng.random() < 0.3 else min(n, 12) + 1))
+    reserved = int(rng.integers(0, k + 1)) if rng.random() < 0.6 else 0
+    labels = unlabeled(n)
+    # every reserved class gets a row, and k - reserved rows stay free
+    labeled = rng.choice(n, size=n - k + reserved - int(rng.integers(0, n - k + 1)), replace=False)
+    if reserved:
+        labels[labeled] = np.arange(labeled.size) % reserved
+    init = features[rng.choice(n, size=k, replace=False)]
+    if rng.random() < 0.3:
+        init = init + rng.normal(size=(k, f))
+    return features, labels, k, init
+
+
+def test_kmeans_matches_the_plain_loop_iteration_by_iteration():
+    # every iteration's assignment, centroid bits and inertia bits, and the
+    # final result, equal the loop that recomputes every row every iteration
+    rng = np.random.default_rng(16)
+    for case in range(400):
+        _assert_matches_plain_loop(*_random_constrained_case(rng), f"case {case}")
+    near_rng = np.random.default_rng(0)  # the set of test_kmeans_near_ties_match_direct_form
+    near = near_rng.normal(size=(600, 6)) + 1e7
+    near_init = near[near_rng.choice(600, 8, replace=False)]
+    far = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) + (85062422.0, 63696169.0)
+    line = 3.0 * np.random.default_rng(5).normal(size=(40, 1)) + 1e7
+    blobs = np.random.default_rng(1).normal(size=(40, 3)) + np.repeat(10.0 * np.eye(3)[:2], 20, 0)
+    for name, features, labels, init in [
+        ("near ties at 1e7", near, unlabeled(600), near_init),
+        ("one feature at 1e7", line, unlabeled(40), line[:3]),
+        ("exact tie, far", far, unlabeled(3), far[[1, 0]]),
+        ("k = 1", blobs, unlabeled(40), blobs[:1]),
+        ("k = 1, labeled", blobs, np.r_[np.zeros(5, int), unlabeled(35)], blobs[:1]),
+    ]:
+        _assert_matches_plain_loop(features, labels, init.shape[0], init, name)
+
+
+def test_kmeans_reseeds_a_cluster_emptied_by_an_earlier_steal():
+    # iteration 0: only cluster 0 is empty; it steals row 0 from cluster 1,
+    # which empties cluster 1, and cluster 1 steals row 0 back, so cluster 0
+    # stays empty until iteration 1 re-seeds it with row 1. Checking every
+    # cluster for emptiness once, before any steal, would end in [0, 1, 2]
+    features = np.array([[0.0, 0.0], [10.0, 0.0], [10.1, 0.0]])
+    init = np.array([[100.0, 0.0], [-5.0, 0.0], [10.05, 0.0]])
+    seen = []
+    res = semisup_kmeans(features, unlabeled(3), 3, seed=0, init=init,
+                         on_iteration=lambda it, a, c, i: seen.append(a.tolist()))
+    assert seen == [[1, 2, 2], [1, 0, 2], [1, 0, 2]]
+    np.testing.assert_array_equal(res.assignment, plain_kmeans(features, init)[0])
+
+
+def test_kmeans_bounds_spare_most_distance_rows(monkeypatch):
+    # well-separated blobs from a poor start: after the first iterations most
+    # rows are certified by their bounds and skip the distance step
+    rng = np.random.default_rng(0)
+    centers = 10.0 * rng.normal(size=(16, 4))
+    features = (centers[:, None, :] + rng.normal(size=(16, 100, 4))).reshape(-1, 4)
+    init = features[rng.choice(features.shape[0], 16, replace=False)]
+    real, passed = clustering._nearest_centroid, []
+
+    def counting(features, rows, *args):
+        passed.append(rows.size)
+        return real(features, rows, *args)
+
+    monkeypatch.setattr(clustering, "_nearest_centroid", counting)
+    res = semisup_kmeans(features, unlabeled(features.shape[0]), 16, seed=0, init=init)
+    assert res.iterations_run >= 10  # 15, with 21% of iterations x rows passed
+    assert sum(passed) < 0.5 * res.iterations_run * features.shape[0], (
+        f"{sum(passed)} rows over {res.iterations_run} iterations")
+
+
 def test_kmeans_memory_has_no_n_by_k_by_f_temporary():
     # n=4000, K=50, f=25: one n x K x f float64 array alone would be 40 MB
     rng = np.random.default_rng(3)
@@ -363,7 +463,7 @@ def test_kmeans_memory_has_no_n_by_k_by_f_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_kmeans_deterministic_for_a_seed():
@@ -400,11 +500,12 @@ def test_kmeans_result_type():
     assert res.iterations_run >= 1
 
 
-@pytest.mark.parametrize("f", [1, 3, 17])
+@pytest.mark.parametrize("f", [1, 2, 3, 17])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
 def test_update_centroids_has_the_bits_of_the_masked_mean(f, scale):
-    # the sorted-slice sums must reproduce features[assignment == c].mean(axis=0)
-    # exactly; empty clusters keep their old centroid
+    # the per-feature bincount sums (sorted-slice sums for one feature) must
+    # reproduce features[assignment == c].mean(axis=0) exactly; empty clusters
+    # keep their old centroid
     rng = np.random.default_rng([f, int(np.log10(scale)) + 3])
     for _ in range(20):
         n = int(rng.integers(1, 200))
