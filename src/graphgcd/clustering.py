@@ -155,8 +155,6 @@ def _nearest_centroid(
     c_max = np.sqrt(cc.max())
     e_scale = 2.0 * (f + 2) * np.finfo(np.float64).eps  # E per (|x| + max|c|)^2
     m2c = -2.0 * centroids
-    # the lowest id among the columns' minima wins: rank[c] is largest for c = 0
-    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None]
     best = np.empty(rows.size, dtype=np.int64)
     gap = np.empty(rows.size)
     for lo in range(0, rows.size, _CHUNK_ROWS):
@@ -166,7 +164,8 @@ def _nearest_centroid(
         g = m2c @ x.T
         g += cc[:, None]
         g_best = g.min(axis=0)
-        b = (k - 1) - ((g == g_best) * rank).max(axis=0)
+        # the lowest id at each minimum; argmin over axis 0 would copy all of g
+        b = np.argmax(g == g_best, axis=0)
         g[b, np.arange(hi - lo)] = np.inf
         # rounding is monotone, so adding |x|^2 after the minimum gives the best
         # and runner-up of the full g with one pass over k x rows fewer
@@ -254,8 +253,7 @@ def semisup_kmeans(
     distance computed, and the proof below makes that the direct-form argmin,
     strictly, so tie-breaking never decides it. Rows recomputed in the
     direct form and rows moved by a re-seed have h = -inf, so they always
-    go through the distance step next time. The update re-sums only the
-    clusters whose members changed; the others would get the same bits.
+    go through the distance step next time.
 
     Why tol = (300 + 2 (f + 8)) eps B, with B = |x| + the largest centroid
     norm seen in this run (the code takes the largest |x| among the free
@@ -328,21 +326,7 @@ def semisup_kmeans(
             gap[steal] = -np.inf
 
         old = centroids.copy()
-        # a cluster with the members of the last update would get the same
-        # bits, so only the touched ones are summed: every row of each, in
-        # index order, gathered into the buffer
-        if prev is None:
-            touched = np.ones(k, dtype=bool)
-        else:
-            moved = prev != assignment
-            touched = np.zeros(k, dtype=bool)
-            touched[prev[moved]] = touched[assignment[moved]] = True
-        if touched.all():
-            _update_centroids(features, assignment, counts, centroids)
-        else:
-            rows = np.flatnonzero(touched[assignment])
-            members = np.take(features, rows, axis=0, out=buffer[:rows.size], mode="clip")
-            _update_centroids(members, assignment[rows], np.where(touched, counts, 0), centroids)
+        _update_centroids(features, assignment, counts, centroids)
         shift = np.sqrt(((centroids - old) ** 2).sum(axis=1))
         # own shift plus the largest shift among the other centroids
         top = int(np.argmax(shift))

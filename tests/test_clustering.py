@@ -448,6 +448,34 @@ def test_kmeans_bounds_spare_most_distance_rows(monkeypatch):
         f"{sum(passed)} rows over {res.iterations_run} iterations")
 
 
+def test_kmeans_skips_a_row_only_when_its_bound_gap_exceeds_the_slack(monkeypatch):
+    # each cluster's mean is its init centroid exactly, so no centroid moves
+    # and the gaps the first distance step returns reach iteration 1 unchanged;
+    # the slack is (300 + 2 (f + 8)) eps (max free |x| + max centroid norm)
+    offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    init = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+    features = (init[:, None, :] + offsets).reshape(-1, 2)
+    tol = (clustering.MAX_LLOYD_ITERATIONS + 2 * (2 + 8)) * np.finfo(np.float64).eps * (11.0 + 10.0)
+    real, passed = clustering._nearest_centroid, []
+
+    def with_set_gaps(features, rows, *args):
+        passed.append(rows.tolist())
+        best, gap = real(features, rows, *args)
+        if len(passed) == 1:
+            assert gap[3:].min() > 1.0  # every other row is certified by far
+            gap[:3] = [(1 - 2**-20) * tol, 1e-300, (1 + 2**-20) * tol]
+        return best, gap
+
+    monkeypatch.setattr(clustering, "_nearest_centroid", with_set_gaps)
+    seen = []
+    res = semisup_kmeans(features, unlabeled(12), 3, seed=0, init=init,
+                         on_iteration=lambda it, a, c, i: seen.append(c.view(np.int64).tolist()))
+    assert seen == [init.view(np.int64).tolist()] * 2
+    # rows 0 and 1 are within the slack, even at a gap of 1e-300; row 2 is above it
+    assert passed == [list(range(12)), [0, 1]]
+    np.testing.assert_array_equal(res.assignment, np.repeat([0, 1, 2], 4))
+
+
 def test_kmeans_memory_has_no_n_by_k_by_f_temporary():
     # n=4000, K=50, f=25: one n x K x f float64 array alone would be 40 MB
     rng = np.random.default_rng(3)
