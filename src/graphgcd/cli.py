@@ -442,6 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy.random imports secrets, hence hmac and hashlib, and these load
+    # OpenSSL's libcrypto through _hashlib: about 3.6 MB of resident memory for
+    # hashes no command computes. With the entry set to None, hmac and hashlib
+    # fall back on Python's built-in hashes. It is set here, not at import, so
+    # that importing this module changes nothing for a library caller.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

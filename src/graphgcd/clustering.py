@@ -36,21 +36,25 @@ def similarity_features(
 ) -> np.ndarray:
     """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row.
 
-    Rows go through in blocks of _CHUNK_ROWS, so memory beyond x and the
-    n x C result is one block's. Every block is full-size (the last one is
-    the final _CHUNK_ROWS rows and recomputes those it shares with the one
-    before): BLAS may round a product with fewer rows differently, and with
-    full-size blocks the bits equal one whole-array product on tested shapes.
+    Rows go through in blocks of _CHUNK_ROWS, in two float64 buffers reused
+    by every block (one block x d, one block x max(hidden, d)), so memory
+    beyond x and the n x C result is one block's. Every block is full-size
+    (the last one is the final _CHUNK_ROWS rows and recomputes those it
+    shares with the one before): BLAS may round a product with fewer rows
+    differently, and with full-size blocks the bits equal one whole-array
+    product on tested shapes.
     """
     ybar = gcn_forward(graph, h0, params)[0]
-    n = x.shape[0]
+    n, d = x.shape
+    block = min(n, _CHUNK_ROWS)
+    rows_buf = np.empty((block, d))
+    scratch = np.empty(block * max(params.proj_w1.shape[1], d))
     out = np.empty((n, ybar.shape[0]))
     for lo in range(0, n, _CHUNK_ROWS):
         rows = slice(min(lo, max(n - _CHUNK_ROWS, 0)), lo + _CHUNK_ROWS)
-        # take [0] so that no local name keeps a trace (and the hidden layer) alive
-        z = projector_forward(x[rows], params)[0]
+        z = projector_forward(x[rows], params, rows_buf, scratch)[0]
         # both factors are row-normalized, so the product is already cosine
-        np.clip(z @ ybar.T, -1.0, 1.0, out=out[rows])
+        np.clip(np.matmul(z, ybar.T, out=out[rows]), -1.0, 1.0, out=out[rows])
     return out
 
 
@@ -90,9 +94,17 @@ def kmeans_pp_init(
     # squared distance from each free point to its nearest centroid so far;
     # min is exact, so each weight equals a fresh min over all placed centroids
     d2 = np.full(free_pts.size, np.inf)
+    diff, dist = np.empty_like(cand), np.empty(free_pts.size)
+
+    def add_centroid(c: int) -> None:
+        """d2 = min(d2, ((cand - centroids[c]) ** 2).sum(axis=1)), in the reused buffers."""
+        np.subtract(cand, centroids[c], out=diff)
+        np.square(diff, out=diff)  # what ** 2 computes
+        np.minimum(d2, diff.sum(axis=1, out=dist), out=d2)
+
     if k > reserved:
         for c in range(reserved):
-            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
+            add_centroid(c)
     for c in range(reserved, k):
         available = np.flatnonzero(~taken)
         if c == 0:
@@ -110,7 +122,7 @@ def kmeans_pp_init(
         taken[available[pick]] = True
         centroids[c] = cand[available[pick]]
         if c + 1 < k:
-            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
+            add_centroid(c)
     return centroids
 
 

@@ -14,7 +14,10 @@ with a RunConfig. Also here: write_csv for every CSV artifact.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,25 +106,54 @@ def write_embedding_file(emb: EmbeddingSet, path) -> None:
 
 
 class ByteReader:
-    """Bounded little-endian reads through one file's bytes, after its magic.
+    """Bounded little-endian reads through one file, after its magic.
 
-    Every error names the byte offset where reading failed.
+    Arrays are read straight into their own memory, so the file's bytes are
+    never held twice. Every error names the byte offset where reading failed.
+    The reader owns the open file; end() or a with statement closes it.
     """
 
     def __init__(self, path, magic: bytes):
         self.path = path
-        raw = Path(path).read_bytes()
-        if raw[: len(magic)] != magic:
-            raise BadMagicError(path, magic, raw[: len(magic)])
-        self._view = memoryview(raw)
+        file = open(path, "rb")
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode):
+            self._file, self._size = file, info.st_size
+        else:  # a pipe has no size to check lengths against, so it is read whole
+            with file:
+                data = file.read()
+            self._file, self._size = io.BytesIO(data), len(data)
+        found = self._file.read(len(magic))
+        if found != magic:
+            self.close()
+            raise BadMagicError(path, magic, found)
         self.offset = len(magic)
 
-    def take(self, nbytes: int) -> memoryview:
-        available = len(self._view) - self.offset
+    def __enter__(self) -> "ByteReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _check(self, nbytes: int) -> None:
+        available = self._size - self.offset
         if nbytes > available:
             raise TruncatedError(self.path, self.offset, nbytes, available)
+
+    def _fill(self, buf, nbytes: int):
+        """Read the next nbytes, already checked, into buf, a buffer of that size."""
+        got = self._file.readinto(buf)
+        if got != nbytes:  # the file shrank after it was opened
+            raise TruncatedError(self.path, self.offset, nbytes, got)
         self.offset += nbytes
-        return self._view[self.offset - nbytes : self.offset]
+        return buf
+
+    def take(self, nbytes: int) -> bytearray:
+        self._check(nbytes)
+        return self._fill(bytearray(nbytes), nbytes)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -134,16 +166,18 @@ class ByteReader:
             raise FormatError(f"{self.path}: bytes at offset {start} are not UTF-8") from None
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A copy of the next prod(shape) items of dtype."""
+        """A new array of the next prod(shape) items of dtype."""
         dtype = np.dtype(dtype)
-        chunk = self.take(dtype.itemsize * math.prod(shape))
-        return np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+        nbytes = dtype.itemsize * math.prod(shape)
+        self._check(nbytes)  # before an array of the size a header claims is allocated
+        return self._fill(np.empty(shape, dtype=dtype), nbytes)
 
     def end(self) -> None:
-        """Reject bytes left after the last field."""
-        extra = len(self._view) - self.offset
+        """Reject bytes left after the last field; with none left, close the file."""
+        extra = self._size - self.offset
         if extra:
             raise FormatError(f"{self.path}: {extra} trailing bytes at offset {self.offset}")
+        self.close()
 
 
 def read_embedding_file(path) -> EmbeddingSet:
@@ -152,29 +186,29 @@ def read_embedding_file(path) -> EmbeddingSet:
     Round-trips bit-exactly with write_embedding_file on data and labels.
     Errors name the byte offset of the offending field.
     """
-    r = ByteReader(path, GVLE_MAGIC)
-    n, d, has_labels = r.unpack("<IIB")
-    if n == 0 or d == 0:
-        raise FormatError(f"{path}: header declares empty set (n={n}, d={d})")
-    if has_labels not in (0, 1):
-        raise FormatError(f"{path}: has_labels byte at offset 12 must be 0/1, got {has_labels}")
+    with ByteReader(path, GVLE_MAGIC) as r:
+        n, d, has_labels = r.unpack("<IIB")
+        if n == 0 or d == 0:
+            raise FormatError(f"{path}: header declares empty set (n={n}, d={d})")
+        if has_labels not in (0, 1):
+            raise FormatError(f"{path}: has_labels byte at offset 12 must be 0/1, got {has_labels}")
 
-    payload_off = r.offset
-    data = r.array("<f4", (n, d))
-    finite = np.isfinite(data)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite.ravel())[0])
-        raise NonFiniteError(f"{path}: non-finite value at offset {payload_off + 4 * bad}")
+        payload_off = r.offset
+        data = r.array("<f4", (n, d))
+        finite = np.isfinite(data)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.ravel())[0])
+            raise NonFiniteError(f"{path}: non-finite value at offset {payload_off + 4 * bad}")
 
-    labels = None
-    if has_labels:
-        labels_off = r.offset
-        labels = r.array("<i4", (n,))
-        bad = np.flatnonzero(labels < -1)
-        if bad.size:
-            i = int(bad[0])
-            raise LabelRangeError(path, labels_off + 4 * i, int(labels[i]))
-    r.end()
+        labels = None
+        if has_labels:
+            labels_off = r.offset
+            labels = r.array("<i4", (n,))
+            bad = np.flatnonzero(labels < -1)
+            if bad.size:
+                i = int(bad[0])
+                raise LabelRangeError(path, labels_off + 4 * i, int(labels[i]))
+        r.end()
     return EmbeddingSet(data=data, labels=labels)
 
 

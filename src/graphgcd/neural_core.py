@@ -116,12 +116,22 @@ class NormTrace:
     unit: np.ndarray
 
 
-def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, NormTrace]:
+def normalize_rows(
+    x: np.ndarray, out: np.ndarray | None = None, squares: np.ndarray | None = None
+) -> tuple[np.ndarray, NormTrace]:
+    """Unit rows of x, and the trace their backward reads.
+
+    `out` receives the unit rows and may be x itself; `squares`, an x-shaped
+    float64 buffer, receives x * x. Either defaults to a new array. The norms
+    are sqrt(add.reduce(x * x, axis=1)), which is how np.linalg.norm computes
+    a row norm, so buffers or not, the bits are the same.
+    """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    squares = np.multiply(x, x, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
     if (norms < _MIN_ROW_NORM).any():
         raise NumericError("zero-norm row cannot be L2-normalized")
-    unit = x / norms
+    unit = np.divide(x, norms, out=out)
     return unit, NormTrace(norms=norms, unit=unit)
 
 
@@ -211,10 +221,18 @@ class ProjTrace:
 
 
 def projector_forward(
-    x: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, ProjTrace]:
-    """Two-layer projection head: row L2-norm of W2.relu(W1 x + b1) + b2."""
-    # matmul casts a float32 x to float64 exactly, so the trace keeps x itself
+    x: np.ndarray, params: ModelParams, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, ProjTrace | None]:
+    """Two-layer projection head: row L2-norm of W2.relu(W1 x + b1) + b2.
+
+    One n x d float64 array holds the rows of x, cast exactly (as matmul
+    would cast them), and then the output rows, normalized in place: `out`
+    if given, else a new array. `scratch`, if given, is a float64 buffer of
+    at least n * max(hidden, d) items that holds the hidden layer and then
+    the squares of the output rows; the hidden layer is then lost, so no
+    trace is returned. With both, nothing that grows with n is allocated.
+    """
     x = np.asarray(x)
     w1 = np.asarray(params.proj_w1, dtype=np.float64)
     b1 = np.asarray(params.proj_b1, dtype=np.float64)
@@ -222,12 +240,20 @@ def projector_forward(
     b2 = np.asarray(params.proj_b2, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise InvariantError(f"input shape {x.shape} does not match W1 {w1.shape}")
-    act1 = x @ w1
+    n, hidden = x.shape[0], w1.shape[1]
+    rows = np.empty(x.shape) if out is None else out
+    np.copyto(rows, x)
+    act1 = np.matmul(rows, w1, out=None if scratch is None else
+                     scratch[:n * hidden].reshape(n, hidden))
     act1 += b1
     np.maximum(act1, 0.0, out=act1)
-    pre2 = act1 @ w2
-    pre2 += b2
-    z, norm = normalize_rows(pre2)
+    np.matmul(act1, w2, out=rows)
+    rows += b2
+    squares = None if scratch is None else scratch[:rows.size].reshape(rows.shape)
+    z, norm = normalize_rows(rows, out=rows, squares=squares)
+    if scratch is not None:
+        return z, None
+    # the trace keeps x itself: matmul casts a float32 x to float64 exactly
     return z, ProjTrace(x=x, act1=act1, w1=w1, w2=w2, norm=norm)
 
 

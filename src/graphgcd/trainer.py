@@ -20,7 +20,6 @@ resuming from a checkpoint reproduces an uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -73,12 +72,10 @@ class TrainState:
     trace: list[EpochRecord] = field(default_factory=list)
 
 
-def _digest(graph: SemanticGraph, h0: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(graph.adjacency.tobytes())
-    h.update(graph.norm_adjacency.tobytes())
-    h.update(np.ascontiguousarray(h0).tobytes())
-    return h.hexdigest()
+def _frozen_bytes(graph: SemanticGraph, h0: np.ndarray) -> bytes:
+    """The bytes training must leave unchanged. A copy, not a digest: these
+    arrays are small, and hashlib would load OpenSSL (see graphgcd.cli.main)."""
+    return b"".join(a.tobytes() for a in (graph.adjacency, graph.norm_adjacency, h0))
 
 
 def train(
@@ -91,9 +88,9 @@ def train(
     """Optimize GCN weights, projector, and prompts over the labeled set.
 
     The class graph is built once from class_embeddings and never mutated
-    (checked by digest). Each epoch shuffles the labeled samples with a
-    generator seeded by (seed, 1, epoch) and walks minibatches of
-    config.batch_size; every step runs the full forward, the summed loss, the
+    (checked against a copy of its bytes). Each epoch shuffles the labeled
+    samples with a generator seeded by (seed, 1, epoch) and walks minibatches
+    of config.batch_size; every step runs the full forward, the summed loss, the
     exact backward, and one Adam update. Passing a loaded `state` resumes at
     state.epoch; the in-memory trace restarts at the resume point.
     """
@@ -123,7 +120,7 @@ def train(
 
     graph = build_knn_graph(class_embeddings.data, config.knn_k)
     h0 = np.asarray(class_embeddings.data, dtype=np.float64)
-    frozen = _digest(graph, h0)
+    frozen = _frozen_bytes(graph, h0)
 
     n = labeled.n
     x = labeled.data
@@ -158,7 +155,7 @@ def train(
         state.trace.append(EpochRecord(epoch, mean[0], mean[1], mean[2], mean[3]))
         state.epoch = epoch + 1
 
-    if _digest(graph, h0) != frozen:
+    if _frozen_bytes(graph, h0) != frozen:
         raise InvariantError("semantic graph or h0 mutated during training")
     return state
 
@@ -205,25 +202,25 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read a GVLP file back into a TrainState (trace starts empty)."""
-    r = ByteReader(path, GVLP_MAGIC)
-    (config_len,) = r.unpack("<I")
-    config = parse_config(r.text(config_len))
-    config.validate()
-    (count,) = r.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.text(name_len)
-        (rank,) = r.unpack("<B")
-        if rank > 4:
-            raise FormatError(f"{path}: tensor {name!r} has implausible rank {rank}")
-        arr = r.array("<f4", r.unpack(f"<{rank}I"))
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite values")
-        if name in tensors:
-            raise FormatError(f"{path}: duplicate tensor {name!r}")
-        tensors[name] = arr
-    r.end()
+    with ByteReader(path, GVLP_MAGIC) as r:
+        (config_len,) = r.unpack("<I")
+        config = parse_config(r.text(config_len))
+        config.validate()
+        (count,) = r.unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            name = r.text(name_len)
+            (rank,) = r.unpack("<B")
+            if rank > 4:
+                raise FormatError(f"{path}: tensor {name!r} has implausible rank {rank}")
+            arr = r.array("<f4", r.unpack(f"<{rank}I"))
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite values")
+            if name in tensors:
+                raise FormatError(f"{path}: duplicate tensor {name!r}")
+            tensors[name] = arr
+        r.end()
 
     def shape_of(name: str) -> tuple[int, ...]:
         if name not in tensors:

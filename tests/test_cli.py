@@ -907,6 +907,26 @@ def test_numeric_failure_maps_to_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_zero_projected_row_in_the_feature_stage_exits_3(ws, tmp_path, capsys):
+    # zero output weights and bias project every row to zero, which the
+    # buffered feature stage must refuse to normalize, as training does
+    raw = ws["checkpoint"].read_bytes()
+    for name, shape in (("param/proj.w2", (8, 8)), ("param/proj.b2", (8,))):
+        raw = rewrite_tensor(raw, name, np.zeros(shape))
+    (tmp_path / "zero.gvlp").write_bytes(raw)
+    data = ws["data"]
+    rc = cli.main([
+        "cluster", "--labeled", str(data / "labeled.gvle"),
+        "--unlabeled", str(data / "unlabeled.gvle"),
+        "--class-emb", str(data / "class_emb.gvle"),
+        "--checkpoint", str(tmp_path / "zero.gvlp"), "--k-total", "4",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 3
+    assert "zero-norm row" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "assignments.csv").exists()
+
+
 def test_invariant_failure_maps_to_exit_4(ws, tmp_path, monkeypatch, capsys):
     # a broken internal contract, forced: bad inputs exit 2 before clustering starts
     def broken(features, labels, k, seed):
@@ -993,6 +1013,24 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_import_does_not_load_process_pools(module):
     # only the elbow scan's worker path imports them, so other commands start as fast
     assert _loaded_after("import sys, graphgcd.cli", module) == "False"
+
+
+def test_cli_runs_without_openssl(tmp_path):
+    # _hashlib loads OpenSSL's libcrypto (about 3.6 MB resident) for hashes no
+    # command computes: importing the CLI leaves it alone, and main() keeps
+    # numpy.random's import chain (secrets, hmac) on Python's built-in hashes
+    assert _loaded_after("import sys, graphgcd.cli", "_hashlib") == "False"
+    run_all = ["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--k-total", "4",
+               "--out-dir", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from graphgcd.cli import main\n"
+        f"assert main({run_all!r}) == 0\n"
+        "print(sys.modules.get('_hashlib'), 'hmac' in sys.modules)"
+    )
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "None True"
 
 
 def test_scoring_commands_do_not_load_scipy(tmp_path):

@@ -105,6 +105,9 @@ def _feature_inputs(n, d, hidden, c, seed=4):
 @pytest.mark.parametrize("n, d, hidden, c", [
     (6000, 128, 128, 10), (4500, 128, 128, 25), (3600, 64, 64, 12),
     (2049, 128, 128, 10), (4097, 128, 128, 10), (2049, 33, 65, 15),
+    # hidden below d, hidden 300, and n on either side of the block edges
+    (5, 7, 300, 6), (2047, 128, 64, 6), (2048, 64, 300, 6), (2049, 7, 300, 6),
+    (4100, 128, 64, 6),
 ])
 def test_similarity_features_blocks_equal_one_product(n, d, hidden, c):
     # full-size blocks only: a short last block could take another BLAS kernel
@@ -139,6 +142,17 @@ def _feature_peak(n, d=128, c=25):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_similarity_features_memory_is_two_block_buffers():
+    # beyond the n x C result: one block x d buffer for the input and output
+    # rows and one block x max(hidden, d) buffer for the hidden layer and the
+    # squares; a float64 copy of the rows or the squares of np.linalg.norm
+    # would each add a block
+    n, d, c = 4096, 128, 25
+    bound = n * c * 8 + 2 * 2048 * d * 8 + 2**20
+    peak = _feature_peak(n, d, c)
+    assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
 def test_similarity_features_memory_holds_no_trace():

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +143,40 @@ def test_byte_reader_names_offsets(tmp_path, magic):
     r.end()
     with pytest.raises(BadMagicError, match="offset 0"):
         ByteReader(path, b"XXXX")
+
+
+def test_gvle_read_holds_the_payload_once(tmp_path):
+    # the payload is read straight into its array: no whole-file bytes object
+    # and no copy of it (2.5x the file size when both were held)
+    path = tmp_path / "big.gvle"
+    emb = _random_set(0, 2048, 128, with_labels=True)
+    write_embedding_file(emb, path)
+    tracemalloc.start()
+    try:
+        back = read_embedding_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.data, emb.data)
+    assert peak <= 1.6 * path.stat().st_size, f"peak {peak} B for {path.stat().st_size} B"
+
+
+def test_gvle_reads_from_a_pipe(tmp_path):
+    # a pipe has no size to check lengths against; it is read whole instead
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes")
+    emb = _random_set(1, 5, 3, with_labels=True)
+    write_embedding_file(emb, tmp_path / "f.gvle")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "f.gvle").read_bytes(),),
+                              daemon=True)
+    writer.start()
+    back = read_embedding_file(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(back.data, emb.data)
+    np.testing.assert_array_equal(back.labels, emb.labels)
 
 
 def test_gvle_bad_flag_and_empty_header(tmp_path):
