@@ -1,13 +1,13 @@
 """Subcommand CLI: gen-synthetic | train | cluster | eval | estimate-k | run-all.
 
-Every command echoes its fully resolved configuration to stdout and to
-<out-dir>/config.txt. All artifacts are deterministic byte-for-byte given the
+train, cluster, estimate-k and run-all echo their fully resolved RunConfig to
+stdout and to <out-dir>/config.txt; gen-synthetic and eval read no RunConfig and
+write no config.txt. All artifacts are deterministic byte-for-byte given the
 same inputs and --seed: no timestamps, no machine identifiers. --threads is
 the most processes the elbow scan (--estimate-k, estimate-k) runs its K values
 in; it defaults to the CPUs this process may use and is capped by them and by
 the number of K values. Each K is computed alone from its own seed, so the
-flag cannot change results. --losses-as-printed changes training, but neither
-config.txt nor the checkpoint records it.
+flag cannot change results.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
 Imported before numpy, as the graphgcd command does, that runs OpenBLAS on one
@@ -74,16 +74,16 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field (seed comes from _add_common), plus training switches."""
+    """One flag per RunConfig field (seed comes from _add_common; a bool is a switch)."""
+    helps = {"hidden_dim": "0 means: use the input dimension",
+             "losses_as_printed": "use the published equation signs verbatim instead of "
+                                  "the description-consistent ones"}
     for f in fields(RunConfig):
         if f.name == "seed":
             continue
         flag = "--lr" if f.name == "learn_rate" else "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
-                       help="0 means: use the input dimension" if f.name == "hidden_dim" else None)
-    p.add_argument("--losses-as-printed", action="store_true",
-                   help="use the published equation signs verbatim instead of the "
-                        "description-consistent ones")
+        kind = {"action": "store_true"} if type(f.default) is bool else {"type": type(f.default)}
+        p.add_argument(flag, dest=f.name, default=f.default, help=helps.get(f.name), **kind)
     p.add_argument("--dump-graph", action="store_true", help="also write graph.csv")
 
 
@@ -272,7 +272,7 @@ def _estimate_k(args, seed: int, k_bounds: tuple[int, int], features: np.ndarray
 
 
 def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
-    state = train(labeled, class_emb, config, as_printed=args.losses_as_printed)
+    state = train(labeled, class_emb, config)
     save_checkpoint(state, out / "checkpoint.gvlp")
     print(f"wrote {out / 'checkpoint.gvlp'}")
     write_loss_trace(state.trace, out / "loss_trace.csv")
@@ -315,9 +315,7 @@ def _load_for_clustering(args, out: Path):
 
 def cmd_gen_synthetic(args) -> int:
     out = _check_common(args)
-    sets = _generate_synthetic(args)
-    _echo_config(RunConfig(seed=args.seed), out)
-    _write_synthetic(sets, out)
+    _write_synthetic(_generate_synthetic(args), out)
     return 0
 
 
@@ -352,9 +350,7 @@ def cmd_eval(args) -> int:
     if free_ids.shape[0] != unlabeled.n:
         raise InputError(f"assignments hold {free_ids.shape[0]} unconstrained rows but "
                          f"{args.unlabeled} has {unlabeled.n} samples")
-    report = split_accuracy(free_ids, unlabeled.labels, args.known)
-    _echo_config(RunConfig(seed=args.seed), out)
-    _emit_report(report, out)
+    _emit_report(split_accuracy(free_ids, unlabeled.labels, args.known), out)
     return 0
 
 

@@ -94,17 +94,9 @@ def kmeans_pp_init(
     # squared distance from each free point to its nearest centroid so far;
     # min is exact, so each weight equals a fresh min over all placed centroids
     d2 = np.full(free_pts.size, np.inf)
-    diff, dist = np.empty_like(cand), np.empty(free_pts.size)
-
-    def add_centroid(c: int) -> None:
-        """d2 = min(d2, ((cand - centroids[c]) ** 2).sum(axis=1)), in the reused buffers."""
-        np.subtract(cand, centroids[c], out=diff)
-        np.square(diff, out=diff)  # what ** 2 computes
-        np.minimum(d2, diff.sum(axis=1, out=dist), out=d2)
-
     if k > reserved:
         for c in range(reserved):
-            add_centroid(c)
+            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     for c in range(reserved, k):
         available = np.flatnonzero(~taken)
         if c == 0:
@@ -122,7 +114,7 @@ def kmeans_pp_init(
         taken[available[pick]] = True
         centroids[c] = cand[available[pick]]
         if c + 1 < k:
-            add_centroid(c)
+            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     return centroids
 
 

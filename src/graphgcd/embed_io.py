@@ -225,6 +225,8 @@ class RunConfig:
     """Hyperparameters for one pipeline run.
 
     hidden_dim=0 means "resolve to the input embedding dimension".
+    losses_as_printed trains with the published equations' loss signs
+    (see graphgcd.losses).
     """
 
     knn_k: int = 3
@@ -236,6 +238,7 @@ class RunConfig:
     seed: int = 0
     hidden_dim: int = 0
     temperature: float = 1.0
+    losses_as_printed: bool = False
 
     def validate(self, known_class_count: int | None = None) -> None:
         if self.knn_k < 1:
@@ -282,7 +285,8 @@ def format_config(config: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value config text; retired keys are dropped, unknown ones rejected."""
+    """Parse key=value config text; retired keys are dropped, unknown ones rejected,
+    missing ones take their defaults, and a bool is exactly True or False."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -298,8 +302,11 @@ def parse_config(text: str) -> RunConfig:
             continue
         if key not in fields:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
+        kind = type(fields[key].default)
         try:
-            values[key] = type(fields[key].default)(raw)
+            if kind is bool and raw not in ("True", "False"):
+                raise ValueError(raw)
+            values[key] = raw == "True" if kind is bool else kind(raw)
         except ValueError as exc:
             raise InputError(f"config line {lineno}: bad value for {key}: {raw!r}") from exc
     return RunConfig(**values)

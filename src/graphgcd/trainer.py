@@ -83,7 +83,6 @@ def train(
     class_embeddings: EmbeddingSet,
     config: RunConfig,
     state: TrainState | None = None,
-    as_printed: bool = False,
 ) -> TrainState:
     """Optimize GCN weights, projector, and prompts over the labeled set.
 
@@ -137,9 +136,8 @@ def train(
             batch = Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t)
             batch.validate()
             triplets = sample_triplets(labels[idx], rng)
-            loss, grads, parts = loss_total(
-                batch, triplets, config.margin_alpha, config.temperature, as_printed
-            )
+            loss, grads, parts = loss_total(batch, triplets, config.margin_alpha,
+                                            config.temperature, config.losses_as_printed)
             if not np.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}, step {steps}")
 

@@ -26,7 +26,7 @@ from graphgcd.errors import InvariantError
 from graphgcd.evaluation import split_accuracy
 from graphgcd.trainer import load_checkpoint
 
-from test_trainer import rewrite_tensor
+from test_trainer import rewrite_config, rewrite_tensor
 
 SMALL = ["--classes", "4", "--known", "2", "--per-class", "8", "--dim", "8",
          "--separation", "6.0"]
@@ -73,7 +73,9 @@ def test_gen_synthetic_writes_readable_files(tmp_path, capsys):
     assert set(unlabeled.labels) == {0, 1, 2, 3}
     assert class_emb.n == 2
     np.testing.assert_array_equal(class_emb.labels, [0, 1])
-    assert (tmp_path / "config.txt").exists()
+    # it reads no RunConfig, so it echoes none
+    assert not (tmp_path / "config.txt").exists()
+    assert "knn_k=" not in out and "seed=" not in out
 
 
 def test_gen_synthetic_is_seed_deterministic(tmp_path):
@@ -131,22 +133,58 @@ def test_train_dump_graph_flag(ws, tmp_path):
     assert (tmp_path / "graph.csv").exists()
 
 
-def test_train_losses_as_printed_changes_losses_but_is_not_recorded(ws, tmp_path):
+def train_into(ws, out, *extra):
+    assert cli.main([
+        "train", "--labeled", str(ws["data"] / "labeled.gvle"),
+        "--class-emb", str(ws["data"] / "class_emb.gvle"),
+        "--out-dir", str(out), "--seed", "11", *TRAIN_OPTS, *extra,
+    ]) == 0
+    return out / "checkpoint.gvlp"
+
+
+def test_train_losses_as_printed_changes_losses_and_is_recorded(ws, tmp_path):
     outs = {}
     for name, extra in (("plain", []), ("printed", ["--losses-as-printed"])):
         outs[name] = tmp_path / name
-        assert cli.main([
-            "train", "--labeled", str(ws["data"] / "labeled.gvle"),
-            "--class-emb", str(ws["data"] / "class_emb.gvle"),
-            "--out-dir", str(outs[name]), "--seed", "11", *TRAIN_OPTS, *extra,
-        ]) == 0
+        train_into(ws, outs[name], *extra)
     trace = {name: (out / "loss_trace.csv").read_bytes() for name, out in outs.items()}
     assert trace["plain"] != trace["printed"]
-    # neither config.txt nor the checkpoint's config records the flag
-    config = {name: (out / "config.txt").read_bytes() for name, out in outs.items()}
-    assert config["plain"] == config["printed"]
-    assert (load_checkpoint(outs["plain"] / "checkpoint.gvlp").config
-            == load_checkpoint(outs["printed"] / "checkpoint.gvlp").config)
+    # config.txt and the checkpoint's config both record the switch, as the last line
+    for name, value in (("plain", False), ("printed", True)):
+        text = (outs[name] / "config.txt").read_text()
+        assert text.endswith(f"\nlosses_as_printed={value}\n")
+        config = parse_config(text)
+        assert config.losses_as_printed is value
+        assert load_checkpoint(outs[name] / "checkpoint.gvlp").config == config
+    configs = [(out / "config.txt").read_text() for out in outs.values()]
+    assert configs[0].replace("=False\n", "=True\n") == configs[1]
+
+
+def test_cluster_echoes_an_as_printed_checkpoint(ws, tmp_path, capsys):
+    checkpoint = train_into(ws, tmp_path / "printed", "--losses-as-printed")
+    args = cluster_args(ws, tmp_path / "c", "--k-total", "4")
+    args[args.index("--checkpoint") + 1] = str(checkpoint)
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert "\nlosses_as_printed=True\n" in capsys.readouterr().out
+    assert ((tmp_path / "c" / "config.txt").read_bytes()
+            == (tmp_path / "printed" / "config.txt").read_bytes())
+
+
+def test_checkpoint_without_the_losses_line_clusters_as_before(ws, tmp_path):
+    # checkpoints written before losses_as_printed was a RunConfig field lack its line
+    old = tmp_path / "old.gvlp"
+    old.write_bytes(rewrite_config(ws["checkpoint"].read_bytes(), "losses_as_printed=False\n", ""))
+    assert load_checkpoint(old).config == load_checkpoint(ws["checkpoint"]).config
+    assert load_checkpoint(old).config.losses_as_printed is False
+    runs = {}
+    for name, checkpoint in (("old", old), ("new", ws["checkpoint"])):
+        args = cluster_args(ws, tmp_path / name, "--k-total", "4")
+        args[args.index("--checkpoint") + 1] = str(checkpoint)
+        assert cli.main(args) == 0
+        runs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert runs["old"] == runs["new"]
+    assert runs["old"]["config.txt"].endswith(b"\nlosses_as_printed=False\n")
 
 
 def config_flag(name):
@@ -156,14 +194,19 @@ def config_flag(name):
 @pytest.mark.parametrize("base", [["train"], ["run-all", "--synthetic"]], ids=["train", "run-all"])
 def test_config_flags_mirror_run_config_fields(base):
     # each RunConfig field but seed has one flag with the field's default, and
-    # a non-default value on that flag changes exactly that field
+    # a non-default value on that flag changes exactly that field; a bool
+    # field's flag is a switch that takes no value
     parser = cli.build_parser()
     assert cli._config_from_args(parser.parse_args(base)) == RunConfig(seed=0)
     for f in dataclasses.fields(RunConfig):
         if f.name == "seed":
             continue
-        value = type(f.default)(f.default + 1)
-        args = parser.parse_args([*base, config_flag(f.name), str(value)])
+        if type(f.default) is bool:
+            value, argv = not f.default, [config_flag(f.name)]
+        else:
+            value = type(f.default)(f.default + 1)
+            argv = [config_flag(f.name), str(value)]
+        args = parser.parse_args([*base, *argv])
         expected = dataclasses.replace(RunConfig(seed=0), **{f.name: value})
         assert cli._config_from_args(args) == expected, f.name
 
@@ -367,6 +410,7 @@ def test_config_records_the_seed_the_scan_and_clustering_used(ws, tmp_path, comm
 def test_eval_matches_library_scoring(ws, tmp_path, capsys):
     cdir, edir = tmp_path / "c", tmp_path / "e"
     assert cli.main(cluster_args(ws, cdir, "--k-total", "4")) == 0
+    capsys.readouterr()
     rc = cli.main([
         "eval", "--assignments", str(cdir / "assignments.csv"),
         "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
@@ -387,6 +431,9 @@ def test_eval_matches_library_scoring(ws, tmp_path, capsys):
     assert rows["acc_new"] == f"{report.acc_new:.4f}"
     assert f"acc_all {report.acc_all:.4f}" in out
     assert (edir / "confusion.csv").exists()
+    # it reads no RunConfig, so it echoes none
+    assert not (edir / "config.txt").exists()
+    assert "knn_k=" not in out and "seed=" not in out
 
 
 def test_eval_requires_labels_and_known(ws, tmp_path):

@@ -221,11 +221,12 @@ def test_embedding_set_validation():
     epochs=st.integers(0, 500),
     seed=st.integers(0, 2**64 - 1),
     temp=st.floats(0.01, 10.0, allow_nan=False),
+    printed=st.booleans(),
 )
-def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp):
+def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp, printed):
     cfg = RunConfig(
         knn_k=knn_k, gcn_layers=layers, margin_alpha=alpha, learn_rate=lr,
-        epochs=epochs, seed=seed, temperature=temp,
+        epochs=epochs, seed=seed, temperature=temp, losses_as_printed=printed,
     )
     assert parse_config(format_config(cfg)) == cfg
 
@@ -256,6 +257,7 @@ def test_config_skips_comments_and_blanks():
 
 def test_config_accepts_and_drops_retired_key():
     # the config block older runs wrote, with the since-removed context_vectors_m
+    # and without losses_as_printed, which takes its default
     old = (
         "knn_k=3\ngcn_layers=2\nmargin_alpha=0.3\nlearn_rate=0.001\n"
         "batch_size=128\nepochs=100\nseed=0\nhidden_dim=0\n"
@@ -263,9 +265,17 @@ def test_config_accepts_and_drops_retired_key():
     )
     cfg = parse_config(old)
     assert cfg == RunConfig()
-    assert format_config(cfg) == old.replace("context_vectors_m=16\n", "")
+    assert format_config(cfg) == (old.replace("context_vectors_m=16\n", "")
+                                  + "losses_as_printed=False\n")
     with pytest.raises(InputError, match="unknown key 'foo'"):
         parse_config(old + "foo=1\n")
+
+
+@pytest.mark.parametrize("raw", ["yes", "1", "true", "0", "false", ""])
+def test_config_bool_is_exactly_true_or_false(raw):
+    # bool("False") is True, so a bool field takes only the two words format_config writes
+    with pytest.raises(InputError, match=f"config line 2: bad value for losses_as_printed: '{raw}'"):
+        parse_config(f"knn_k=3\nlosses_as_printed={raw}\nepochs=1\n")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
-"""The README's library example runs as written and names only real CLI flags."""
+"""The README's library example runs as written, it names only real CLI flags, and its
+`train` table lists every RunConfig field."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 from graphgcd import cli
+from graphgcd.embed_io import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,18 @@ def test_readme_flags_exist():
     (sub,) = [a for a in parser._actions if a.choices and "run-all" in a.choices]
     known = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
     assert named and not named - known, sorted(named - known)
+
+
+def test_readme_train_table_lists_every_run_config_field():
+    # one row per RunConfig field, with the train flag that sets it and its default
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### train") : text.index("### cluster")]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| `([a-z_]+)` \| ([^|]+) \|$", section, re.MULTILINE)
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and "train" in a.choices]
+    flags = {a.dest: a.option_strings[0] for a in sub.choices["train"]._actions}
+    fields = dataclasses.fields(RunConfig)
+    assert [name for _, name, _ in rows] == [f.name for f in fields]
+    for (flag, name, default), f in zip(rows, fields):
+        assert flag == flags[name], name
+        assert default.split()[0] == str(f.default), name
