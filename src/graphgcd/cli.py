@@ -1,13 +1,13 @@
 """Subcommand CLI: gen-synthetic | train | cluster | eval | estimate-k | run-all.
 
-train, cluster, estimate-k and run-all echo their fully resolved RunConfig to
-stdout and to <out-dir>/config.txt; gen-synthetic and eval read no RunConfig and
-write no config.txt. All artifacts are deterministic byte-for-byte given the
-same inputs and --seed: no timestamps, no machine identifiers. --threads is
-the most processes the elbow scan (--estimate-k, estimate-k) runs its K values
-in; it defaults to the CPUs this process may use and is capped by them and by
-the number of K values. Each K is computed alone from its own seed, so the
-flag cannot change results.
+Each subcommand takes only the flags it reads (eval's --seed aside). train,
+cluster, estimate-k and run-all echo their resolved RunConfig to stdout and to
+<out-dir>/config.txt. Artifacts are byte-for-byte deterministic given the same
+inputs and --seed: no timestamps, no machine identifiers. --threads, taken by
+cluster, estimate-k and run-all, is the most processes the elbow scan runs its
+K values in; it defaults to the CPUs this process may use and is capped by them
+and by the K count. Each K is computed alone from its own seed, so the flag
+cannot change results.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
 Imported before numpy, as the graphgcd command does, that runs OpenBLAS on one
@@ -58,9 +58,10 @@ _EXIT_CODES = {InputError: 2, NumericError: 3, InvariantError: 4}
 _ASSIGNMENTS_HEADER = ("sample_index", "cluster_id", "is_constrained")
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
+def _add_io_flags(p: argparse.ArgumentParser, unlabeled: bool = True) -> None:
     p.add_argument("--labeled", help="GVLE file with known-class training samples")
-    p.add_argument("--unlabeled", help="GVLE file with samples to cluster")
+    if unlabeled:
+        p.add_argument("--unlabeled", help="GVLE file with samples to cluster")
     p.add_argument("--class-emb", help="GVLE file with one row per known class")
 
 
@@ -97,6 +98,10 @@ def _add_k_range_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-min", type=int, help="elbow scan lower bound (default: known classes)")
     p.add_argument("--k-max", type=int, help="elbow scan upper bound (default: "
                    "min(k-min + 15, labeled classes + unlabeled rows))")
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="most worker processes for the elbow scan, capped by the usable "
+                        "CPUs and the K count (default: the usable CPUs); each worker "
+                        "adds memory; results do not depend on it")
 
 
 def _usable_cpus() -> int:
@@ -113,10 +118,6 @@ def _scan_workers(threads: int) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
-    p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="most worker processes for the elbow scan, capped by the usable "
-                        "CPUs and the K count (default: the usable CPUs); each worker "
-                        "adds memory; results do not depend on it")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -127,7 +128,7 @@ def _check_common(args) -> Path:
     # seed may still be None here for commands that default it from a checkpoint
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise InputError(f"--seed must be a uint64, got {args.seed}")
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:  # only the commands with an elbow scan take it
         raise InputError(f"--threads must be >= 1, got {args.threads}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,6 +365,8 @@ def cmd_estimate_k(args) -> int:
 
 def cmd_run_all(args) -> int:
     out = _check_common(args)
+    if args.synthetic and {args.labeled, args.unlabeled, args.class_emb} != {None}:
+        raise InputError("--synthetic takes no --labeled, --unlabeled or --class-emb")
     sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
     labeled, unlabeled, class_emb = sets
     config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a labeled GVLE file")
     _add_common(p)
-    _add_io_flags(p)
+    _add_io_flags(p, unlabeled=False)
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -20,7 +20,6 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -94,15 +93,11 @@ def write_embedding_file(emb: EmbeddingSet, path) -> None:
     """
     if not np.isfinite(emb.data).all():
         raise NonFiniteError("refusing to write non-finite embedding values")
-    n, d = emb.data.shape
-    has_labels = emb.labels is not None
-    buf = bytearray()
-    buf += GVLE_MAGIC
-    buf += struct.pack("<IIB", n, d, 1 if has_labels else 0)
-    buf += np.ascontiguousarray(emb.data, dtype="<f4").tobytes()
-    if has_labels:
-        buf += np.ascontiguousarray(emb.labels, dtype="<i4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as f:  # the payload goes straight from the arrays to the file
+        f.write(GVLE_MAGIC + struct.pack("<IIB", *emb.data.shape, emb.labels is not None))
+        np.ascontiguousarray(emb.data, dtype="<f4").tofile(f)
+        if emb.labels is not None:
+            np.ascontiguousarray(emb.labels, dtype="<i4").tofile(f)
 
 
 class ByteReader:
@@ -391,6 +386,8 @@ def generate_synthetic(
         raise InputError(f"d must be >= 1, got {d}")
     if not separation > 0:  # also rejects NaN; inf means zero noise
         raise InputError(f"separation must be > 0, got {separation}")
+    if not 0 <= int(seed) < 2**64:
+        raise InputError(f"seed must be a uint64, got {seed}")
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     centers = _draw_centers(rng, class_count, d)

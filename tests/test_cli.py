@@ -1,5 +1,6 @@
 """End-to-end tests of the subcommand CLI, run in-process via cli.main()."""
 
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -318,6 +319,15 @@ def test_scan_failure_exits_4_with_the_lowest_k(ws, tmp_path, monkeypatch, capsy
     assert not (tmp_path / "inertia_scan.csv").exists()
 
 
+def test_cluster_without_labeled_exits_2(ws, tmp_path, capsys):
+    args = cluster_args(ws, tmp_path, "--k-total", "4")
+    del args[args.index("--labeled") : args.index("--labeled") + 2]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "graphgcd: InputError: --labeled is required (or pass --synthetic where supported)\n")
+    assert not (tmp_path / "assignments.csv").exists()
+
+
 def test_cluster_k_total_below_known_rejected(ws, tmp_path):
     assert cli.main(cluster_args(ws, tmp_path, "--k-total", "1")) == 2
 
@@ -494,6 +504,31 @@ def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
     ])
     assert rc == 2
     assert not (tmp_path / "e" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["header", "two-columns", "not-an-integer"])
+def test_eval_rejects_unreadable_assignments_before_any_write(ws, ws_assignments, tmp_path,
+                                                              capsys, case):
+    # line 4 of the file holds the row with sample_index 2
+    lines = ws_assignments.read_text().splitlines()
+    if case == "header":
+        lines[0] = "index,cluster,pinned"
+        expected = " unrecognized assignments header 'index,cluster,pinned'"
+    elif case == "two-columns":
+        lines[3] = "2,0"
+        expected = "4: expected 3 columns"
+    else:
+        lines[3] = "2,x,0"
+        expected = " invalid literal for int() with base 10: 'x'"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "e"
+    rc = cli.main(["eval", "--assignments", str(bad),
+                   "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
+                   "--known", "2", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"graphgcd: InputError: {bad}:{expected}\n"
+    assert not (out / "report.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +744,17 @@ def test_run_all_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("flag", ["--labeled", "--unlabeled", "--class-emb"])
+def test_run_all_synthetic_takes_no_input_file(ws, tmp_path, capsys, flag):
+    path = ws["data"] / (flag[2:].replace("-", "_") + ".gvle")
+    rc = cli.main(["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, flag, str(path),
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "graphgcd: InputError: --synthetic takes no --labeled, --unlabeled or --class-emb\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_all_file_inputs_need_a_cluster_count(ws, tmp_path):
     rc = cli.main([
         "run-all",
@@ -919,6 +965,13 @@ def test_unusable_path_exits_2_naming_it(ws, tmp_path, command, bad_is_dir):
     assert "Traceback" not in run.stderr
 
 
+def test_output_file_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "labeled.gvle").mkdir()
+    assert cli.main(["gen-synthetic", *SMALL, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"graphgcd: InputError: Is a directory: {tmp_path / 'labeled.gvle'}\n")
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         cli.main(["train", "--bogus"])
@@ -931,9 +984,96 @@ def test_missing_subcommand_exits_2():
     assert e.value.code == 2
 
 
-def test_seed_and_threads_validation(tmp_path):
+def _scan_command(ws, command, out):
+    """argv of `command` (cluster, estimate-k or run-all) with an elbow scan, into out."""
+    if command == "run-all":
+        return ["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--estimate-k", "--out-dir", out]
+    args = cluster_args(ws, out, "--k-min", "2", "--k-max", "4")
+    args[0] = command
+    return args + ["--estimate-k"] if command == "cluster" else args
+
+
+def test_seed_and_threads_validation(ws, tmp_path, capsys):
     assert cli.main(["gen-synthetic", "--out-dir", str(tmp_path), "--seed", "-1", *SMALL]) == 2
-    assert cli.main(["gen-synthetic", "--out-dir", str(tmp_path), "--threads", "0", *SMALL]) == 2
+    assert capsys.readouterr().err == "graphgcd: InputError: --seed must be a uint64, got -1\n"
+    # the commands with an elbow scan reject --threads 0 before any write
+    for command in ("cluster", "estimate-k", "run-all"):
+        out = tmp_path / command
+        assert cli.main([*_scan_command(ws, command, str(out)), "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "graphgcd: InputError: --threads must be >= 1, got 0\n"
+        assert not out.exists()
+    # the others take no --threads, and train no --unlabeled: argparse rejects them
+    data = ws["data"]
+    for argv in (["gen-synthetic", *SMALL, "--threads", "1"],
+                 ["train", "--labeled", str(data / "labeled.gvle"),
+                  "--class-emb", str(data / "class_emb.gvle"), "--threads", "1"],
+                 ["eval", "--assignments", "a.csv", "--known", "2", "--threads", "1"],
+                 ["train", "--labeled", str(data / "labeled.gvle"),
+                  "--class-emb", str(data / "class_emb.gvle"), "--unlabeled", "x"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main([*argv, "--out-dir", str(tmp_path / "rejected")])
+        assert e.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
+
+
+def _command_reads(argv: list[str]) -> set[str]:
+    """Run one command in process; return the argument names it uses.
+
+    Reads are logged only after parse_args returns, because argparse's own
+    hasattr calls would count too. _check_common range-checks --seed and
+    --threads; that alone changes no output, so only its out_dir read counts.
+    """
+    reads, logging = [], False
+
+    class LoggedNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            if logging:
+                reads.append((name, sys._getframe(1).f_code.co_name))
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=LoggedNamespace())
+    command = args.func  # main's dispatch read, not the command's
+    logging = True
+    assert command(args) == 0
+    return {name for name, reader in reads if reader != "_check_common" or name == "out_dir"}
+
+
+def _invocations(ws, assignments, out):
+    """One or two runs per command that between them take every branch reading a flag."""
+    labeled = ["--labeled", str(ws["data"] / "labeled.gvle")]
+    unlabeled = ["--unlabeled", str(ws["data"] / "unlabeled.gvle")]
+    class_emb = ["--class-emb", str(ws["data"] / "class_emb.gvle")]
+    return {
+        "gen-synthetic": [["gen-synthetic", *SMALL, "--seed", "3", "--out-dir", out]],
+        "train": [["train", *labeled, *class_emb, *TRAIN_OPTS, "--out-dir", out]],
+        "cluster": [cluster_args(ws, out, "--k-total", "4"),
+                    [*_scan_command(ws, "cluster", out), "--threads", "1"]],
+        "eval": [["eval", "--assignments", str(assignments), *unlabeled, "--known", "2",
+                  "--out-dir", out]],
+        "estimate-k": [[*_scan_command(ws, "estimate-k", out), "--threads", "1"]],
+        "run-all": [[*_scan_command(ws, "run-all", out), "--threads", "1"],
+                    ["run-all", *labeled, *unlabeled, *class_emb, *TRAIN_OPTS, "--k-total", "4",
+                     "--out-dir", out]],
+    }
+
+
+# dests no command reads: func is main's dispatch; eval accepts --seed only
+# because perfbench passes --seed to every command but cluster, and scoring
+# draws no random numbers
+_UNREAD = {"eval": {"func", "seed"}}
+
+
+def test_every_declared_flag_is_read(ws, ws_assignments, tmp_path):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    invocations = _invocations(ws, ws_assignments, str(tmp_path / "out"))
+    assert sorted(invocations) == sorted(sub.choices)
+    unread = {}
+    for name, p in sub.choices.items():
+        declared = {a.dest for a in p._actions if a.dest != "help"} | set(p._defaults)
+        unread[name] = declared.difference(*(_command_reads(argv) for argv in invocations[name]))
+    assert unread == {name: _UNREAD.get(name, {"func"}) for name in sub.choices}
 
 
 def test_numeric_failure_maps_to_exit_3(tmp_path):

@@ -161,6 +161,31 @@ def test_gvle_read_holds_the_payload_once(tmp_path):
     assert peak <= 1.6 * path.stat().st_size, f"peak {peak} B for {path.stat().st_size} B"
 
 
+@pytest.mark.parametrize("with_labels", [True, False])
+def test_gvle_write_follows_the_layout(tmp_path, with_labels):
+    emb = _random_set(4, 5, 3, with_labels)
+    path = tmp_path / "e.gvle"
+    write_embedding_file(emb, path)
+    expected = GVLE_MAGIC + struct.pack("<IIB", 5, 3, with_labels) + emb.data.astype("<f4").tobytes()
+    if with_labels:
+        expected += emb.labels.astype("<i4").tobytes()
+    assert path.read_bytes() == expected
+
+
+def test_gvle_write_holds_no_copy_of_the_payload(tmp_path):
+    # the arrays go straight to the file: only the n x d finiteness mask is
+    # allocated (a quarter of the payload), where bytes copies peaked at 2.1x the file
+    emb = _random_set(0, 2048, 128, with_labels=True)
+    path = tmp_path / "big.gvle"
+    tracemalloc.start()
+    try:
+        write_embedding_file(emb, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * path.stat().st_size, f"peak {peak} B for {path.stat().st_size} B"
+
+
 def test_gvle_reads_from_a_pipe(tmp_path):
     # a pipe has no size to check lengths against; it is read whole instead
     if not hasattr(os, "mkfifo"):
@@ -402,6 +427,16 @@ def test_synthetic_argument_validation(kwargs, match):
     # each rejection names its argument; NaN fails `> 0` where it passed `<= 0`
     with pytest.raises(InputError, match=match):
         generate_synthetic(seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("seed, ok", [(-1, False), (0, True), (2**64 - 1, True),
+                                      (2**64, False)])
+def test_synthetic_seed_must_be_a_uint64(seed, ok):
+    if ok:
+        assert generate_synthetic(2, 1, 2, 4, 6.0, seed=seed)[0].n == 2
+    else:
+        with pytest.raises(InputError, match=f"^seed must be a uint64, got {seed}$"):
+            generate_synthetic(2, 1, 2, 4, 6.0, seed=seed)
 
 
 def test_synthetic_well_separated_kmeans_sanity():
