@@ -3,11 +3,7 @@
 Each subcommand takes only the flags it reads (eval's --seed aside). train,
 cluster, estimate-k and run-all echo their resolved RunConfig to stdout and to
 <out-dir>/config.txt. Artifacts are byte-for-byte deterministic given the same
-inputs and --seed: no timestamps, no machine identifiers. --threads, taken by
-cluster, estimate-k and run-all, is the most processes the elbow scan runs its
-K values in; it defaults to the CPUs this process may use and is capped by them
-and by the K count. Each K is computed alone from its own seed, so the flag
-cannot change results.
+inputs and --seed: no timestamps, no machine identifiers.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
 Imported before numpy, as the graphgcd command does, that runs OpenBLAS on one
@@ -98,21 +94,6 @@ def _add_k_range_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-min", type=int, help="elbow scan lower bound (default: known classes)")
     p.add_argument("--k-max", type=int, help="elbow scan upper bound (default: "
                    "min(k-min + 15, labeled classes + unlabeled rows))")
-    p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="most worker processes for the elbow scan, capped by the usable "
-                        "CPUs and the K count (default: the usable CPUs); each worker "
-                        "adds memory; results do not depend on it")
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _scan_workers(threads: int) -> int:
-    """Elbow-scan worker processes: --threads capped by the usable CPUs (scan_inertia caps by K)."""
-    return min(threads, _usable_cpus())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -128,8 +109,6 @@ def _check_common(args) -> Path:
     # seed may still be None here for commands that default it from a checkpoint
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise InputError(f"--seed must be a uint64, got {args.seed}")
-    if getattr(args, "threads", 1) < 1:  # only the commands with an elbow scan take it
-        raise InputError(f"--threads must be >= 1, got {args.threads}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -145,8 +124,8 @@ def _read_inputs(args, names=("labeled", "unlabeled", "class_emb")) -> list[Embe
     """Read the named input files in order."""
     for name in names:
         if getattr(args, name) is None:
-            raise InputError(f"--{name.replace('_', '-')} is required "
-                             "(or pass --synthetic where supported)")
+            hint = " (or pass --synthetic)" if hasattr(args, "synthetic") else ""
+            raise InputError(f"--{name.replace('_', '-')} is required{hint}")
     return [read_embedding_file(getattr(args, name)) for name in names]
 
 
@@ -260,10 +239,21 @@ def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
     return k_min, k_max
 
 
-def _estimate_k(args, seed: int, k_bounds: tuple[int, int], features: np.ndarray,
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _estimate_k(seed: int, k_bounds: tuple[int, int], features: np.ndarray,
                 labels: np.ndarray, out: Path) -> int:
-    """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv."""
-    scan = scan_inertia(features, labels, *k_bounds, seed, workers=_scan_workers(args.threads))
+    """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv.
+
+    The scan runs in one process per CPU this process may use, at most one per K
+    (serial on one CPU): each K is computed alone from its own seed, so the
+    count changes no result, and a narrower CPU affinity caps it.
+    """
+    scan = scan_inertia(features, labels, *k_bounds, seed, workers=_usable_cpus())
     path = out / "inertia_scan.csv"
     write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
     print(f"wrote {path}")
@@ -288,7 +278,7 @@ def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb,
                        k_bounds: tuple[int, int], args, out: Path):
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
     seed = state.config.seed
-    k = _estimate_k(args, seed, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
+    k = _estimate_k(seed, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
     result = semisup_kmeans(features, labels, k, np.random.SeedSequence([seed, 2]))
     _write_assignments(result, out / "assignments.csv")
     return result
@@ -359,7 +349,7 @@ def cmd_estimate_k(args) -> int:
     out = _check_common(args)
     state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    _estimate_k(args, state.config.seed, k_bounds, features, labels, out)
+    _estimate_k(state.config.seed, k_bounds, features, labels, out)
     return 0
 
 

@@ -522,21 +522,18 @@ def test_criterion_7_depth_ablation_direction(bench):
 ARTIFACTS = (
     "labeled.gvle", "unlabeled.gvle", "class_emb.gvle", "config.txt",
     "checkpoint.gvlp", "loss_trace.csv", "assignments.csv",
-    "report.csv", "confusion.csv",
+    "report.csv", "confusion.csv", "inertia_scan.csv",
 )
 
 
-def test_criterion_6_determinism(tmp_path):
+def test_criterion_6_determinism(tmp_path, monkeypatch):
     start = time.perf_counter()
-    dirs = {
-        "first": ["--threads", "1"],
-        "second": ["--threads", "1"],
-        "threaded": ["--threads", "8"],
-    }
-    for name, extra in dirs.items():
-        rc = cli.main(
-            ["run-all", "--synthetic", "--seed", "0", "--out-dir", str(tmp_path / name), *extra]
-        )
+    # the elbow scan runs one worker per usable CPU: serial twice, then 8 workers
+    cpus = {"first": 1, "second": 1, "threaded": 8}
+    for name, count in cpus.items():
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        rc = cli.main(["run-all", "--synthetic", "--estimate-k", "--seed", "0",
+                       "--out-dir", str(tmp_path / name)])
         assert rc == 0
     mismatched = [
         name
@@ -553,7 +550,7 @@ def test_criterion_6_determinism(tmp_path):
         "criterion 6 determinism",
         ok,
         f"{len(ARTIFACTS)} artifacts byte-identical across reruns and "
-        f"--threads 1 vs 8, {elapsed:.0f}s"
+        f"1 vs 8 scan workers, {elapsed:.0f}s"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
     )
     assert ok, line

@@ -258,23 +258,30 @@ def test_cluster_seed_defaults_to_checkpoint_seed(ws, tmp_path):
     assert (a / "assignments.csv").read_bytes() == (b / "assignments.csv").read_bytes()
 
 
-def test_cluster_threads_flag_cannot_change_results(ws, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(cluster_args(ws, a, "--k-total", "4", "--threads", "1")) == 0
-    assert cli.main(cluster_args(ws, b, "--k-total", "4", "--threads", "8")) == 0
-    assert (a / "assignments.csv").read_bytes() == (b / "assignments.csv").read_bytes()
+def test_cluster_threads_flag_cannot_change_results(ws, tmp_path, monkeypatch):
+    # the default scan range, 2..17, has more K values than 8 workers
+    outputs = {}
+    for cpus in (1, 8):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main(cluster_args(ws, out, "--estimate-k")) == 0
+        outputs[cpus] = [(out / name).read_bytes()
+                         for name in ("inertia_scan.csv", "assignments.csv")]
+    assert outputs[8] == outputs[1]
 
 
 def _scan_outputs(ws, where, monkeypatch, capsys, command, threads):
-    """Run an elbow-scan command into `where`/out and return its stdout and artifacts.
+    """Run an elbow-scan command into `where`/out on `threads` usable CPUs; return
+    its stdout and artifacts.
 
     The out-dir is given relative to `where`, so stdout names the same paths
     for every run.
     """
     where.mkdir()
     monkeypatch.chdir(where)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: int(threads))
     capsys.readouterr()
-    args = cluster_args(ws, "out", "--k-min", "2", "--k-max", "7", "--threads", threads)
+    args = cluster_args(ws, "out", "--k-min", "2", "--k-max", "7")
     args[0] = command
     if command == "cluster":
         args.append("--estimate-k")
@@ -293,16 +300,25 @@ def test_scan_threads_cannot_change_results(ws, tmp_path, monkeypatch, capsys, c
     assert runs["2"] == runs["1"] and runs["8"] == runs["1"]
 
 
-def test_scan_workers_capped_by_usable_cpus():
-    # a pure function of the flag: no process is started here
-    cpus = len(os.sched_getaffinity(0))
-    assert cli._scan_workers(100000) == cpus
-    assert cli._scan_workers(1) == 1
-    args = cli.build_parser().parse_args(["estimate-k", "--checkpoint", "x"])
-    assert args.threads == cpus
+def test_scan_workers_capped_by_usable_cpus(ws, tmp_path, monkeypatch):
+    # the scan is asked for one worker per usable CPU (scan_inertia caps by the
+    # K count); the recording scan runs serially, so no process is started here
+    if hasattr(os, "sched_getaffinity"):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+    real, asked = clustering.scan_inertia, []
+
+    def recording(features, labels, k_min, k_max, seed, workers):
+        asked.append(workers)
+        return real(features, labels, k_min, k_max, seed)
+
+    monkeypatch.setattr(cli, "scan_inertia", recording)
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli.main(_scan_command(ws, "estimate-k", str(tmp_path / str(cpus)))) == 0
+    assert asked == [1, 3]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 def test_scan_failure_exits_4_with_the_lowest_k(ws, tmp_path, monkeypatch, capsys, threads):
     real = clustering.semisup_kmeans
 
@@ -312,8 +328,8 @@ def test_scan_failure_exits_4_with_the_lowest_k(ws, tmp_path, monkeypatch, capsy
         return real(features, labels, k, seed)
 
     monkeypatch.setattr(clustering, "semisup_kmeans", failing)
-    args = cluster_args(ws, tmp_path, "--estimate-k", "--k-min", "2", "--k-max", "7",
-                        "--threads", threads)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: threads)
+    args = cluster_args(ws, tmp_path, "--estimate-k", "--k-min", "2", "--k-max", "7")
     assert cli.main(args) == 4
     assert capsys.readouterr().err == "graphgcd: InvariantError: forced failure at k=4\n"
     assert not (tmp_path / "inertia_scan.csv").exists()
@@ -323,9 +339,19 @@ def test_cluster_without_labeled_exits_2(ws, tmp_path, capsys):
     args = cluster_args(ws, tmp_path, "--k-total", "4")
     del args[args.index("--labeled") : args.index("--labeled") + 2]
     assert cli.main(args) == 2
-    assert capsys.readouterr().err == (
-        "graphgcd: InputError: --labeled is required (or pass --synthetic where supported)\n")
+    assert capsys.readouterr().err == "graphgcd: InputError: --labeled is required\n"
     assert not (tmp_path / "assignments.csv").exists()
+
+
+def test_run_all_without_labeled_names_synthetic(ws, tmp_path, capsys):
+    # only run-all can generate its inputs, so only its message offers --synthetic
+    args = ["run-all", "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
+            "--class-emb", str(ws["data"] / "class_emb.gvle"), "--k-total", "4",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "graphgcd: InputError: --labeled is required (or pass --synthetic)\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cluster_k_total_below_known_rejected(ws, tmp_path):
@@ -996,15 +1022,13 @@ def _scan_command(ws, command, out):
 def test_seed_and_threads_validation(ws, tmp_path, capsys):
     assert cli.main(["gen-synthetic", "--out-dir", str(tmp_path), "--seed", "-1", *SMALL]) == 2
     assert capsys.readouterr().err == "graphgcd: InputError: --seed must be a uint64, got -1\n"
-    # the commands with an elbow scan reject --threads 0 before any write
-    for command in ("cluster", "estimate-k", "run-all"):
-        out = tmp_path / command
-        assert cli.main([*_scan_command(ws, command, str(out)), "--threads", "0"]) == 2
-        assert capsys.readouterr().err == "graphgcd: InputError: --threads must be >= 1, got 0\n"
-        assert not out.exists()
-    # the others take no --threads, and train no --unlabeled: argparse rejects them
+    # no command takes --threads (the elbow scan sizes its own worker pool), and
+    # train takes no --unlabeled: argparse rejects them before any write
     data = ws["data"]
-    for argv in (["gen-synthetic", *SMALL, "--threads", "1"],
+    rejected = str(tmp_path / "rejected")
+    for argv in (*([*_scan_command(ws, c, rejected), "--threads", "1"]
+                   for c in ("cluster", "estimate-k", "run-all")),
+                 ["gen-synthetic", *SMALL, "--threads", "1"],
                  ["train", "--labeled", str(data / "labeled.gvle"),
                   "--class-emb", str(data / "class_emb.gvle"), "--threads", "1"],
                  ["eval", "--assignments", "a.csv", "--known", "2", "--threads", "1"],
@@ -1021,8 +1045,8 @@ def _command_reads(argv: list[str]) -> set[str]:
     """Run one command in process; return the argument names it uses.
 
     Reads are logged only after parse_args returns, because argparse's own
-    hasattr calls would count too. _check_common range-checks --seed and
-    --threads; that alone changes no output, so only its out_dir read counts.
+    hasattr calls would count too. _check_common range-checks --seed; that
+    alone changes no output, so only its out_dir read counts.
     """
     reads, logging = [], False
 
@@ -1047,12 +1071,11 @@ def _invocations(ws, assignments, out):
     return {
         "gen-synthetic": [["gen-synthetic", *SMALL, "--seed", "3", "--out-dir", out]],
         "train": [["train", *labeled, *class_emb, *TRAIN_OPTS, "--out-dir", out]],
-        "cluster": [cluster_args(ws, out, "--k-total", "4"),
-                    [*_scan_command(ws, "cluster", out), "--threads", "1"]],
+        "cluster": [cluster_args(ws, out, "--k-total", "4"), _scan_command(ws, "cluster", out)],
         "eval": [["eval", "--assignments", str(assignments), *unlabeled, "--known", "2",
                   "--out-dir", out]],
-        "estimate-k": [[*_scan_command(ws, "estimate-k", out), "--threads", "1"]],
-        "run-all": [[*_scan_command(ws, "run-all", out), "--threads", "1"],
+        "estimate-k": [_scan_command(ws, "estimate-k", out)],
+        "run-all": [_scan_command(ws, "run-all", out),
                     ["run-all", *labeled, *unlabeled, *class_emb, *TRAIN_OPTS, "--k-total", "4",
                      "--out-dir", out]],
     }
@@ -1064,7 +1087,8 @@ def _invocations(ws, assignments, out):
 _UNREAD = {"eval": {"func", "seed"}}
 
 
-def test_every_declared_flag_is_read(ws, ws_assignments, tmp_path):
+def test_every_declared_flag_is_read(ws, ws_assignments, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # a serial scan: no worker to fork
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     invocations = _invocations(ws, ws_assignments, str(tmp_path / "out"))
@@ -1149,8 +1173,8 @@ def test_tracer_wrapped_sites_resolve():
 
 def test_tracer_wrapped_sites_are_called(tmp_path, monkeypatch):
     # a binding that exists but that no code path calls through would also
-    # make its per-layer metric read 0; --threads 1 keeps the scan's calls in
-    # this process, where the counters see them
+    # make its per-layer metric read 0; one usable CPU keeps the scan's calls
+    # in this process, where the counters see them
     calls = {}
     for module, attr in _tracer_sites():
         mod = importlib.import_module(f"graphgcd.{module}")
@@ -1161,9 +1185,10 @@ def test_tracer_wrapped_sites_are_called(tmp_path, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, attr, counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     run = tmp_path / "run"
     assert cli.main(["run-all", "--synthetic", *SMALL, *TRAIN_OPTS, "--estimate-k",
-                     "--threads", "1", "--out-dir", str(run)]) == 0
+                     "--out-dir", str(run)]) == 0
     assert cli.main([
         "cluster", "--labeled", str(run / "labeled.gvle"),
         "--unlabeled", str(run / "unlabeled.gvle"),
@@ -1200,6 +1225,27 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_import_does_not_load_process_pools(module):
     # only the elbow scan's worker path imports them, so other commands start as fast
     assert _loaded_after("import sys, graphgcd.cli", module) == "False"
+
+
+def test_one_cpu_affinity_runs_a_serial_scan(ws, tmp_path):
+    # the way to cap the scan's workers is the CPU affinity it runs under: on
+    # one CPU no process pool is imported, and the scan equals the default run's
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity")
+    assert cli.main(_scan_command(ws, "estimate-k", str(tmp_path / "default"))) == 0
+    argv = _scan_command(ws, "estimate-k", str(tmp_path / "pinned"))
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from graphgcd.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('multiprocessing' in sys.modules)"
+    )
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    scan = [(tmp_path / run / "inertia_scan.csv").read_bytes() for run in ("default", "pinned")]
+    assert scan[1] == scan[0]
 
 
 def test_cli_runs_without_openssl(tmp_path):
