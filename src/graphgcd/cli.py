@@ -274,19 +274,26 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     return state
 
 
-def _cluster_artifacts(state: TrainState, labeled, unlabeled, class_emb,
-                       k_bounds: tuple[int, int], args, out: Path):
-    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    seed = state.config.seed
+def _cluster_artifacts(features: np.ndarray, labels: np.ndarray, seed: int,
+                       k_bounds: tuple[int, int], args, out: Path) -> ClusterAssignment | None:
+    """K from the elbow scan under --estimate-k, else the one bound; then the final
+    k-means run and assignments.csv, except under estimate-k, which stops at K."""
     k = _estimate_k(seed, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
+    if args.command == "estimate-k":
+        return None
     result = semisup_kmeans(features, labels, k, np.random.SeedSequence([seed, 2]))
     _write_assignments(result, out / "assignments.csv")
     return result
 
 
-def _load_for_clustering(args, out: Path):
-    """Read and check the inputs, the checkpoint and the cluster-count bounds, then
-    echo the checkpoint's config with its seed replaced by --seed when given."""
+def _load_for_clustering(args, out: Path) -> tuple[np.ndarray, np.ndarray, int, tuple[int, int]]:
+    """Read and check the inputs, the checkpoint and the cluster-count bounds, echo
+    the checkpoint's config with its seed replaced by --seed when given, and return
+    the features, labels, seed and bounds.
+
+    Only those outlive this call: the input sets and the model are freed before
+    the elbow scan forks its workers and before the final k-means run.
+    """
     labeled, unlabeled, class_emb = _read_inputs(args)
     state = load_checkpoint(args.checkpoint)
     if args.seed is not None:
@@ -301,7 +308,28 @@ def _load_for_clustering(args, out: Path):
                          f"but {args.class_emb} holds {class_emb.n}")
     k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     _echo_config(state.config, out)
-    return state, labeled, unlabeled, class_emb, k_bounds
+    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
+    return features, labels, state.config.seed, k_bounds
+
+
+def _train_for_clustering(args, out: Path) -> tuple:
+    """run-all up to the features: read or generate and check the inputs, train, and
+    return what _load_for_clustering does plus the unlabeled truth labels and the
+    known-class count, which scoring reads. Nothing else outlives this call."""
+    if args.synthetic and {args.labeled, args.unlabeled, args.class_emb} != {None}:
+        raise InputError("--synthetic takes no --labeled, --unlabeled or --class-emb")
+    sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
+    labeled, unlabeled, class_emb = sets
+    config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
+    _check_truth(unlabeled, args.unlabeled)
+    k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
+    if args.synthetic:
+        _write_synthetic(sets, out)
+    _echo_config(config, out)
+
+    state = _train_artifacts(labeled, class_emb, config, args, out)
+    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
+    return features, labels, state.config.seed, k_bounds, unlabeled.labels, class_emb.n
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -320,9 +348,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    """cluster and estimate-k."""
     out = _check_common(args)
-    state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
-    _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
+    _cluster_artifacts(*_load_for_clustering(args, out), args, out)
     return 0
 
 
@@ -345,35 +373,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_estimate_k(args) -> int:
-    out = _check_common(args)
-    state, labeled, unlabeled, class_emb, k_bounds = _load_for_clustering(args, out)
-    features, labels = cluster_features(state, labeled, unlabeled, class_emb)
-    _estimate_k(state.config.seed, k_bounds, features, labels, out)
-    return 0
-
-
 def cmd_run_all(args) -> int:
     out = _check_common(args)
-    if args.synthetic and {args.labeled, args.unlabeled, args.class_emb} != {None}:
-        raise InputError("--synthetic takes no --labeled, --unlabeled or --class-emb")
-    sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
-    labeled, unlabeled, class_emb = sets
-    config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
-    _check_truth(unlabeled, args.unlabeled)
-    k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
-    if args.synthetic:
-        _write_synthetic(sets, out)
-    _echo_config(config, out)
-
-    state = _train_artifacts(labeled, class_emb, config, args, out)
-    result = _cluster_artifacts(state, labeled, unlabeled, class_emb, k_bounds, args, out)
-
-    if unlabeled.labels is None:
+    *clustering_inputs, truth, known = _train_for_clustering(args, out)
+    result = _cluster_artifacts(*clustering_inputs, args, out)
+    if truth is None:
         print("eval skipped: unlabeled file carries no ground-truth labels")
         return 0
     free_ids = result.assignment[~result.constrained_mask]
-    _emit_report(split_accuracy(free_ids, unlabeled.labels, class_emb.n), out)
+    _emit_report(split_accuracy(free_ids, truth, known), out)
     return 0
 
 
@@ -415,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--checkpoint", required=True, help="GVLP checkpoint from train")
     _add_k_range_flags(p)
-    p.set_defaults(func=cmd_estimate_k, seed=None, estimate_k=True, k_total=None)
+    p.set_defaults(func=cmd_cluster, seed=None, estimate_k=True, k_total=None)
 
     p = sub.add_parser("run-all", help="train, cluster, and score in one go")
     _add_common(p)

@@ -63,8 +63,9 @@ def _reserved_count(labels: np.ndarray) -> int:
     if labeled.size == 0:
         return 0
     r = int(labeled.max()) + 1
-    present = np.unique(labeled)
-    if present.size != r:
+    # ids 0..r-1 all present; the row count bounds r before bincount allocates r
+    # counts. np.unique would import numpy.ma, which no command otherwise loads.
+    if r > labeled.size or not np.bincount(labeled).all():
         raise InputError("labeled class ids must be contiguous from 0")
     return r
 
@@ -362,23 +363,23 @@ def semisup_kmeans(
     )
 
 
-def _scan_one(features: np.ndarray, labels: np.ndarray, seed, k: int) -> tuple[int, float]:
+def _scan_one(features: np.ndarray, labels: np.ndarray, k: int, seed) -> tuple[int, float]:
     """One elbow-scan entry: K and the final inertia from K's own derived seed."""
-    sub = np.random.SeedSequence([int(seed), 3, k])
-    return k, semisup_kmeans(features, labels, k, sub).inertia
+    return k, semisup_kmeans(features, labels, k, seed).inertia
 
 
-# (features, labels, seed) of the scan a forked worker serves, set by its initializer
+# (features, labels, seeds by K) of the scan a forked worker serves, set by its initializer
 _scan_inputs: tuple | None = None
 
 
-def _init_scan_worker(features: np.ndarray, labels: np.ndarray, seed) -> None:
+def _init_scan_worker(features: np.ndarray, labels: np.ndarray, seeds: dict) -> None:
     global _scan_inputs
-    _scan_inputs = (features, labels, seed)
+    _scan_inputs = (features, labels, seeds)
 
 
 def _scan_worker(k: int) -> tuple[int, float]:
-    return _scan_one(*_scan_inputs, k)
+    features, labels, seeds = _scan_inputs
+    return _scan_one(features, labels, k, seeds[k])
 
 
 def scan_inertia(
@@ -398,6 +399,8 @@ def scan_inertia(
     if k_min > k_max:
         raise InputError(f"k_min={k_min} exceeds k_max={k_max}")
     ks = range(k_min, k_max + 1)
+    # derived before any fork, so the workers inherit numpy.random instead of importing it
+    seeds = {k: np.random.SeedSequence([int(seed), 3, k]) for k in ks}
     workers = min(workers, len(ks))
     if workers > 1:
         import multiprocessing
@@ -407,7 +410,7 @@ def scan_inertia(
 
             with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_scan_worker, initargs=(features, labels, seed),
+                initializer=_init_scan_worker, initargs=(features, labels, seeds),
             ) as pool:
                 # largest K first: the longest runs start early, so workers finish together
                 futures = {k: pool.submit(_scan_worker, k) for k in reversed(ks)}
@@ -417,7 +420,7 @@ def scan_inertia(
                     # the scan has failed: start none of the K values still queued
                     pool.shutdown(cancel_futures=True)
                     raise
-    return [_scan_one(features, labels, seed, k) for k in ks]
+    return [_scan_one(features, labels, k, seeds[k]) for k in ks]
 
 
 def elbow_point(ks: list[int], inertias: list[float]) -> int:

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,69 @@ def test_scan_failure_exits_4_with_the_lowest_k(ws, tmp_path, monkeypatch, capsy
     assert cli.main(args) == 4
     assert capsys.readouterr().err == "graphgcd: InvariantError: forced failure at k=4\n"
     assert not (tmp_path / "inertia_scan.csv").exists()
+
+
+def _arrays_in(obj, path: str):
+    """(path, array) for every ndarray reachable from obj through attributes, lists
+    and dicts; each path is `path` plus the attribute names, keys and indices."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+        return
+    if isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif isinstance(obj, dict):
+        items = obj.items()
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return
+    for key, item in items:
+        yield from _arrays_in(item, f"{path}.{key}")
+
+
+@pytest.mark.parametrize("command", ["cluster", "estimate-k", "run-all"])
+def test_clustering_holds_no_input_or_model_array(ws, tmp_path, monkeypatch, command):
+    # the elbow scan's forked workers and the final k-means run inherit only the
+    # features and labels: every array read from an input file or the checkpoint,
+    # or trained, is freed by the time either starts (run-all keeps the unlabeled
+    # ground truth for scoring); no gc.collect, as none runs before the fork
+    sources, tracked = set(), []  # tracked: (path, weak reference)
+
+    def tracking(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            source = Path(args[0]).name if fn.__name__ == "read_embedding_file" else fn.__name__
+            sources.add(source)
+            tracked.extend((what, weakref.ref(a)) for what, a in _arrays_in(result, source))
+            return result
+        return wrapper
+
+    alive_at = {}
+
+    def checking(name, fn):
+        def wrapper(*args, **kwargs):
+            alive_at.setdefault(name, [what for what, ref in tracked if ref() is not None])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("read_embedding_file", "load_checkpoint", "train"):
+        monkeypatch.setattr(cli, name, tracking(getattr(cli, name)))
+    for name in ("scan_inertia", "semisup_kmeans"):
+        monkeypatch.setattr(cli, name, checking(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    data = ws["data"]
+    argv = [command, "--labeled", str(data / "labeled.gvle"),
+            "--unlabeled", str(data / "unlabeled.gvle"), "--class-emb", str(data / "class_emb.gvle"),
+            "--k-min", "2", "--k-max", "4", "--out-dir", str(tmp_path)]
+    argv += {"cluster": ["--checkpoint", str(ws["checkpoint"]), "--estimate-k"],
+             "estimate-k": ["--checkpoint", str(ws["checkpoint"])],
+             "run-all": [*TRAIN_OPTS, "--estimate-k"]}[command]
+    assert cli.main(argv) == 0
+    model = "train" if command == "run-all" else "load_checkpoint"
+    assert sources == {"labeled.gvle", "unlabeled.gvle", "class_emb.gvle", model}
+    kept = ["unlabeled.gvle.labels"] if command == "run-all" else []
+    sites = ["scan_inertia"] + ([] if command == "estimate-k" else ["semisup_kmeans"])
+    assert alive_at == {site: kept for site in sites}
 
 
 def test_cluster_without_labeled_exits_2(ws, tmp_path, capsys):
@@ -1281,6 +1345,36 @@ def test_scoring_commands_do_not_load_scipy(tmp_path):
     )
     assert _loaded_after(code) == "False"
     assert (tmp_path / "eval" / "report.csv").exists()
+
+
+_SCAN_ONE = """
+import sys
+import numpy as np
+from graphgcd import clustering
+features = (np.arange(60.0).reshape(20, 3) * 7.3) % 5.0
+labels = np.full(20, -1)
+labels[:6] = [0, 0, 1, 1, 2, 2]
+clustering._scan_one(features, labels, 5, np.random.SeedSequence([0, 3, 5]))
+"""
+
+
+@pytest.mark.parametrize("command, cpus", [("cluster", 2), ("estimate-k", 1), ("run-all", None),
+                                           ("scan-worker", None)])
+def test_clustering_does_not_load_numpy_ma(ws, tmp_path, command, cpus):
+    # a plain np.unique calls np.ma.is_masked, which imports all of numpy.ma
+    # (about 1.2 MB and 15 ms); clustering checks the labeled ids without it, so
+    # no command, and no scan worker, pays for it. estimate-k runs its scan on
+    # one CPU, so in the checked process; scan-worker is a forked worker's path.
+    if command == "scan-worker":
+        code = _SCAN_ONE
+    else:
+        code = (
+            "import sys\n"
+            "from graphgcd import cli\n"
+            + (f"cli._usable_cpus = lambda: {cpus}\n" if cpus else "")
+            + f"assert cli.main({_scan_command(ws, command, str(tmp_path))!r}) == 0"
+        )
+    assert _loaded_after(code, "numpy.ma") == "False"
 
 
 _SCAN_WORKER_THREADS = """

@@ -244,6 +244,20 @@ def test_init_errors():
         kmeans_pp_init(features, np.array([0, 2, -1, -1]), k=4, seed=0)
 
 
+def test_reserved_count_bounds_the_ids_by_the_rows_before_counting_them():
+    # a class id beyond the labeled row count cannot be contiguous; it is
+    # rejected before np.bincount would allocate one count per id up to it
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="contiguous"):
+            clustering._reserved_count(np.array([0, 2**40]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert clustering._reserved_count(np.array([1, -1, 0, 2, 1])) == 3
+
+
 # ---------------------------------------------------------------- semisup_kmeans
 
 def test_kmeans_all_labeled_reproduces_class_means():
