@@ -206,6 +206,19 @@ def cluster_features(
     return features, labels
 
 
+def elbow_k(features: np.ndarray, labels: np.ndarray, seed: int, k_min: int, k_max: int,
+            workers: int = 1) -> tuple[int, list[tuple[int, float]]]:
+    """The elbow of the inertia scan over [k_min, k_max], and the scan (scan_inertia: each K
+    has its own seed, so neither the range nor the `workers` count changes its inertia)."""
+    scan = scan_inertia(features, labels, k_min, k_max, seed, workers=workers)
+    return elbow_point([k for k, _ in scan], [v for _, v in scan]), scan
+
+
+def assign_clusters(features: np.ndarray, labels: np.ndarray, k: int, seed: int) -> ClusterAssignment:
+    """The final k-means run, from the seed stream [seed, 2]: assignments.csv's rows."""
+    return semisup_kmeans(features, labels, k, np.random.SeedSequence([seed, 2]))
+
+
 def _k_bounds(args, known: int, labeled, unlabeled) -> tuple[int, int]:
     """Checked cluster-count bounds: the elbow-scan range under --estimate-k, else (K, K).
 
@@ -245,23 +258,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _estimate_k(seed: int, k_bounds: tuple[int, int], features: np.ndarray,
-                labels: np.ndarray, out: Path) -> int:
-    """Elbow of the inertia scan over k_bounds; writes inertia_scan.csv.
-
-    The scan runs in one process per CPU this process may use, at most one per K
-    (serial on one CPU): each K is computed alone from its own seed, so the
-    count changes no result, and a narrower CPU affinity caps it.
-    """
-    scan = scan_inertia(features, labels, *k_bounds, seed, workers=_usable_cpus())
-    path = out / "inertia_scan.csv"
-    write_csv(path, ("k", "inertia"), ((k, f"{inertia:.6f}") for k, inertia in scan))
-    print(f"wrote {path}")
-    k = elbow_point([k for k, _ in scan], [v for _, v in scan])
-    print(f"estimated k {k}")
-    return k
-
-
 def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     state = train(labeled, class_emb, config)
     save_checkpoint(state, out / "checkpoint.gvlp")
@@ -276,12 +272,16 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
 
 def _cluster_artifacts(features: np.ndarray, labels: np.ndarray, seed: int,
                        k_bounds: tuple[int, int], args, out: Path) -> ClusterAssignment | None:
-    """K from the elbow scan under --estimate-k, else the one bound; then the final
-    k-means run and assignments.csv, except under estimate-k, which stops at K."""
-    k = _estimate_k(seed, k_bounds, features, labels, out) if args.estimate_k else k_bounds[0]
+    """K and inertia_scan.csv from a scan on every usable CPU under --estimate-k, else the
+    one bound; then assignments.csv, except under estimate-k, which stops at K."""
+    k = k_bounds[0]
+    if args.estimate_k:
+        k, scan = elbow_k(features, labels, seed, *k_bounds, workers=_usable_cpus())
+        write_csv(out / "inertia_scan.csv", ("k", "inertia"), ((i, f"{v:.6f}") for i, v in scan))
+        print(f"wrote {out / 'inertia_scan.csv'}\nestimated k {k}")
     if args.command == "estimate-k":
         return None
-    result = semisup_kmeans(features, labels, k, np.random.SeedSequence([seed, 2]))
+    result = assign_clusters(features, labels, k, seed)
     _write_assignments(result, out / "assignments.csv")
     return result
 

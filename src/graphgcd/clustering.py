@@ -81,8 +81,9 @@ def kmeans_pp_init(
         raise InputError(f"{reserved} known classes do not fit in k={k}")
 
     centroids = np.empty((k, features.shape[1]), dtype=np.float64)
-    for c in range(reserved):
-        centroids[c] = features[labels == c].mean(axis=0)
+    pinned = labels >= 0  # class means, with the bits of features[labels == c].mean(axis=0)
+    counts = np.bincount(labels[pinned], minlength=k)
+    _update_centroids(features[pinned], labels[pinned], counts, centroids)
 
     free_pts = np.flatnonzero(labels < 0)
     if k - reserved > free_pts.size:

@@ -190,9 +190,8 @@ def read_embedding_file(path) -> EmbeddingSet:
 
         payload_off = r.offset
         data = r.array("<f4", (n, d))
-        finite = np.isfinite(data)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite.ravel())[0])
+        if not np.isfinite(data).all():  # no n x d mask outlives the check
+            bad = int(np.flatnonzero(~np.isfinite(data).ravel())[0])
             raise NonFiniteError(f"{path}: non-finite value at offset {payload_off + 4 * bad}")
 
         labels = None

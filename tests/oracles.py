@@ -1,16 +1,13 @@
 """Independent reference implementations the tests check the package against.
 
-Everything in this file except `estimate_k` is written from the textbook
-definition and shares no code with the package: brute-force assignment
-enumeration, a plain Lloyd's k-means, list-deletion k-means++ seeding, a
-per-anchor triplet sampler, a two-vector cosine, central finite
-differences, an explicit-order parameter init, and one-product similarity
-features. `plain_semisup_kmeans` is no textbook form: it is the package's
+Everything in this file is written from the textbook definition and shares
+no code with the package: brute-force assignment enumeration, a plain
+Lloyd's k-means, list-deletion k-means++ seeding, a per-anchor triplet
+sampler, a two-vector cosine, central finite differences, an explicit-order
+parameter init, and one-product similarity features. `plain_semisup_kmeans` is no textbook form: it is the package's
 constrained loop as it ran before Hamerly's bounds, kept apart as the
 byte-identity reference. Keeping these separate is the point; do not
-"simplify" them by calling into graphgcd. `estimate_k` is the one
-composition of package functions the tests share; the CLI runs the same two
-calls itself.
+"simplify" them by calling into graphgcd.
 """
 
 from __future__ import annotations
@@ -269,14 +266,6 @@ def plain_similarity_features(x, params, graph, h0) -> np.ndarray:
     out = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
     z = out / np.linalg.norm(out, axis=1, keepdims=True)
     return np.clip(z @ ybar.T, -1.0, 1.0)
-
-
-def estimate_k(features, labels, k_min: int, k_max: int, seed) -> int:
-    """Geometric elbow over the package's constrained k-means inertia scan."""
-    from graphgcd.clustering import elbow_point, scan_inertia
-
-    scan = scan_inertia(features, labels, k_min, k_max, seed)
-    return elbow_point([k for k, _ in scan], [i for _, i in scan])
 
 
 def plain_init_params(input_dim: int, hidden_dim: int, known_class_count: int,

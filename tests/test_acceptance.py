@@ -39,7 +39,7 @@ from graphgcd.neural_core import (
 from graphgcd.semantic_graph import build_knn_graph
 from graphgcd.trainer import TrainState, load_checkpoint, save_checkpoint, train
 
-from oracles import brute_force_accuracy, estimate_k, fd_gradient, grad_error, plain_kmeans
+from oracles import brute_force_accuracy, fd_gradient, grad_error, plain_kmeans
 
 GRAD_TOL = 1e-4
 KINK_MARGIN = 1e-2  # reject instances whose ReLU/hinge arguments sit near a kink
@@ -420,21 +420,14 @@ def bench():
             config = RunConfig(seed=seed, gcn_layers=layers)
             state = train(labeled, class_emb, config)
             feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
-            result = semisup_kmeans(
-                feats, labels, 10, np.random.SeedSequence([seed, 2])
-            )
+            result = cli.assign_clusters(feats, labels, 10, seed)
             run[key] = _score(result.assignment, result.constrained_mask, unlabeled, 5)
             if layers == 2:
                 run["features"] = feats
                 run["labels"] = labels
 
         raw = np.vstack([labeled.data, unlabeled.data]).astype(np.float64)
-        base = semisup_kmeans(
-            raw,
-            np.full(raw.shape[0], -1, dtype=np.int64),
-            10,
-            np.random.SeedSequence([seed, 2]),
-        )
+        base = cli.assign_clusters(raw, np.full(raw.shape[0], -1, dtype=np.int64), 10, seed)
         run["baseline"] = split_accuracy(
             base.assignment[labeled.n :], unlabeled.labels, 5
         )
@@ -474,7 +467,7 @@ def test_criterion_4_synthetic_recovery(bench):
 
 def test_criterion_5_elbow_recovery(bench):
     estimates = [
-        estimate_k(r["features"], r["labels"], 5, 20, seed=r["seed"])
+        cli.elbow_k(r["features"], r["labels"], seed=r["seed"], k_min=5, k_max=20)[0]
         for r in bench["runs"]
     ]
     hits = sum(abs(k - 10) <= 1 for k in estimates)

@@ -432,6 +432,34 @@ def test_cluster_estimate_k_writes_scan(ws, tmp_path, capsys):
     assert (tmp_path / "assignments.csv").exists()
 
 
+def test_library_steps_reproduce_the_cluster_artifacts(ws, tmp_path, capsys):
+    # cluster writes what cluster_features, elbow_k and assign_clusters return,
+    # byte for byte, at the checkpoint's seed
+    data = ws["data"]
+    sets = [read_embedding_file(data / f"{name}.gvle")
+            for name in ("labeled", "unlabeled", "class_emb")]
+    state = load_checkpoint(ws["checkpoint"])
+    features, labels = cli.cluster_features(state, *sets)
+    seed = state.config.seed
+
+    def rows(k):
+        result = cli.assign_clusters(features, labels, k, seed)
+        pairs = zip(result.assignment.tolist(), result.constrained_mask.tolist())
+        return "sample_index,cluster_id,is_constrained\n" + "".join(
+            f"{i},{c},{int(pinned)}\n" for i, (c, pinned) in enumerate(pairs))
+
+    assert cli.main(cluster_args(ws, tmp_path / "fixed", "--k-total", "4")) == 0
+    assert (tmp_path / "fixed" / "assignments.csv").read_text() == rows(4)
+    capsys.readouterr()
+    args = cluster_args(ws, tmp_path / "scan", "--estimate-k", "--k-min", "2", "--k-max", "5")
+    assert cli.main(args) == 0
+    k, scan = cli.elbow_k(features, labels, seed, 2, 5)
+    assert (tmp_path / "scan" / "inertia_scan.csv").read_text() == "k,inertia\n" + "".join(
+        f"{size},{inertia:.6f}\n" for size, inertia in scan)
+    assert f"\nestimated k {k}\n" in capsys.readouterr().out
+    assert (tmp_path / "scan" / "assignments.csv").read_text() == rows(k)
+
+
 def corrupt_checkpoint_run(ws, tmp_path, edit):
     """Run cluster on a copy of the shared checkpoint after edit(raw bytearray)."""
     raw = bytearray(ws["checkpoint"].read_bytes())

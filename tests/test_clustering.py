@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphgcd import clustering
+from graphgcd.cli import elbow_k
 from graphgcd.clustering import (
     ClusterAssignment,
     elbow_point,
@@ -20,7 +21,6 @@ from graphgcd.semantic_graph import build_knn_graph
 
 from oracles import (
     cosine,
-    estimate_k,
     plain_kmeans,
     plain_kmeans_pp,
     plain_semisup_kmeans,
@@ -690,7 +690,7 @@ def test_estimate_k_recovers_three_blobs():
     features = np.concatenate(
         [center + 0.1 * rng.normal(size=(20, 2)) for center in centers]
     )
-    assert estimate_k(features, unlabeled(60), 1, 8, seed=0) == 3
+    assert elbow_k(features, unlabeled(60), seed=0, k_min=1, k_max=8)[0] == 3
 
 
 def test_estimate_k_is_scan_plus_elbow():
@@ -698,7 +698,7 @@ def test_estimate_k_is_scan_plus_elbow():
     features = rng.normal(size=(25, 3))
     labels = unlabeled(25)
     labels[:4] = [0, 0, 1, 1]
-    k_hat = estimate_k(features, labels, 2, 7, seed=5)
-    scan = scan_inertia(features, labels, 2, 7, seed=5)
+    k_hat, scan = elbow_k(features, labels, seed=5, k_min=2, k_max=7)
+    assert scan == scan_inertia(features, labels, 2, 7, seed=5)
     assert k_hat == elbow_point([k for k, _ in scan], [i for _, i in scan])
-    assert estimate_k(features, labels, 2, 7, seed=5) == k_hat
+    assert elbow_k(features, labels, seed=5, k_min=2, k_max=7) == (k_hat, scan)

@@ -161,6 +161,23 @@ def test_gvle_read_holds_the_payload_once(tmp_path):
     assert peak <= 1.6 * path.stat().st_size, f"peak {peak} B for {path.stat().st_size} B"
 
 
+def test_gvle_read_holds_one_finiteness_mask_at_a_time(tmp_path):
+    # the reader's n x d mask is gone before EmbeddingSet builds its own, so the
+    # peak is the payload plus one mask, a quarter of it: 1.25 times the file,
+    # where holding both masks at once peaked at 1.5 times
+    path = tmp_path / "big.gvle"
+    emb = _random_set(0, 4000, 128, with_labels=True)
+    write_embedding_file(emb, path)
+    tracemalloc.start()
+    try:
+        back = read_embedding_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.labels, emb.labels)
+    assert peak < 1.3 * path.stat().st_size, f"peak {peak} B for {path.stat().st_size} B"
+
+
 @pytest.mark.parametrize("with_labels", [True, False])
 def test_gvle_write_follows_the_layout(tmp_path, with_labels):
     emb = _random_set(4, 5, 3, with_labels)
