@@ -36,7 +36,8 @@ def similarity_features(
 ) -> np.ndarray:
     """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row.
 
-    Rows go through in blocks of _CHUNK_ROWS, in two float64 buffers reused
+    The features are float64 whatever the inputs' dtype: h0 is cast, and
+    rows go through in blocks of _CHUNK_ROWS, in two float64 buffers reused
     by every block (one block x d, one block x max(hidden, d)), so memory
     beyond x and the n x C result is one block's. Every block is full-size
     (the last one is the final _CHUNK_ROWS rows and recomputes those it
@@ -44,7 +45,7 @@ def similarity_features(
     differently, and with full-size blocks the bits equal one whole-array
     product on tested shapes.
     """
-    ybar = gcn_forward(graph, h0, params)[0]
+    ybar = gcn_forward(graph, np.asarray(h0, dtype=np.float64), params)[0]
     n, d = x.shape
     block = min(n, _CHUNK_ROWS)
     rows_buf = np.empty((block, d))

@@ -190,11 +190,12 @@ def read_embedding_file(path) -> EmbeddingSet:
 
         payload_off = r.offset
         data = r.array("<f4", (n, d))
-        if not np.isfinite(data).all():  # no n x d mask outlives the check
-            bad = int(np.flatnonzero(~np.isfinite(data).ravel())[0])
-            raise NonFiniteError(f"{path}: non-finite value at offset {payload_off + 4 * bad}")
+        try:  # EmbeddingSet's finiteness check is the read's one n x d mask
+            emb = EmbeddingSet(data)
+        except NonFiniteError:
+            off = payload_off + 4 * int(np.flatnonzero(~np.isfinite(data).ravel())[0])
+            raise NonFiniteError(f"{path}: non-finite value at offset {off}") from None
 
-        labels = None
         if has_labels:
             labels_off = r.offset
             labels = r.array("<i4", (n,))
@@ -202,8 +203,9 @@ def read_embedding_file(path) -> EmbeddingSet:
             if bad.size:
                 i = int(bad[0])
                 raise LabelRangeError(path, labels_off + 4 * i, int(labels[i]))
+            emb.labels = labels.astype(np.int32, copy=False)  # checked as __post_init__ would
         r.end()
-    return EmbeddingSet(data=data, labels=labels)
+    return emb
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

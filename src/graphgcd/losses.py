@@ -4,7 +4,8 @@ Three terms, summed with unit weights: a class-matching term (cross-entropy
 over cosine logits plus a margin hinge), a triplet separation term, and a
 prompt-to-center quadratic term. Cosines are computed from raw rows inside
 each loss, so gradients include the normalization Jacobian and the losses are
-invariant to positive row rescaling.
+invariant to positive row rescaling. Like graphgcd.neural_core, every
+function computes in the dtype numpy promotes its operands to.
 
 The `as_printed` switches reproduce the sign conventions of the published
 equations verbatim; the defaults follow the surrounding description (hinge
@@ -45,7 +46,7 @@ class Batch:
         if self.y_idx.min() < 0 or self.y_idx.max() >= c:
             raise InvariantError("class index out of range")
         for name, m in (("z", self.z), ("ybar", self.ybar), ("t", self.t)):
-            norms = np.linalg.norm(np.asarray(m, dtype=np.float64), axis=1)
+            norms = np.linalg.norm(m, axis=1)
             if np.abs(norms - 1.0).max() > 1e-6:
                 raise InvariantError(f"{name} rows are not unit-norm")
 
@@ -85,7 +86,7 @@ def _cma_terms(
     gs = softmax.copy()
     gs[rows, y] -= 1.0
     gs /= temperature
-    active = (hinge > 0.0).astype(np.float64)
+    active = (hinge > 0.0).astype(hinge.dtype)
     if as_printed:
         gs -= active
         gs[rows, y] += active.sum(axis=1)
@@ -123,12 +124,12 @@ def _sdp_terms(
     sn = (ta.unit * tn.unit).sum(axis=1)
     if as_printed:
         loss = float((sp - 1.0).mean() + sn.mean())
-        gsp = np.full(m, 1.0 / m)
-        gsn = np.full(m, 1.0 / m)
+        gsp = np.full(m, 1.0 / m, sp.dtype)
+        gsn = np.full(m, 1.0 / m, sn.dtype)
     else:
         loss = float((1.0 - sp).mean() + np.maximum(sn, 0.0).mean())
-        gsp = np.full(m, -1.0 / m)
-        gsn = (sn > 0.0).astype(np.float64) / m
+        gsp = np.full(m, -1.0 / m, sp.dtype)
+        gsn = (sn > 0.0).astype(sn.dtype) / m
     gsp, sp, gsn, sn = gsp[:, None], sp[:, None], gsn[:, None], sn[:, None]
     ga, gp, gn = out.reshape(3, m, -1)
     # d s / d a = (b̂ - s â) / ||a||, symmetric in b; the anchor sums both pairs' terms
@@ -149,15 +150,15 @@ def loss_sdp(
 
     Returns (loss, grad_anchors, grad_positives, grad_negatives).
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
+    anchors = np.asarray(anchors)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise InvariantError("loss_sdp needs at least one triplet")
     for other in (positives, negatives):
         if np.shape(other) != anchors.shape:
             raise InvariantError(f"pair shapes differ: {anchors.shape} vs {np.shape(other)}")
     m = anchors.shape[0]
-    out = np.empty((3 * m, anchors.shape[1]))
     traces = [normalize_rows(rows)[1] for rows in (anchors, positives, negatives)]
+    out = np.empty((3 * m, anchors.shape[1]), np.result_type(*(t.unit for t in traces)))
     loss = _sdp_terms(*traces, as_printed, out)
     return (loss, *out.reshape(3, m, -1))
 
@@ -167,8 +168,7 @@ def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
 
     Centers are constants (no gradient); returns (loss, grad_t).
     """
-    t = np.asarray(t, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
+    t, centers = np.asarray(t), np.asarray(centers)
     if t.shape != centers.shape:
         raise InvariantError(f"prompt shape {t.shape} != centers shape {centers.shape}")
     diff = t - centers
@@ -216,7 +216,6 @@ def loss_total(
     tz, tybar = _unit_traces(batch)
     l_cma, gz, gybar = _cma_terms(tz, tybar, np.asarray(batch.y_idx), alpha, temperature,
                                   as_printed)
-    gt = np.zeros_like(np.asarray(batch.t, dtype=np.float64))
 
     l_sdp = 0.0
     if len(triplets):
@@ -227,14 +226,13 @@ def loss_total(
             raise InvariantError("triplet index outside the batch")
         # normalization is row by row, so gathered unit rows equal renormalized gathered rows
         traces = [NormTrace(tz.norms[col], tz.unit[col]) for col in idx.T]
-        grads = np.empty((3 * idx.shape[0], gz.shape[1]))
+        grads = np.empty((3 * idx.shape[0], gz.shape[1]), gz.dtype)
         l_sdp = _sdp_terms(*traces, as_printed, grads)
         # the a, p, n columns in sequence: the order of three np.add.at calls
         _scatter_add_rows(gz, idx.T.ravel(), grads)
 
     # centers are the per-class graph embeddings, detached
-    l_cs, gcs = loss_cs(batch.t, batch.ybar)
-    gt += gcs
+    l_cs, gt = loss_cs(batch.t, batch.ybar)
 
     total = l_cma + l_sdp + l_cs
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": total}

@@ -1,7 +1,9 @@
 """Trainable tensors, forward passes, exact analytic backprop, Adam updates.
 
-All math runs in float64 regardless of storage dtype; tensors are stored
-float32 during training and updated in place only by adam_step.
+Every function computes in the dtype numpy promotes its operands to: all
+float32 in training, so its step runs in float32; any float64 operand, as in
+the gradient checks and the clustering features, gives float64. Parameters
+are updated in place only by adam_step.
 """
 
 from __future__ import annotations
@@ -122,22 +124,25 @@ def normalize_rows(
     """Unit rows of x, and the trace their backward reads.
 
     `out` receives the unit rows and may be x itself; `squares`, an x-shaped
-    float64 buffer, receives x * x. Either defaults to a new array. The norms
-    are sqrt(add.reduce(x * x, axis=1)), which is how np.linalg.norm computes
-    a row norm, so buffers or not, the bits are the same.
+    buffer, receives x * x. Either defaults to a new array. The norms are
+    sqrt(add.reduce(x * x, axis=1)), which is how np.linalg.norm computes a
+    row norm, so buffers or not, the bits are the same. A zero or non-finite
+    norm (x * x overflows float32 at |x| above about 1.8e19) is a NumericError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     squares = np.multiply(x, x, out=squares)
     norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
     if (norms < _MIN_ROW_NORM).any():
         raise NumericError("zero-norm row cannot be L2-normalized")
+    if not np.isfinite(norms).all():
+        raise NumericError(f"non-finite row norm: NaN, inf or {squares.dtype} overflow")
     unit = np.divide(x, norms, out=out)
     return unit, NormTrace(norms=norms, unit=unit)
 
 
 def normalize_rows_backward(trace: NormTrace, grad_unit: np.ndarray) -> np.ndarray:
     """Jacobian of row normalization: (g - (g.u)u) / ||row||."""
-    g = np.asarray(grad_unit, dtype=np.float64)
+    g = np.asarray(grad_unit)
     if g.shape != trace.unit.shape:
         raise InvariantError(
             f"grad shape {g.shape} does not match trace shape {trace.unit.shape}"
@@ -153,7 +158,7 @@ class GcnTrace:
     norm_adjacency: np.ndarray
     messages: list[np.ndarray]  # D^-1 A H^(l)
     pres: list[np.ndarray]      # (D^-1 A H^(l)) W^(l)
-    weights: list[np.ndarray]
+    weights: list[np.ndarray]   # the parameters, not copies: backward precedes adam_step
     norm: NormTrace
 
 
@@ -164,17 +169,15 @@ def gcn_forward(
 
     Zero layers returns h0 row-normalized.
     """
-    h = np.asarray(h0, dtype=np.float64)
+    h = np.asarray(h0)
     a = graph.norm_adjacency
     if h.ndim != 2 or h.shape[0] != a.shape[0]:
         raise InvariantError(
             f"h0 shape {h.shape} does not match graph with {a.shape[0]} nodes"
         )
     layers = len(params.gcn_weights)
-    weights, messages, pres = [], [], []
+    messages, pres = [], []
     for l, w in enumerate(params.gcn_weights):
-        w = np.asarray(w, dtype=np.float64)
-        weights.append(w)
         if h.shape[1] != w.shape[0]:
             raise InvariantError(
                 f"layer {l}: input dim {h.shape[1]} does not match weight {w.shape}"
@@ -189,7 +192,7 @@ def gcn_forward(
         norm_adjacency=a,
         messages=messages,
         pres=pres,
-        weights=weights,
+        weights=list(params.gcn_weights),
         norm=norm,
     )
     return ybar, trace
@@ -211,7 +214,7 @@ def gcn_backward(
 
 @dataclass
 class ProjTrace:
-    """What projector_backward reads; `x` is the caller's array, not a copy."""
+    """What projector_backward reads; `x` and the weights are the caller's arrays."""
 
     x: np.ndarray
     act1: np.ndarray
@@ -226,22 +229,19 @@ def projector_forward(
 ) -> tuple[np.ndarray, ProjTrace | None]:
     """Two-layer projection head: row L2-norm of W2.relu(W1 x + b1) + b2.
 
-    One n x d float64 array holds the rows of x, cast exactly (as matmul
-    would cast them), and then the output rows, normalized in place: `out`
-    if given, else a new array. `scratch`, if given, is a float64 buffer of
-    at least n * max(hidden, d) items that holds the hidden layer and then
-    the squares of the output rows; the hidden layer is then lost, so no
-    trace is returned. With both, nothing that grows with n is allocated.
+    One n x d array holds the rows of x, cast exactly, and then the output
+    rows, normalized in place: `out` if given, else a new array of the dtype
+    x and the weights promote to. `scratch`, if given, is a buffer of out's
+    dtype and at least n * max(hidden, d) items that holds the hidden layer
+    and then the squares of the output rows; the hidden layer is then lost,
+    so no trace is returned. With both, nothing that grows with n is allocated.
     """
     x = np.asarray(x)
-    w1 = np.asarray(params.proj_w1, dtype=np.float64)
-    b1 = np.asarray(params.proj_b1, dtype=np.float64)
-    w2 = np.asarray(params.proj_w2, dtype=np.float64)
-    b2 = np.asarray(params.proj_b2, dtype=np.float64)
+    w1, b1, w2, b2 = params.proj_w1, params.proj_b1, params.proj_w2, params.proj_b2
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise InvariantError(f"input shape {x.shape} does not match W1 {w1.shape}")
     n, hidden = x.shape[0], w1.shape[1]
-    rows = np.empty(x.shape) if out is None else out
+    rows = np.empty(x.shape, np.result_type(x, w1, b1, w2, b2)) if out is None else out
     np.copyto(rows, x)
     act1 = np.matmul(rows, w1, out=None if scratch is None else
                      scratch[:n * hidden].reshape(n, hidden))
@@ -253,7 +253,7 @@ def projector_forward(
     z, norm = normalize_rows(rows, out=rows, squares=squares)
     if scratch is not None:
         return z, None
-    # the trace keeps x itself: matmul casts a float32 x to float64 exactly
+    # the trace keeps x itself: backward's matmul promotes it as the copy above did
     return z, ProjTrace(x=x, act1=act1, w1=w1, w2=w2, norm=norm)
 
 
@@ -283,6 +283,7 @@ def projector_backward(
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias correction).
 
+    Tensors and moments are updated in place and keep their dtype.
     Raises NumericError on any non-finite gradient without touching state;
     asserts every tensor finite after the update.
     """
@@ -305,12 +306,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
     for name, tensor in tensors.items():
-        # float64 working copies updated in place, with the operand order of
+        # the moments updated in place, with the operand order of
         # m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g and
         # update = lr*(m/bias1) / (sqrt(v/bias2) + eps)
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m[name].astype(np.float64)
-        v = state.v[name].astype(np.float64)
+        g = grads[name]
+        m, v = state.m[name], state.v[name]
         buf = np.multiply(1.0 - ADAM_BETA1, g)
         m *= ADAM_BETA1
         m += buf
@@ -324,12 +324,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         buf /= denom
-        new = tensor.astype(np.float64)
-        new -= buf
-        new = new.astype(tensor.dtype)
+        new = np.subtract(tensor, buf, out=buf).astype(tensor.dtype, copy=False)
         if not np.isfinite(new).all():
             raise InvariantError(f"tensor {name} became non-finite after update")
         tensor[...] = new
-        state.m[name][...] = m
-        state.v[name][...] = v
     return params

@@ -90,8 +90,9 @@ def train(
     (checked against a copy of its bytes). Each epoch shuffles the labeled
     samples with a generator seeded by (seed, 1, epoch) and walks minibatches
     of config.batch_size; every step runs the full forward, the summed loss, the
-    exact backward, and one Adam update. Passing a loaded `state` resumes at
-    state.epoch; the in-memory trace restarts at the resume point.
+    exact backward, and one Adam update, all in float32 (the propagation
+    matrix is cast to it). Passing a loaded `state` resumes at state.epoch;
+    the in-memory trace restarts at the resume point.
     """
     config = check_run_inputs(config, labeled, class_embeddings)
     known = class_embeddings.n
@@ -118,7 +119,8 @@ def train(
         )
 
     graph = build_knn_graph(class_embeddings.data, config.knn_k)
-    h0 = np.asarray(class_embeddings.data, dtype=np.float64)
+    graph = SemanticGraph(graph.adjacency, graph.norm_adjacency.astype(np.float32))
+    h0 = class_embeddings.data
     frozen = _frozen_bytes(graph, h0)
 
     n = labeled.n

@@ -1210,6 +1210,25 @@ def test_numeric_failure_maps_to_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_row_norm_overflow_in_float32_training_exits_3(tmp_path, capsys):
+    # finite float32 class embeddings whose squares overflow: training, which
+    # runs in float32, must refuse to normalize them rather than zero them
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(6, 4)).astype(np.float32)
+    labels = np.array([0, 0, 0, 1, 1, 1], dtype=np.int32)
+    ce = np.eye(2, 4, dtype=np.float32) * np.float32(3e19)
+    write_embedding_file(EmbeddingSet(x, labels), tmp_path / "labeled.gvle")
+    write_embedding_file(EmbeddingSet(ce), tmp_path / "class_emb.gvle")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = cli.main([
+            "train", "--labeled", str(tmp_path / "labeled.gvle"),
+            "--class-emb", str(tmp_path / "class_emb.gvle"), "--gcn-layers", "0",
+            "--knn-k", "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"),
+        ])
+    assert rc == 3
+    assert "non-finite row norm" in capsys.readouterr().err
+
+
 def test_zero_projected_row_in_the_feature_stage_exits_3(ws, tmp_path, capsys):
     # zero output weights and bias project every row to zero, which the
     # buffered feature stage must refuse to normalize, as training does

@@ -87,8 +87,9 @@ def test_similarity_features_bounded_and_matches_pairwise_cosine():
     feats = similarity_features(x, params, graph, class_emb)
     assert np.abs(feats).max() <= 1.0
 
-    ybar, _ = gcn_forward(graph, class_emb, params)
-    z, _ = projector_forward(x, params)
+    # the feature stage computes in float64, so the reference does too
+    ybar, _ = gcn_forward(graph, class_emb.astype(np.float64), params)
+    z, _ = projector_forward(x.astype(np.float64), params)
     for i in range(n):
         for j in range(c):
             assert feats[i, j] == pytest.approx(cosine(z[i], ybar[j]), abs=1e-12)

@@ -179,6 +179,44 @@ def test_gvle_read_holds_one_finiteness_mask_at_a_time(tmp_path):
 
 
 @pytest.mark.parametrize("with_labels", [True, False])
+def test_gvle_read_builds_one_finiteness_mask(tmp_path, monkeypatch, with_labels):
+    path = tmp_path / "e.gvle"
+    emb = _random_set(2, 40, 6, with_labels)
+    write_embedding_file(emb, path)
+    masks = []
+    real = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        if np.shape(out) == emb.data.shape:
+            masks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    back = read_embedding_file(path)
+    assert masks == [emb.data.shape]
+    assert back.data.dtype == np.float32 and back.data.flags.c_contiguous
+    if with_labels:
+        assert back.labels.dtype == np.int32
+        np.testing.assert_array_equal(back.labels, emb.labels)
+    else:
+        assert back.labels is None
+
+
+def test_gvle_doubly_broken_file_reports_the_payload_first(tmp_path):
+    # a non-finite value and a label below -1: the payload comes first in the
+    # file, and so does its error
+    path = tmp_path / "both.gvle"
+    data = np.asarray([[1.0, np.nan]], dtype="<f4").tobytes()
+    path.write_bytes(b"GVLE" + struct.pack("<IIB", 1, 2, 1) + data + struct.pack("<i", -5))
+    with pytest.raises(NonFiniteError, match="offset 17"):
+        read_embedding_file(path)
+    path.write_bytes(b"GVLE" + struct.pack("<IIB", 1, 2, 1) + data + b"\x00")
+    with pytest.raises(NonFiniteError, match="offset 17"):
+        read_embedding_file(path)
+
+
+@pytest.mark.parametrize("with_labels", [True, False])
 def test_gvle_write_follows_the_layout(tmp_path, with_labels):
     emb = _random_set(4, 5, 3, with_labels)
     path = tmp_path / "e.gvle"

@@ -100,6 +100,31 @@ def test_normalize_rows_unit_and_zero_rejected():
         normalize_rows(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 3e19)])
+def test_normalize_rows_rejects_a_norm_whose_squares_overflow(dtype, big):
+    # x * x overflows to inf, and x / inf would be a silent zero row
+    x = np.asarray([[1.0, 2.0], [big, big]], dtype=dtype)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericError, match="non-finite row norm"):
+            normalize_rows(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rows_rejects_a_non_finite_row(dtype, bad):
+    with pytest.raises(NumericError, match="non-finite row norm"):
+        normalize_rows(np.asarray([[1.0, 2.0], [bad, 1.0]], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_rows_keeps_large_finite_rows_in_range(dtype):
+    # just below the overflow: the squares stay finite, so do the unit rows
+    big = np.sqrt(np.finfo(dtype).max / 4)
+    unit, trace = normalize_rows(np.asarray([[big, big]], dtype=dtype))
+    assert unit.dtype == trace.norms.dtype == dtype
+    np.testing.assert_allclose(unit, np.sqrt(0.5), rtol=1e-6)
+
+
 def test_normalize_backward_annihilates_radial_direction():
     x = np.random.default_rng(0).normal(size=(4, 3))
     unit, trace = normalize_rows(x)
