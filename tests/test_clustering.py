@@ -1,5 +1,7 @@
 """Tests for similarity features, constrained k-means, and the elbow scan."""
 
+import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -655,6 +657,104 @@ def test_scan_inertia_raises_the_lowest_failing_k(monkeypatch):
     for workers in (1, 2, 3):
         with pytest.raises(InvariantError, match=r"^forced failure at k=5$"):
             scan_inertia(features, unlabeled(30), 2, 8, seed=0, workers=workers)
+
+
+def _fail_at(monkeypatch, *failing_ks):
+    real = clustering.semisup_kmeans
+
+    def failing(features, labels, k, seed):
+        if k in failing_ks:
+            raise InvariantError(f"forced failure at k={k}")
+        return real(features, labels, k, seed)
+
+    monkeypatch.setattr(clustering, "semisup_kmeans", failing)
+
+
+def _pinnable_cpus(count):
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < count:
+        pytest.skip(f"needs os.sched_setaffinity and {count} usable CPUs")
+
+
+def _worker_cpus(monkeypatch, workers, getaffinity=None):
+    """The CPUs each of `workers` scan workers may run on, one K per worker.
+
+    Forked workers inherit the patched _scan_one; a barrier holds each K until
+    every worker has taken one, so no worker runs two.
+    """
+    import multiprocessing
+
+    getaffinity = getaffinity or os.sched_getaffinity
+    barrier = multiprocessing.get_context("fork").Barrier(workers)
+
+    def report(features, labels, k, seed):
+        barrier.wait(timeout=30)
+        return k, (os.getpid(), sorted(getaffinity(0)))
+
+    monkeypatch.setattr(clustering, "_scan_one", report)
+    scan = scan_inertia(np.zeros((8, 2)), unlabeled(8), 2, workers + 1, seed=0, workers=workers)
+    held = dict(entry for _, entry in scan)
+    assert len(held) == workers
+    return list(held.values())
+
+
+def test_scan_workers_run_on_distinct_cpus(monkeypatch):
+    _pinnable_cpus(2)
+    caller = os.sched_getaffinity(0)
+    held = _worker_cpus(monkeypatch, 2)
+    assert all(len(cpus) == 1 for cpus in held)
+    assert held[0] != held[1]
+    assert {cpus[0] for cpus in held} <= caller
+    assert os.sched_getaffinity(0) == caller
+
+
+def test_scan_workers_cycle_through_the_cpus(monkeypatch):
+    # three workers on two CPUs: the third runs on the first CPU again, with no wait
+    _pinnable_cpus(2)
+    getaffinity = os.sched_getaffinity
+    first, second = sorted(getaffinity(0))[:2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {first, second})
+    held = _worker_cpus(monkeypatch, 3, getaffinity)
+    assert sorted(held) == [[first], [first], [second]]
+
+
+def test_scan_workers_run_unpinned_when_pinning_fails(monkeypatch):
+    # e.g. a CPU that left the cpuset after the caller read it; forked workers
+    # inherit the patch, run on all the caller's CPUs, and the scan is unchanged
+    _pinnable_cpus(2)
+
+    def refuse(pid, cpus):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    features = np.random.default_rng(21).normal(size=(60, 4))
+    serial = scan_inertia(features, unlabeled(60), 3, 9, seed=13)
+    scan = scan_inertia(features, unlabeled(60), 3, 9, seed=13, workers=2)
+    assert [(k, v.hex()) for k, v in scan] == [(k, v.hex()) for k, v in serial]
+
+    _fail_at(monkeypatch, 5, 7)
+    with pytest.raises(InvariantError, match=r"^forced failure at k=5$"):
+        scan_inertia(features, unlabeled(60), 2, 8, seed=0, workers=2)
+    caller = sorted(os.sched_getaffinity(0))
+    assert _worker_cpus(monkeypatch, 2) == [caller, caller]
+
+
+def test_scan_leaves_no_worker_or_descriptor(monkeypatch):
+    # neither a finished scan nor a failed one leaves a worker, the pool's
+    # pipes or the CPU counter's pipe open
+    import multiprocessing
+
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    features = np.random.default_rng(3).normal(size=(20, 2))
+    before = sorted(os.listdir("/proc/self/fd"))
+    scan_inertia(features, unlabeled(20), 2, 5, seed=0, workers=2)
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    _fail_at(monkeypatch, 3)
+    with pytest.raises(InvariantError, match="k=3"):
+        scan_inertia(features, unlabeled(20), 2, 5, seed=0, workers=2)
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_scan_inertia_rejects_bad_range():
