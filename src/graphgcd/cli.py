@@ -175,9 +175,16 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ids, dtype=np.int64), np.asarray(pinned, dtype=bool)
 
 
-def _check_truth(unlabeled: EmbeddingSet, path) -> None:
-    if unlabeled.labels is not None and (missing := int((unlabeled.labels < 0).sum())):
+def _check_truth(unlabeled: EmbeddingSet, path, known: int) -> None:
+    """Every row has a class id below rows + known classes: no contiguous labelling
+    reaches that bound, and scoring builds a table as wide as the largest id."""
+    if unlabeled.labels is None:
+        return
+    if missing := int((unlabeled.labels < 0).sum()):
         raise InputError(f"{path} has {missing} rows labeled -1: no class id to score against")
+    if (top := int(unlabeled.labels.max())) >= unlabeled.n + known:
+        raise InputError(f"{path} has class id {top}, but {unlabeled.n} rows and {known} "
+                         f"known classes hold ids below {unlabeled.n + known}")
 
 
 def _emit_report(report: EvalReport, out: Path) -> None:
@@ -321,7 +328,7 @@ def _train_for_clustering(args, out: Path) -> tuple:
     sets = _generate_synthetic(args) if args.synthetic else _read_inputs(args)
     labeled, unlabeled, class_emb = sets
     config = check_run_inputs(_config_from_args(args), labeled, class_emb, unlabeled)
-    _check_truth(unlabeled, args.unlabeled)
+    _check_truth(unlabeled, args.unlabeled, class_emb.n)
     k_bounds = _k_bounds(args, class_emb.n, labeled, unlabeled)
     if args.synthetic:
         _write_synthetic(sets, out)
@@ -361,9 +368,9 @@ def cmd_eval(args) -> int:
         raise InputError("eval needs --unlabeled with ground-truth labels")
     if unlabeled.labels is None:
         raise InputError(f"{args.unlabeled} has no labels to score against")
-    _check_truth(unlabeled, args.unlabeled)
     if args.known is None or args.known < 0:
         raise InputError("eval needs --known (count of known classes)")
+    _check_truth(unlabeled, args.unlabeled, args.known)
     cluster_ids, pinned = _read_assignments(args.assignments)
     free_ids = cluster_ids[~pinned]
     if free_ids.shape[0] != unlabeled.n:

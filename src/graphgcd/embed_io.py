@@ -67,11 +67,15 @@ class EmbeddingSet:
         if not np.isfinite(self.data).all():
             raise NonFiniteError("embedding data contains non-finite values")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int32)
+            given = np.asarray(self.labels)
+            with np.errstate(invalid="ignore"):  # a NaN or out-of-range float fails below
+                self.labels = np.ascontiguousarray(given, dtype=np.int32)
             if self.labels.shape != (n,):
                 raise InvariantError(
                     f"labels shape {self.labels.shape} does not match n={n}"
                 )
+            if not np.array_equal(self.labels, given):
+                raise InvariantError("labels must be integers that int32 holds exactly")
             if (self.labels < -1).any():
                 raise InvariantError("labels must be -1 or non-negative")
 

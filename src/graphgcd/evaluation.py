@@ -1,8 +1,10 @@
 """Hungarian-matched clustering accuracy, split into All/Known/New.
 
-One maximum-weight cluster-to-class matching is solved on the full unlabeled
-set and reused for both splits, so the Known and New numbers are fractions of
-the same matched assignment rather than independently optimistic matchings.
+split_accuracy is the one scorer, the GCD protocol of Vaze et al. (CVPR
+2022): one maximum-weight cluster-to-class matching is solved on the full
+unlabeled set and reused for both splits, so the Known and New numbers are
+fractions of the same matched assignment rather than independently
+optimistic matchings. Its table grows with the largest ids; callers bound them.
 """
 
 from __future__ import annotations
@@ -85,72 +87,39 @@ def _max_weight_matching(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), col4row
 
 
-def _validated_counts(
-    assignment: np.ndarray, truth: np.ndarray, k: int, c: int
-) -> np.ndarray:
-    """The [k x c] contingency counts, after checking both label vectors."""
-    if assignment.shape != truth.shape or assignment.ndim != 1:
-        raise InputError("assignment and truth must be equal-length vectors")
-    if assignment.shape[0] == 0:
-        raise InputError("cannot score an empty assignment")
-    if assignment.min() < 0 or assignment.max() >= k:
-        raise InputError(f"cluster id outside [0, {k})")
-    if truth.min() < 0 or truth.max() >= c:
-        raise InputError(f"class id outside [0, {c})")
-    flat = assignment.astype(np.int64) * c + truth.astype(np.int64)
-    return np.bincount(flat, minlength=k * c).reshape(k, c)
-
-
-def _match(counts: np.ndarray) -> dict[int, int]:
-    """Cluster-to-class pairs of the best matching on the zero-padded square."""
-    k, c = counts.shape
-    side = max(k, c)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[:k, :c] = counts
-    rows, cols = _max_weight_matching(padded)
-    return {int(r): int(col) for r, col in zip(rows, cols) if r < k and col < c}
-
-
-def hungarian_accuracy(
-    assignment: np.ndarray, truth: np.ndarray, k: int, c: int
-) -> tuple[float, dict[int, int]]:
-    """Best one-to-one cluster-to-class matching; accuracy = matched / n.
-
-    The contingency matrix is zero-padded to square so rectangular instances
-    reduce to the square assignment problem.
-    """
-    assignment = np.asarray(assignment)
-    truth = np.asarray(truth)
-    counts = _validated_counts(assignment, truth, k, c)
-    permutation = _match(counts)
-    matched = sum(counts[r, col] for r, col in permutation.items())
-    return matched / assignment.shape[0], permutation
-
-
 def split_accuracy(
     assignment: np.ndarray, truth: np.ndarray, known_class_count: int
 ) -> EvalReport:
     """All/Known/New accuracies under a single shared matching.
 
-    Known covers samples whose true class id is below known_class_count; New
-    covers the rest. An empty split reports None, never 0.
+    The [k x c] counts span cluster ids 0..max and class ids 0..max (at least
+    known_class_count), zero-padded to square for the matching. Known covers
+    samples whose true class id is below known_class_count; New covers the
+    rest. An empty split reports None, never 0.
     """
     assignment = np.asarray(assignment)
     truth = np.asarray(truth)
+    if assignment.shape != truth.shape or assignment.ndim != 1:
+        raise InputError("assignment and truth must be equal-length vectors")
+    if assignment.shape[0] == 0:
+        raise InputError("cannot score an empty assignment")
+    if assignment.min() < 0:
+        raise InputError(f"cluster id {assignment.min()} is negative")
+    if truth.min() < 0:
+        raise InputError(f"class id {truth.min()} is negative")
     if known_class_count < 0:
         raise InputError("known_class_count must be non-negative")
-    k = int(assignment.max()) + 1 if assignment.size else 0
-    c = int(truth.max()) + 1 if truth.size else 0
-    c = max(c, known_class_count)
-    counts = _validated_counts(assignment, truth, k, c)
-    permutation = _match(counts)
-
-    lookup = np.full(k, -1, dtype=np.int64)
-    lookup[list(permutation)] = list(permutation.values())
+    k = int(assignment.max()) + 1
+    c = max(int(truth.max()) + 1, known_class_count)
+    flat = assignment.astype(np.int64) * c + truth.astype(np.int64)
+    counts = np.bincount(flat, minlength=k * c).reshape(k, c)
+    side = max(k, c)
+    padded = np.zeros((side, side), dtype=np.int64)
+    padded[:k, :c] = counts
+    cols = _max_weight_matching(padded)[1][:k]
+    lookup = np.where(cols < c, cols, -1)  # each cluster's class, or -1 if matched to padding
     correct = lookup[assignment] == truth
-
     known_mask = truth < known_class_count
-    new_mask = ~known_mask
 
     def frac(mask: np.ndarray) -> float | None:
         return float(correct[mask].mean()) if mask.any() else None
@@ -158,7 +127,7 @@ def split_accuracy(
     return EvalReport(
         acc_all=float(correct.mean()),
         acc_known=frac(known_mask),
-        acc_new=frac(new_mask),
-        permutation=permutation,
+        acc_new=frac(~known_mask),
+        permutation={r: int(col) for r, col in enumerate(lookup) if col >= 0},
         confusion=counts,
     )

@@ -200,16 +200,17 @@ def gcn_forward(
 
 def gcn_backward(
     trace: GcnTrace, grad_ybar: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact gradients of gcn_forward w.r.t. every W^(l) and h0."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Exact gradients of gcn_forward: every W^(l)'s under its layout name
+    "gcn.w<l>", in layout order, and h0's."""
     layers = len(trace.weights)
     g = normalize_rows_backward(trace.norm, grad_ybar)
-    grad_weights: list[np.ndarray] = [None] * layers  # type: ignore[list-item]
+    grads = dict.fromkeys(f"gcn.w{l}" for l in range(layers))
     for l in range(layers - 1, -1, -1):
         g_pre = g if l == layers - 1 else g * (trace.pres[l] > 0)
-        grad_weights[l] = trace.messages[l].T @ g_pre
+        grads[f"gcn.w{l}"] = trace.messages[l].T @ g_pre
         g = trace.norm_adjacency.T @ (g_pre @ trace.weights[l].T)
-    return grad_weights, g
+    return grads, g
 
 
 @dataclass
@@ -257,18 +258,11 @@ def projector_forward(
     return z, ProjTrace(x=x, act1=act1, w1=w1, w2=w2, norm=norm)
 
 
-@dataclass
-class ProjGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
 def projector_backward(
     trace: ProjTrace, grad_z: np.ndarray
-) -> tuple[ProjGrads, np.ndarray]:
-    """Exact gradients of projector_forward w.r.t. weights and input rows."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Exact gradients of projector_forward: the weights' under their layout
+    names "proj.w1", "proj.b1", "proj.w2", "proj.b2", and the input rows'."""
     g2 = normalize_rows_backward(trace.norm, grad_z)
     gw2 = trace.act1.T @ g2
     gb2 = g2.sum(axis=0)
@@ -277,30 +271,32 @@ def projector_backward(
     gw1 = trace.x.T @ g1
     gb1 = g1.sum(axis=0)
     grad_x = g1 @ trace.w1.T
-    return ProjGrads(w1=gw1, b1=gb1, w2=gw2, b2=gb2), grad_x
+    return {"proj.w1": gw1, "proj.b1": gb1, "proj.w2": gw2, "proj.b2": gb2}, grad_x
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias correction).
 
     Tensors and moments are updated in place and keep their dtype.
-    Raises NumericError on any non-finite gradient without touching state;
-    asserts every tensor finite after the update.
+    Gradients and both moments must hold every tensor's name and shape, and
+    gradients must be finite: else InvariantError or NumericError, raised
+    before any state changes. Asserts every tensor finite after the update.
     """
     tensors = params.named_tensors()
-    if set(grads) != set(tensors):
-        missing = set(tensors) ^ set(grads)
-        raise InvariantError(f"gradient keys do not match tensors: {sorted(missing)}")
+    state = params.adam
+    for kind, named in (("gradient", grads), ("adam.m", state.m), ("adam.v", state.v)):
+        if set(named) != set(tensors):
+            raise InvariantError(f"{kind} keys do not match tensors: "
+                                 f"{sorted(set(tensors) ^ set(named))}")
+        for name, arr in named.items():
+            if np.shape(arr) != tensors[name].shape:
+                raise InvariantError(
+                    f"{kind} {name} shape {np.shape(arr)} != tensor shape {tensors[name].shape}"
+                )
     for name, g in grads.items():
-        g = np.asarray(g)
-        if g.shape != tensors[name].shape:
-            raise InvariantError(
-                f"gradient {name} shape {g.shape} != tensor shape {tensors[name].shape}"
-            )
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}; state untouched")
 
-    state = params.adam
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t

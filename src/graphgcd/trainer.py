@@ -143,12 +143,11 @@ def train(
             if not np.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}, step {steps}")
 
-            gcn_w_grads, _ = gcn_backward(gcn_tr, grads.ybar)
+            gcn_grads, _ = gcn_backward(gcn_tr, grads.ybar)
             proj_grads, _ = projector_backward(proj_tr, grads.z)
             g_prompt = normalize_rows_backward(prompt_tr, grads.t)
-            param_grads = ModelParams(gcn_w_grads, proj_grads.w1, proj_grads.b1, proj_grads.w2,
-                                      proj_grads.b2, g_prompt)
-            adam_step(state.params, param_grads.named_tensors(), config.learn_rate)
+            adam_step(state.params, {**gcn_grads, **proj_grads, "prompt.t": g_prompt},
+                      config.learn_rate)
             sums += (parts["l_cma"], parts["l_sdp"], parts["l_cs"], parts["l_tot"])
             steps += 1
         mean = sums / max(steps, 1)

@@ -24,7 +24,7 @@ from graphgcd.embed_io import (
     write_embedding_file,
 )
 from graphgcd.errors import NumericError
-from graphgcd.evaluation import hungarian_accuracy, split_accuracy
+from graphgcd.evaluation import split_accuracy
 from graphgcd.losses import Batch, loss_cma, loss_cs, loss_sdp, loss_total
 from graphgcd.neural_core import (
     AdamState,
@@ -222,7 +222,7 @@ def _check_gcn(rng, layers):
             return scalar(h0, ws)
 
         fd = fd_gradient(f, w.ravel().copy()).reshape(w.shape)
-        worst = max(worst, grad_error(grad_w[li], fd))
+        worst = max(worst, grad_error(grad_w[f"gcn.w{li}"], fd))
     return worst
 
 
@@ -258,10 +258,10 @@ def _check_projector(rng):
 
     pieces = {
         "x": (x, gx),
-        "w1": (params.proj_w1, grads.w1),
-        "b1": (params.proj_b1, grads.b1),
-        "w2": (params.proj_w2, grads.w2),
-        "b2": (params.proj_b2, grads.b2),
+        "w1": (params.proj_w1, grads["proj.w1"]),
+        "b1": (params.proj_b1, grads["proj.b1"]),
+        "w2": (params.proj_w2, grads["proj.w2"]),
+        "b2": (params.proj_b2, grads["proj.b2"]),
     }
     worst = 0.0
     for name, (base, analytic) in pieces.items():
@@ -319,7 +319,7 @@ def test_criterion_2_hungarian_oracle():
         n = int(rng.integers(1, 41))
         assignment = rng.integers(k, size=n)
         truth = rng.integers(c, size=n)
-        acc, _ = hungarian_accuracy(assignment, truth, k, c)
+        acc = split_accuracy(assignment, truth, 0).acc_all
         ref = brute_force_accuracy(assignment, truth, k, c)
         assert acc == ref, f"instance {trial}: k={k} c={c} n={n}: {acc} != {ref}"
     elapsed = time.perf_counter() - start

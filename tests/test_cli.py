@@ -666,7 +666,20 @@ def _truth_with_unlabeled_rows(ws, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case", ["truth-minus-1", "id-negative", "id-row-count", "id-huge"])
+def _truth_with_id_at_bound(ws, tmp_path, known):
+    """The truth file with one class id at rows + known classes, the first one
+    no contiguous labelling reaches; returns the path and the expected error."""
+    u = read_embedding_file(ws["data"] / "unlabeled.gvle")
+    labels = u.labels.copy()
+    labels[3] = u.n + known
+    path = tmp_path / "truth.gvle"
+    write_embedding_file(EmbeddingSet(u.data, labels), path)
+    return path, (f"{path} has class id {u.n + known}, but {u.n} rows and {known} "
+                  f"known classes hold ids below {u.n + known}")
+
+
+@pytest.mark.parametrize("case", ["truth-minus-1", "id-negative", "id-row-count", "id-huge",
+                                  "truth-id-at-bound"])
 def test_eval_rejects_unscorable_inputs_before_any_write(ws, ws_assignments, tmp_path, capsys,
                                                          case):
     # a free row's id at the row count, or at 10**15, would be scored (or would
@@ -675,6 +688,8 @@ def test_eval_rejects_unscorable_inputs_before_any_write(ws, ws_assignments, tmp
     if case == "truth-minus-1":
         truth = _truth_with_unlabeled_rows(ws, tmp_path)
         expected = f"{truth} has 2 rows labeled -1: no class id to score against"
+    elif case == "truth-id-at-bound":
+        truth, expected = _truth_with_id_at_bound(ws, tmp_path, known=2)
     else:
         lines = ws_assignments.read_text().splitlines()
         rows = len(lines) - 1
@@ -938,6 +953,35 @@ def test_run_all_rejects_truth_with_unlabeled_rows_before_any_write(ws, tmp_path
     assert capsys.readouterr().err == (
         f"graphgcd: InputError: {truth} has 2 rows labeled -1: no class id to score against\n")
     assert list(out.iterdir()) == []
+
+
+def test_run_all_rejects_truth_id_at_bound_before_training(ws, tmp_path, capsys):
+    known = read_embedding_file(ws["data"] / "class_emb.gvle").n
+    truth, expected = _truth_with_id_at_bound(ws, tmp_path, known)
+    out = tmp_path / "out"
+    rc = cli.main([
+        "run-all",
+        "--labeled", str(ws["data"] / "labeled.gvle"),
+        "--unlabeled", str(truth),
+        "--class-emb", str(ws["data"] / "class_emb.gvle"),
+        *TRAIN_OPTS, "--k-total", "4", "--out-dir", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"graphgcd: InputError: {expected}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_truth_id_below_bound_is_scored(ws, ws_assignments, tmp_path):
+    # the largest id the bound admits is scored, not rejected
+    u = read_embedding_file(ws["data"] / "unlabeled.gvle")
+    labels = u.labels.copy()
+    labels[3] = u.n + 1
+    truth = tmp_path / "truth.gvle"
+    write_embedding_file(EmbeddingSet(u.data, labels), truth)
+    out = tmp_path / "e"
+    assert cli.main(["eval", "--assignments", str(ws_assignments), "--unlabeled", str(truth),
+                     "--known", "2", "--out-dir", str(out)]) == 0
+    assert (out / "report.csv").exists()
 
 
 # ---------------------------------------------------------------- inputs that disagree

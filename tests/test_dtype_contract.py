@@ -77,7 +77,7 @@ def _step(graph, h0, x, y, params, seed=0):
     gw, gh0 = gcn_backward(gcn_tr, grads.ybar)
     pg, gx = projector_backward(proj_tr, grads.z)
     gt = normalize_rows_backward(prompt_tr, grads.t)
-    named = ModelParams(gw, pg.w1, pg.b1, pg.w2, pg.b2, gt).named_tensors()
+    named = {**gw, **pg, "prompt.t": gt}
     results = [ybar, gcn_tr, z, proj_tr, t, prompt_tr, grads, gw, gh0, pg, gx, gt]
     return loss, results, named
 

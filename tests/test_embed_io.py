@@ -290,6 +290,23 @@ def test_embedding_set_validation():
         EmbeddingSet(np.zeros((2, 2), dtype=np.float32), labels=np.asarray([0, -3]))
 
 
+@pytest.mark.parametrize("labels", [
+    np.asarray([1, 2**32], dtype=np.int64),        # wraps to 0
+    np.asarray([0.7, 1.9]),                         # truncates to 0, 1
+    np.asarray([np.nan, 1.0]),
+    np.asarray([1e12, 0.0]),
+], ids=["int64-wraps", "fractional", "nan", "float-overflow"])
+def test_embedding_set_rejects_labels_int32_would_change(labels):
+    with pytest.raises(InvariantError, match="int32 holds exactly"):
+        EmbeddingSet(np.zeros((2, 2), dtype=np.float32), labels=labels)
+
+
+def test_embedding_set_keeps_labels_int32_holds():
+    for labels in ([1, -1], np.asarray([0.0, 3.0]), np.asarray([2**31 - 1, 0], dtype=np.int64)):
+        got = EmbeddingSet(np.zeros((2, 2), dtype=np.float32), labels=labels).labels
+        assert got.dtype == np.int32 and got.tolist() == np.asarray(labels).tolist()
+
+
 # -- config ------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

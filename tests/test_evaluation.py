@@ -7,18 +7,23 @@ from graphgcd.errors import InputError
 from graphgcd.evaluation import (
     EvalReport,
     _max_weight_matching,
-    hungarian_accuracy,
     split_accuracy,
 )
 
 from oracles import brute_force_accuracy
 
 
-# ---------------------------------------------------------------- hungarian_accuracy
+# ---------------------------------------------------------------- the matching
+
+def _all(assignment, truth):
+    """acc_all and the permutation with no known classes."""
+    report = split_accuracy(assignment, truth, known_class_count=0)
+    return report.acc_all, report.permutation
+
 
 def test_identity_assignment_scores_one():
     truth = np.array([0, 1, 2, 0, 1, 2])
-    acc, perm = hungarian_accuracy(truth, truth, k=3, c=3)
+    acc, perm = _all(truth, truth)
     assert acc == 1.0
     assert perm == {0: 0, 1: 1, 2: 2}
 
@@ -26,7 +31,7 @@ def test_identity_assignment_scores_one():
 def test_relabeled_clusters_score_one():
     truth = np.array([0, 0, 1, 1, 2, 2])
     assignment = np.array([2, 2, 0, 0, 1, 1])
-    acc, perm = hungarian_accuracy(assignment, truth, k=3, c=3)
+    acc, perm = _all(assignment, truth)
     assert acc == 1.0
     assert perm == {2: 0, 0: 1, 1: 2}
 
@@ -34,20 +39,20 @@ def test_relabeled_clusters_score_one():
 def test_five_of_six_example():
     truth = np.array([0, 0, 1, 1, 2, 2])
     assignment = np.array([1, 1, 0, 0, 2, 1])
-    acc, perm = hungarian_accuracy(assignment, truth, k=3, c=3)
+    acc, perm = _all(assignment, truth)
     assert acc == pytest.approx(5.0 / 6.0)
     assert perm == {1: 0, 0: 1, 2: 2}
 
 
 def test_matching_is_injective():
+    # the table is sized by the largest ids, so k and c are what the vectors show
     rng = np.random.default_rng(0)
     for _ in range(25):
-        k = int(rng.integers(2, 6))
-        c = int(rng.integers(2, 6))
         n = int(rng.integers(5, 40))
-        assignment = rng.integers(k, size=n)
-        truth = rng.integers(c, size=n)
-        _, perm = hungarian_accuracy(assignment, truth, k, c)
+        assignment = rng.integers(int(rng.integers(2, 6)), size=n)
+        truth = rng.integers(int(rng.integers(2, 6)), size=n)
+        k, c = assignment.max() + 1, truth.max() + 1
+        _, perm = _all(assignment, truth)
         assert len(set(perm.values())) == len(perm)
         assert len(perm) == min(k, c)
         assert all(0 <= r < k and 0 <= col < c for r, col in perm.items())
@@ -61,7 +66,7 @@ def test_matches_brute_force_on_random_instances():
         n = int(rng.integers(1, 41))
         assignment = rng.integers(k, size=n)
         truth = rng.integers(c, size=n)
-        acc, _ = hungarian_accuracy(assignment, truth, k, c)
+        acc, _ = _all(assignment, truth)
         assert acc == pytest.approx(
             brute_force_accuracy(assignment, truth, k, c)
         ), f"trial {trial}: k={k} c={c} n={n}"
@@ -72,9 +77,9 @@ def test_invariant_under_cluster_relabeling():
     k, c, n = 5, 4, 30
     assignment = rng.integers(k, size=n)
     truth = rng.integers(c, size=n)
-    base, _ = hungarian_accuracy(assignment, truth, k, c)
+    base, _ = _all(assignment, truth)
     relabel = rng.permutation(k)
-    acc, _ = hungarian_accuracy(relabel[assignment], truth, k, c)
+    acc, _ = _all(relabel[assignment], truth)
     assert acc == pytest.approx(base)
 
 
@@ -82,7 +87,7 @@ def test_more_clusters_than_classes():
     # two clusters split one class: only one of them can be matched
     truth = np.array([0, 0, 0, 0])
     assignment = np.array([0, 0, 1, 1])
-    acc, perm = hungarian_accuracy(assignment, truth, k=2, c=1)
+    acc, perm = _all(assignment, truth)
     assert acc == pytest.approx(0.5)
     assert len(perm) == 1
 
@@ -90,7 +95,7 @@ def test_more_clusters_than_classes():
 def test_more_classes_than_clusters():
     truth = np.array([0, 1, 2, 3])
     assignment = np.array([0, 1, 0, 1])
-    acc, perm = hungarian_accuracy(assignment, truth, k=2, c=4)
+    acc, perm = _all(assignment, truth)
     assert acc == pytest.approx(0.5)
     assert len(perm) == 2
     assert acc == pytest.approx(brute_force_accuracy(assignment, truth, 2, 4))
@@ -99,15 +104,13 @@ def test_more_classes_than_clusters():
 def test_hungarian_input_validation():
     good = np.array([0, 1])
     with pytest.raises(InputError, match="equal-length"):
-        hungarian_accuracy(np.array([0]), good, 2, 2)
+        split_accuracy(np.array([0]), good, 2)
     with pytest.raises(InputError, match="empty"):
-        hungarian_accuracy(np.array([], dtype=int), np.array([], dtype=int), 2, 2)
-    with pytest.raises(InputError, match="cluster id"):
-        hungarian_accuracy(np.array([0, 2]), good, 2, 2)
-    with pytest.raises(InputError, match="cluster id"):
-        hungarian_accuracy(np.array([0, -1]), good, 2, 2)
-    with pytest.raises(InputError, match="class id"):
-        hungarian_accuracy(good, np.array([0, 5]), 2, 2)
+        split_accuracy(np.array([], dtype=int), np.array([], dtype=int), 2)
+    with pytest.raises(InputError, match="cluster id -1 is negative"):
+        split_accuracy(np.array([0, -1]), good, 2)
+    with pytest.raises(InputError, match="class id -1 is negative"):
+        split_accuracy(good, np.array([0, -1]), 2)
 
 
 # ---------------------------------------------------------------- split_accuracy
@@ -194,17 +197,17 @@ def test_split_rejects_negative_known_count():
 
 
 def test_split_matches_hungarian_on_all():
+    # acc_all is the best one-to-one matching's accuracy whatever the known
+    # count, and the permutation is a matching that reaches it
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(3, 40))
         assignment = rng.integers(4, size=n)
         truth = rng.integers(3, size=n)
         report = split_accuracy(assignment, truth, known_class_count=2)
-        k = int(assignment.max()) + 1
-        c = max(int(truth.max()) + 1, 2)
-        acc, perm = hungarian_accuracy(assignment, truth, k, c)
-        assert report.acc_all == pytest.approx(acc)
-        assert report.permutation == perm
+        assert report.acc_all == pytest.approx(brute_force_accuracy(assignment, truth, 4, 3))
+        matched = sum(report.confusion[r, col] for r, col in report.permutation.items())
+        assert report.acc_all == matched / n
 
 
 # ---------------------------------------------------------------- scipy differential

@@ -64,6 +64,23 @@ def test_param_shapes_is_the_layout_of_init_and_named_tensors(layers):
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_backward_gradients_are_keyed_by_the_layout(layers):
+    # the step hands adam_step {**gcn, **proj, "prompt.t": ...} as it comes
+    p = _params(d=5, hidden=7, classes=3, layers=layers)
+    rng = np.random.default_rng(layers)
+    graph = build_knn_graph(rng.normal(size=(3, 5)), 1)
+    ybar, gcn_tr = gcn_forward(graph, rng.normal(size=(3, 5)), p)
+    z, proj_tr = projector_forward(rng.normal(size=(4, 5)), p)
+    gcn, _ = gcn_backward(gcn_tr, rng.normal(size=ybar.shape))
+    proj, _ = projector_backward(proj_tr, rng.normal(size=z.shape))
+    t, prompt_tr = normalize_rows(p.prompt_vectors)
+    named = {**gcn, **proj, "prompt.t": normalize_rows_backward(prompt_tr, t)}
+    assert list(gcn) == [f"gcn.w{l}" for l in range(layers)]
+    assert {n: t.shape for n, t in named.items()} == param_shapes(5, 7, 3, layers)
+    assert list(named) == list(param_shapes(5, 7, 3, layers))
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
 @pytest.mark.parametrize("d, hidden", [(5, 3), (4, 7)])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_init_params_matches_explicit_order_oracle(layers, d, hidden, seed):
@@ -229,7 +246,7 @@ def test_gcn_backward_zero_grad_is_zero():
     p = _params(d=3, hidden=4, classes=4, layers=2, seed=7)
     _, trace = gcn_forward(g, np.random.default_rng(3).normal(size=(4, 3)), p)
     gw, gh0 = gcn_backward(trace, np.zeros((4, 3)))
-    assert all(not w.any() for w in gw)
+    assert all(not w.any() for w in gw.values())
     assert not gh0.any()
 
 
@@ -242,7 +259,7 @@ def test_gcn_single_linear_layer_weight_grad_formula():
     gw, _ = gcn_backward(trace, grad_out)
     g_pre = normalize_rows_backward(trace.norm, grad_out)
     msg = g.norm_adjacency @ h0
-    np.testing.assert_allclose(gw[0], msg.T @ g_pre, atol=1e-12)
+    np.testing.assert_allclose(gw["gcn.w0"], msg.T @ g_pre, atol=1e-12)
 
 
 def test_relu_dead_unit_has_zero_weight_column_grad():
@@ -254,7 +271,7 @@ def test_relu_dead_unit_has_zero_weight_column_grad():
     _, trace = gcn_forward(g, h0, p)
     assert (trace.pres[0][:, 1] < 0).all()
     gw, _ = gcn_backward(trace, np.random.default_rng(8).normal(size=(3, 2)))
-    np.testing.assert_allclose(gw[0][:, 1], 0.0)
+    np.testing.assert_allclose(gw["gcn.w0"][:, 1], 0.0)
 
 
 def _fd_check_gcn(layers: int, seed: int) -> float:
@@ -294,7 +311,7 @@ def _fd_check_gcn(layers: int, seed: int) -> float:
                 p.gcn_weights[li] = saved
             return float((o * probe).sum())
 
-        worst = max(worst, grad_error(gw[li], fd_gradient(f_w, p.gcn_weights[li])))
+        worst = max(worst, grad_error(gw[f"gcn.w{li}"], fd_gradient(f_w, p.gcn_weights[li])))
     return worst
 
 
@@ -343,7 +360,7 @@ def test_projector_zero_grad_backward():
     p = _params(d=3, hidden=4, classes=2, layers=1, seed=5)
     _, trace = projector_forward(np.random.default_rng(2).normal(size=(3, 3)), p)
     grads, gx = projector_backward(trace, np.zeros((3, 3)))
-    for t in (grads.w1, grads.b1, grads.w2, grads.b2, gx):
+    for t in (*grads.values(), gx):
         assert not t.any()
 
 
@@ -384,7 +401,7 @@ def test_projector_backward_matches_finite_differences():
         for name in ("w1", "b1", "w2", "b2"):
             cur = np.asarray(getattr(p, "proj_" + name), dtype=np.float64)
             num = fd_gradient(lambda q, nm=name: run(**{nm: q}), cur)
-            assert grad_error(getattr(grads, name), num) < 1e-4
+            assert grad_error(grads["proj." + name], num) < 1e-4
 
 
 # -- Adam --------------------------------------------------------------------
@@ -468,6 +485,44 @@ def test_adam_strict_key_and_shape_checks():
     grads["proj.b1"] = np.zeros(3)
     with pytest.raises(InvariantError):
         adam_step(p, grads, lr=0.01)
+
+
+@pytest.mark.parametrize("moments", ["adam.m", "adam.v"])
+@pytest.mark.parametrize("fault", ["missing", "shape"])
+def test_adam_rejects_absent_or_misshapen_moments_and_leaves_state(moments, fault):
+    p = _tiny_params()
+    adam_step(p, _zero_grads(p), lr=0.01)
+    held = p.adam.m if moments == "adam.m" else p.adam.v
+    if fault == "missing":
+        del held["proj.b2"]
+        message = rf"{moments} keys do not match tensors: \['proj.b2'\]"
+    else:
+        held["proj.b2"] = np.zeros(3, dtype=np.float32)
+        message = f"{moments} proj.b2 shape"
+    before = {k: np.asarray(t).copy() for k, t in p.named_tensors().items()}
+    m_before = {k: t.copy() for k, t in p.adam.m.items()}
+    v_before = {k: t.copy() for k, t in p.adam.v.items()}
+    with pytest.raises(InvariantError, match=message):
+        adam_step(p, _zero_grads(p), lr=0.01)
+    assert p.adam.step == 1
+    for k, t in p.named_tensors().items():
+        np.testing.assert_array_equal(t, before[k])
+    for got, want in ((p.adam.m, m_before), (p.adam.v, v_before)):
+        assert list(got) == list(want)
+        for k, t in got.items():
+            np.testing.assert_array_equal(t, want[k])
+
+
+def test_adam_on_params_without_moments_names_them_and_leaves_state():
+    # from_named starts with empty moments, as a caller-built ModelParams would
+    p = ModelParams.from_named(init_params(4, 4, 3, 1, 0).named_tensors())
+    before = {k: t.copy() for k, t in p.named_tensors().items()}
+    grads = {k: np.ones_like(t) for k, t in before.items()}
+    with pytest.raises(InvariantError, match=r"adam.m keys do not match tensors: \['gcn.w0'"):
+        adam_step(p, grads, lr=0.01)
+    assert p.adam.step == 0 and p.adam.m == {} and p.adam.v == {}
+    for k, t in p.named_tensors().items():
+        np.testing.assert_array_equal(t, before[k])
 
 
 def test_adam_moments_stored_in_param_dtype():
