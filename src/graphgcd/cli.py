@@ -306,7 +306,7 @@ def _load_for_clustering(args, out: Path) -> tuple[np.ndarray, np.ndarray, int, 
     if args.seed is not None:
         state.config = replace(state.config, seed=args.seed)
     check_run_inputs(state.config, labeled, class_emb, unlabeled)
-    trained_known, trained_dim = state.params.prompt_vectors.shape
+    trained_known, trained_dim = state.params["prompt.t"].shape
     if trained_dim != labeled.dim:
         raise InputError(f"{args.checkpoint} was trained on dim {trained_dim} inputs, "
                          f"but the input files have dim {labeled.dim}")
@@ -372,6 +372,9 @@ def cmd_eval(args) -> int:
         raise InputError("eval needs --known (count of known classes)")
     _check_truth(unlabeled, args.unlabeled, args.known)
     cluster_ids, pinned = _read_assignments(args.assignments)
+    if args.known > cluster_ids.shape[0]:  # scoring's table is as wide as --known
+        raise InputError(f"--known {args.known} exceeds the {cluster_ids.shape[0]} rows "
+                         f"of {args.assignments}")
     free_ids = cluster_ids[~pinned]
     if free_ids.shape[0] != unlabeled.n:
         raise InputError(f"assignments hold {free_ids.shape[0]} unconstrained rows but "

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .neural_core import ModelParams, gcn_forward, projector_forward
+from .neural_core import Params, gcn_forward, projector_forward
 from .semantic_graph import SemanticGraph
 
 MAX_LLOYD_ITERATIONS = 300
@@ -34,7 +34,7 @@ class ClusterAssignment:
 
 
 def similarity_features(
-    x: np.ndarray, params: ModelParams, graph: SemanticGraph, h0: np.ndarray
+    x: np.ndarray, params: Params, graph: SemanticGraph, h0: np.ndarray
 ) -> np.ndarray:
     """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row.
 
@@ -51,7 +51,7 @@ def similarity_features(
     n, d = x.shape
     block = min(n, _CHUNK_ROWS)
     rows_buf = np.empty((block, d))
-    scratch = np.empty(block * max(params.proj_w1.shape[1], d))
+    scratch = np.empty(block * max(params["proj.w1"].shape[1], d))
     out = np.empty((n, ybar.shape[0]))
     for lo in range(0, n, _CHUNK_ROWS):
         rows = slice(min(lo, max(n - _CHUNK_ROWS, 0)), lo + _CHUNK_ROWS)

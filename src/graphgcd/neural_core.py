@@ -1,14 +1,16 @@
 """Trainable tensors, forward passes, exact analytic backprop, Adam updates.
 
-Every function computes in the dtype numpy promotes its operands to: all
-float32 in training, so its step runs in float32; any float64 operand, as in
-the gradient checks and the clustering features, gives float64. Parameters
-are updated in place only by adam_step.
+The parameters, their gradients and both Adam moments are each a dict from
+the tensor names of param_shapes to arrays, in its order. Every function
+computes in the dtype numpy promotes its operands to: all float32 in
+training, so its step runs in float32; any float64 operand, as in the
+gradient checks and the clustering features, gives float64. Parameters are
+updated in place only by adam_step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,42 +24,16 @@ ADAM_EPS = 1e-8
 _MIN_ROW_NORM = 1e-30
 
 
+Params = dict[str, np.ndarray]  # every trainable tensor by layout name, in layout order
+
+
 @dataclass
 class AdamState:
     """First/second moments per named tensor plus the shared step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: Params
+    v: Params
     step: int = 0
-
-
-@dataclass
-class ModelParams:
-    """Every trainable tensor: GCN weights, projector weights, prompt vectors."""
-
-    gcn_weights: list[np.ndarray]
-    proj_w1: np.ndarray
-    proj_b1: np.ndarray
-    proj_w2: np.ndarray
-    proj_b2: np.ndarray
-    prompt_vectors: np.ndarray
-    adam: AdamState = field(default_factory=lambda: AdamState({}, {}))
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {f"gcn.w{i}": w for i, w in enumerate(self.gcn_weights)}
-        out["proj.w1"] = self.proj_w1
-        out["proj.b1"] = self.proj_b1
-        out["proj.w2"] = self.proj_w2
-        out["proj.b2"] = self.proj_b2
-        out["prompt.t"] = self.prompt_vectors
-        return out
-
-    @classmethod
-    def from_named(cls, named: dict[str, np.ndarray]) -> "ModelParams":
-        """Inverse of named_tensors(); the Adam state starts empty."""
-        gcn = [named[f"gcn.w{i}"] for i in range(sum(n.startswith("gcn.w") for n in named))]
-        return cls(gcn, named["proj.w1"], named["proj.b1"], named["proj.w2"],
-                   named["proj.b2"], named["prompt.t"])
 
 
 def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[int, int]]:
@@ -75,8 +51,8 @@ def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[i
 def param_shapes(
     input_dim: int, hidden_dim: int, known_class_count: int, gcn_layers: int
 ) -> dict[str, tuple[int, ...]]:
-    """The model's layout: every trainable tensor's name and shape, in
-    named_tensors() order. Init, resume and the checkpoint loader follow it."""
+    """The model's layout: every trainable tensor's name and shape, in order.
+    Init, the gradients, resume and the checkpoint follow it."""
     gcn = gcn_layer_dims(input_dim, hidden_dim, gcn_layers)
     return {**{f"gcn.w{i}": dims for i, dims in enumerate(gcn)},
             "proj.w1": (input_dim, hidden_dim), "proj.b1": (hidden_dim,),
@@ -90,24 +66,23 @@ def init_params(
     known_class_count: int,
     gcn_layers: int,
     seed,
-) -> ModelParams:
-    """Seeded glorot-uniform init of the matrices, in layout order; biases start at zero.
+) -> tuple[Params, AdamState]:
+    """Seeded glorot-uniform init of the matrices, in layout order; biases start
+    at zero, and so do both Adam moments.
 
     Output dimension equals input_dim (projector and GCN project back to the
     embedding dimension of the input files).
     """
     rng = np.random.default_rng(seed)
-    named = {}
+    params = {}
     for name, shape in param_shapes(input_dim, hidden_dim, known_class_count, gcn_layers).items():
         if len(shape) == 1:
-            named[name] = np.zeros(shape, dtype=np.float32)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
             limit = np.sqrt(6.0 / sum(shape))
-            named[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
-    params = ModelParams.from_named(named)
-    params.adam = AdamState({k: np.zeros_like(t) for k, t in named.items()},
-                            {k: np.zeros_like(t) for k, t in named.items()})
-    return params
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return params, AdamState({k: np.zeros_like(t) for k, t in params.items()},
+                             {k: np.zeros_like(t) for k, t in params.items()})
 
 
 @dataclass
@@ -163,9 +138,10 @@ class GcnTrace:
 
 
 def gcn_forward(
-    graph: SemanticGraph, h0: np.ndarray, params: ModelParams
+    graph: SemanticGraph, h0: np.ndarray, params: Params
 ) -> tuple[np.ndarray, GcnTrace]:
-    """Message-passing layers with ReLU on all but the last, then row L2-norm.
+    """Message-passing layers "gcn.w0", "gcn.w1", ... with ReLU on all but the
+    last, then row L2-norm.
 
     Zero layers returns h0 row-normalized.
     """
@@ -175,9 +151,10 @@ def gcn_forward(
         raise InvariantError(
             f"h0 shape {h.shape} does not match graph with {a.shape[0]} nodes"
         )
-    layers = len(params.gcn_weights)
+    layers = sum(name.startswith("gcn.w") for name in params)
+    weights = [params[f"gcn.w{l}"] for l in range(layers)]
     messages, pres = [], []
-    for l, w in enumerate(params.gcn_weights):
+    for l, w in enumerate(weights):
         if h.shape[1] != w.shape[0]:
             raise InvariantError(
                 f"layer {l}: input dim {h.shape[1]} does not match weight {w.shape}"
@@ -192,7 +169,7 @@ def gcn_forward(
         norm_adjacency=a,
         messages=messages,
         pres=pres,
-        weights=list(params.gcn_weights),
+        weights=weights,
         norm=norm,
     )
     return ybar, trace
@@ -225,7 +202,7 @@ class ProjTrace:
 
 
 def projector_forward(
-    x: np.ndarray, params: ModelParams, out: np.ndarray | None = None,
+    x: np.ndarray, params: Params, out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ProjTrace | None]:
     """Two-layer projection head: row L2-norm of W2.relu(W1 x + b1) + b2.
@@ -238,7 +215,7 @@ def projector_forward(
     so no trace is returned. With both, nothing that grows with n is allocated.
     """
     x = np.asarray(x)
-    w1, b1, w2, b2 = params.proj_w1, params.proj_b1, params.proj_w2, params.proj_b2
+    w1, b1, w2, b2 = params["proj.w1"], params["proj.b1"], params["proj.w2"], params["proj.b2"]
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise InvariantError(f"input shape {x.shape} does not match W1 {w1.shape}")
     n, hidden = x.shape[0], w1.shape[1]
@@ -274,7 +251,7 @@ def projector_backward(
     return {"proj.w1": gw1, "proj.b1": gb1, "proj.w2": gw2, "proj.b2": gb2}, grad_x
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
+def adam_step(params: Params, adam: AdamState, grads: Params, lr: float) -> None:
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias correction).
 
     Tensors and moments are updated in place and keep their dtype.
@@ -282,31 +259,29 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     gradients must be finite: else InvariantError or NumericError, raised
     before any state changes. Asserts every tensor finite after the update.
     """
-    tensors = params.named_tensors()
-    state = params.adam
-    for kind, named in (("gradient", grads), ("adam.m", state.m), ("adam.v", state.v)):
-        if set(named) != set(tensors):
+    for kind, named in (("gradient", grads), ("adam.m", adam.m), ("adam.v", adam.v)):
+        if set(named) != set(params):
             raise InvariantError(f"{kind} keys do not match tensors: "
-                                 f"{sorted(set(tensors) ^ set(named))}")
+                                 f"{sorted(set(params) ^ set(named))}")
         for name, arr in named.items():
-            if np.shape(arr) != tensors[name].shape:
+            if np.shape(arr) != params[name].shape:
                 raise InvariantError(
-                    f"{kind} {name} shape {np.shape(arr)} != tensor shape {tensors[name].shape}"
+                    f"{kind} {name} shape {np.shape(arr)} != tensor shape {params[name].shape}"
                 )
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}; state untouched")
 
-    state.step += 1
-    t = state.step
+    adam.step += 1
+    t = adam.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in tensors.items():
+    for name, tensor in params.items():
         # the moments updated in place, with the operand order of
         # m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g and
         # update = lr*(m/bias1) / (sqrt(v/bias2) + eps)
         g = grads[name]
-        m, v = state.m[name], state.v[name]
+        m, v = adam.m[name], adam.v[name]
         buf = np.multiply(1.0 - ADAM_BETA1, g)
         m *= ADAM_BETA1
         m += buf
@@ -324,4 +299,3 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
         if not np.isfinite(new).all():
             raise InvariantError(f"tensor {name} became non-finite after update")
         tensor[...] = new
-    return params

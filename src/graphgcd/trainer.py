@@ -8,9 +8,10 @@ Checkpoint layout (little-endian), all of it produced and consumed here:
     per tensor: uint16 name length | name UTF-8 | uint8 rank |
                 uint32 dim per axis | float32 row-major payload
 
-Tensors are written in a fixed order: trainable tensors as "param/<name>",
+Tensors are written in a fixed order: the parameters as "param/<name>",
 Adam moments as "adam.m/<name>" and "adam.v/<name>", each group in the
-order and shapes of neural_core.param_shapes, then "meta/progress" holding
+params dict's order, which init, load and resume hold to the order and
+shapes of neural_core.param_shapes, then "meta/progress" holding
 seed, epoch, and Adam step as exact 16-bit chunks (each chunk is an integer
 below 2^16, representable in float32 without rounding). Nothing in
 the file depends on wall-clock time, so identical runs produce identical
@@ -21,7 +22,7 @@ resuming from a checkpoint reproduces an uninterrupted run bit for bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import FormatError, InputError, InvariantError, NonFiniteError, Num
 from .losses import Batch, loss_total, sample_triplets
 from .neural_core import (
     AdamState,
-    ModelParams,
+    Params,
     adam_step,
     gcn_backward,
     gcn_forward,
@@ -66,7 +67,8 @@ class EpochRecord:
 
 @dataclass
 class TrainState:
-    params: ModelParams
+    params: Params
+    adam: AdamState
     epoch: int
     config: RunConfig
     trace: list[EpochRecord] = field(default_factory=list)
@@ -99,20 +101,22 @@ def train(
     labels = labeled.labels
 
     if state is None:
-        params = init_params(
+        params, adam = init_params(
             input_dim=labeled.dim,
             hidden_dim=config.hidden_dim,
             known_class_count=known,
             gcn_layers=config.gcn_layers,
             seed=np.random.SeedSequence([int(config.seed), 0]),
         )
-        state = TrainState(params=params, epoch=0, config=config)
+        state = TrainState(params=params, adam=adam, epoch=0, config=config)
     else:
-        got = {name: t.shape for name, t in state.params.named_tensors().items()}
-        expect = param_shapes(labeled.dim, config.hidden_dim, known, config.gcn_layers)
+        # in order too: the checkpoint is written in the params' dict order
+        got = [(name, t.shape) for name, t in state.params.items()]
+        expect = list(param_shapes(labeled.dim, config.hidden_dim, known,
+                                   config.gcn_layers).items())
         if got != expect:
-            raise InvariantError(f"checkpoint tensor shapes {got} do not match config {expect}")
-        state = TrainState(params=state.params, epoch=state.epoch, config=config)
+            raise InvariantError(f"checkpoint tensors {got} do not match config layout {expect}")
+        state = replace(state, config=config, trace=[])
     if state.epoch > config.epochs:
         raise InputError(
             f"checkpoint is at epoch {state.epoch}, beyond configured {config.epochs}"
@@ -134,7 +138,7 @@ def train(
             idx = order[start : start + config.batch_size]
             ybar, gcn_tr = gcn_forward(graph, h0, state.params)
             z, proj_tr = projector_forward(x[idx], state.params)
-            t, prompt_tr = normalize_rows(state.params.prompt_vectors)
+            t, prompt_tr = normalize_rows(state.params["prompt.t"])
             batch = Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t)
             batch.validate()
             triplets = sample_triplets(labels[idx], rng)
@@ -146,8 +150,8 @@ def train(
             gcn_grads, _ = gcn_backward(gcn_tr, grads.ybar)
             proj_grads, _ = projector_backward(proj_tr, grads.z)
             g_prompt = normalize_rows_backward(prompt_tr, grads.t)
-            adam_step(state.params, {**gcn_grads, **proj_grads, "prompt.t": g_prompt},
-                      config.learn_rate)
+            adam_step(state.params, state.adam,
+                      {**gcn_grads, **proj_grads, "prompt.t": g_prompt}, config.learn_rate)
             sums += (parts["l_cma"], parts["l_sdp"], parts["l_cs"], parts["l_tot"])
             steps += 1
         mean = sums / max(steps, 1)
@@ -175,11 +179,10 @@ def _unchunk16(chunks) -> int:
 
 def save_checkpoint(state: TrainState, path) -> None:
     """Write params, Adam state, and progress meta to a GVLP file."""
-    named = state.params.named_tensors()
-    groups = (named, state.params.adam.m, state.params.adam.v)
+    groups = (state.params, state.adam.m, state.adam.v)
     tensors = [(f"{prefix}/{name}", np.asarray(group[name], dtype=np.float32))
-               for prefix, group in zip(_GROUPS, groups) for name in named]
-    progress = [c for v in (state.config.seed, state.epoch, state.params.adam.step)
+               for prefix, group in zip(_GROUPS, groups) for name in state.params]
+    progress = [c for v in (state.config.seed, state.epoch, state.adam.step)
                 for c in _chunks16(v)]
     tensors.append(("meta/progress", np.asarray(progress, dtype=np.float32)))
 
@@ -239,8 +242,8 @@ def load_checkpoint(path) -> TrainState:
         raise FormatError(f"{path}: tensor 'param/prompt.t' has shape {prompt_shape}, "
                           "not (classes, dim)")
     layout = param_shapes(prompt_shape[1], config.hidden_dim, prompt_shape[0], config.gcn_layers)
-    named, m, v = ({name: pull(f"{prefix}/{name}", shape) for name, shape in layout.items()}
-                   for prefix in _GROUPS)
+    params, m, v = ({name: pull(f"{prefix}/{name}", shape) for name, shape in layout.items()}
+                    for prefix in _GROUPS)
     if shape_of("meta/progress") != (12,):
         raise FormatError(f"{path}: meta/progress must hold 12 values")
     progress = tensors.pop("meta/progress")
@@ -252,6 +255,5 @@ def load_checkpoint(path) -> TrainState:
     seed = _unchunk16(progress[0:4])
     if seed != config.seed:
         raise FormatError(f"{path}: progress seed {seed} disagrees with config {config.seed}")
-    params = ModelParams.from_named(named)
-    params.adam = AdamState(m, v, step=_unchunk16(progress[8:12]))
-    return TrainState(params=params, epoch=_unchunk16(progress[4:8]), config=config)
+    return TrainState(params=params, adam=AdamState(m, v, step=_unchunk16(progress[8:12])),
+                      epoch=_unchunk16(progress[4:8]), config=config)

@@ -255,14 +255,15 @@ def plain_similarity_features(x, params, graph, h0) -> np.ndarray:
     any product.
     """
     h = np.asarray(h0, dtype=np.float64)
-    weights = [np.asarray(w, dtype=np.float64) for w in params.gcn_weights]
+    weights = [np.asarray(params[f"gcn.w{i}"], dtype=np.float64)
+               for i in range(sum(name.startswith("gcn.") for name in params))]
     for i, w in enumerate(weights):
         h = (graph.norm_adjacency @ h) @ w
         if i < len(weights) - 1:
             h = np.maximum(h, 0.0)
     ybar = h / np.linalg.norm(h, axis=1, keepdims=True)
     w1, b1, w2, b2 = (np.asarray(t, dtype=np.float64) for t in
-                      (params.proj_w1, params.proj_b1, params.proj_w2, params.proj_b2))
+                      (params["proj.w1"], params["proj.b1"], params["proj.w2"], params["proj.b2"]))
     out = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
     z = out / np.linalg.norm(out, axis=1, keepdims=True)
     return np.clip(z @ ybar.T, -1.0, 1.0)

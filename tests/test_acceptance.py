@@ -28,7 +28,6 @@ from graphgcd.evaluation import split_accuracy
 from graphgcd.losses import Batch, loss_cma, loss_cs, loss_sdp, loss_total
 from graphgcd.neural_core import (
     AdamState,
-    ModelParams,
     gcn_backward,
     gcn_forward,
     gcn_layer_dims,
@@ -171,14 +170,10 @@ def _check_total(rng):
 
 
 def _dummy_params(weights, d):
-    return ModelParams(
-        gcn_weights=weights,
-        proj_w1=np.zeros((d, d)),
-        proj_b1=np.zeros(d),
-        proj_w2=np.zeros((d, d)),
-        proj_b2=np.zeros(d),
-        prompt_vectors=np.zeros((1, d)),
-    )
+    return {**{f"gcn.w{i}": w for i, w in enumerate(weights)},
+            "proj.w1": np.zeros((d, d)), "proj.b1": np.zeros(d),
+            "proj.w2": np.zeros((d, d)), "proj.b2": np.zeros(d),
+            "prompt.t": np.zeros((1, d))}
 
 
 def _check_gcn(rng, layers):
@@ -230,19 +225,18 @@ def _check_projector(rng):
     n, din, hid = 3, 4, 5
     for _ in range(500):
         x = rng.normal(size=(n, din))
-        params = ModelParams(
-            gcn_weights=[],
-            proj_w1=rng.normal(size=(din, hid)),
-            proj_b1=rng.normal(size=hid),
-            proj_w2=rng.normal(size=(hid, din)),
-            proj_b2=rng.normal(size=din),
-            prompt_vectors=np.zeros((1, din)),
-        )
+        params = {
+            "proj.w1": rng.normal(size=(din, hid)),
+            "proj.b1": rng.normal(size=hid),
+            "proj.w2": rng.normal(size=(hid, din)),
+            "proj.b2": rng.normal(size=din),
+            "prompt.t": np.zeros((1, din)),
+        }
         try:
             z, trace = projector_forward(x, params)
         except NumericError:
             continue
-        pre1 = x @ params.proj_w1 + params.proj_b1
+        pre1 = x @ params["proj.w1"] + params["proj.b1"]
         if np.abs(pre1).min() > KINK_MARGIN and trace.norm.norms.min() > MIN_ROW_NORM:
             break
     else:
@@ -251,27 +245,14 @@ def _check_projector(rng):
     g_out = rng.normal(size=z.shape)
     grads, gx = projector_backward(trace, g_out)
 
-    def scalar(xv, w1, b1, w2, b2):
-        p = ModelParams([], w1, b1, w2, b2, np.zeros((1, din)))
-        out, _ = projector_forward(xv, p)
-        return float((out * g_out).sum())
-
-    pieces = {
-        "x": (x, gx),
-        "w1": (params.proj_w1, grads["proj.w1"]),
-        "b1": (params.proj_b1, grads["proj.b1"]),
-        "w2": (params.proj_w2, grads["proj.w2"]),
-        "b2": (params.proj_b2, grads["proj.b2"]),
-    }
+    pieces = {"x": (x, gx), **{name: (params[name], grads[name])
+                               for name in ("proj.w1", "proj.b1", "proj.w2", "proj.b2")}}
     worst = 0.0
     for name, (base, analytic) in pieces.items():
         def f(flat, name=name):
-            vals = {
-                "x": x, "w1": params.proj_w1, "b1": params.proj_b1,
-                "w2": params.proj_w2, "b2": params.proj_b2,
-            }
-            vals[name] = flat.reshape(base.shape)
-            return scalar(vals["x"], vals["w1"], vals["b1"], vals["w2"], vals["b2"])
+            vals = {"x": x, **params, name: flat.reshape(base.shape)}
+            out, _ = projector_forward(vals.pop("x"), vals)
+            return float((out * g_out).sum())
 
         fd = fd_gradient(f, np.asarray(base, dtype=np.float64).ravel().copy()).reshape(base.shape)
         worst = max(worst, grad_error(analytic, fd))
@@ -577,15 +558,15 @@ def _random_state(rng):
         hidden_dim=hidden,
         temperature=float(10.0 ** rng.uniform(-2, 2)),
     )
-    params = init_params(d, hidden, known, layers, seed=rng)
-    for t in params.named_tensors().values():
+    params = init_params(d, hidden, known, layers, seed=rng)[0]
+    for t in params.values():
         t[...] = rng.normal(size=t.shape).astype(np.float32)
-    params.adam = AdamState(
-        m={k: rng.normal(size=v.shape).astype(np.float32) for k, v in params.named_tensors().items()},
-        v={k: np.abs(rng.normal(size=v.shape)).astype(np.float32) for k, v in params.named_tensors().items()},
+    adam = AdamState(
+        m={k: rng.normal(size=v.shape).astype(np.float32) for k, v in params.items()},
+        v={k: np.abs(rng.normal(size=v.shape)).astype(np.float32) for k, v in params.items()},
         step=int(rng.integers(0, 2**40)),
     )
-    return TrainState(params=params, epoch=int(rng.integers(0, 2**20)), config=config)
+    return TrainState(params=params, adam=adam, epoch=int(rng.integers(0, 2**20)), config=config)
 
 
 def test_criterion_8_format_roundtrips(tmp_path):
@@ -610,15 +591,15 @@ def test_criterion_8_format_roundtrips(tmp_path):
         back = load_checkpoint(path)
         assert back.config == state.config, f"GVLP config {i}"
         assert back.epoch == state.epoch
-        assert back.params.adam.step == state.params.adam.step
-        named, named_back = state.params.named_tensors(), back.params.named_tensors()
-        assert named.keys() == named_back.keys()
+        assert back.adam.step == state.adam.step
+        named, named_back = state.params, back.params
+        assert list(named) == list(named_back)
         for name in named:
             assert np.asarray(named_back[name]).tobytes() == np.asarray(named[name]).tobytes(), (
                 f"GVLP tensor {name} {i}"
             )
-            assert back.params.adam.m[name].tobytes() == state.params.adam.m[name].tobytes()
-            assert back.params.adam.v[name].tobytes() == state.params.adam.v[name].tobytes()
+            assert back.adam.m[name].tobytes() == state.adam.m[name].tobytes()
+            assert back.adam.v[name].tobytes() == state.adam.v[name].tobytes()
 
     line = outcome(
         "criterion 8 format round-trips", True, "100 GVLE + 100 GVLP artifacts identical"

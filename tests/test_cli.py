@@ -707,6 +707,26 @@ def test_eval_rejects_unscorable_inputs_before_any_write(ws, ws_assignments, tmp
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["rows", "rows+1"])
+def test_eval_known_is_bounded_by_the_assignment_rows(ws, ws_assignments, tmp_path, capsys,
+                                                      extra):
+    # the scoring table is --known columns wide, so the rows bound --known as they
+    # bound the cluster ids
+    rows = len(ws_assignments.read_text().splitlines()) - 1
+    out = tmp_path / "e"
+    rc = cli.main(["eval", "--assignments", str(ws_assignments),
+                   "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
+                   "--known", str(rows + extra), "--out-dir", str(out)])
+    if extra:
+        assert rc == 2
+        assert capsys.readouterr().err == (f"graphgcd: InputError: --known {rows + 1} exceeds "
+                                           f"the {rows} rows of {ws_assignments}\n")
+        assert list(out.iterdir()) == []
+    else:
+        assert rc == 0
+        assert (out / "report.csv").exists()
+
+
 def test_eval_missing_assignments_file(ws, tmp_path):
     rc = cli.main([
         "eval", "--assignments", str(tmp_path / "nope.csv"),

@@ -42,12 +42,12 @@ def test_similarity_features_pinned_projector():
     d = 4
     class_emb = np.eye(d, dtype=np.float32)
     graph = build_knn_graph(class_emb, k=1)
-    params = init_params(d, d, d, gcn_layers=0, seed=0)
-    params.proj_w1[:] = 0.0
-    params.proj_b1[:] = 0.0
-    params.proj_w2[:] = 0.0
-    params.proj_b2[:] = 0.0
-    params.proj_b2[3] = 1.0
+    params = init_params(d, d, d, gcn_layers=0, seed=0)[0]
+    params["proj.w1"][:] = 0.0
+    params["proj.b1"][:] = 0.0
+    params["proj.w2"][:] = 0.0
+    params["proj.b2"][:] = 0.0
+    params["proj.b2"][3] = 1.0
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, d)).astype(np.float32)
@@ -64,7 +64,7 @@ def test_similarity_features_identical_inputs_identical_rows():
     ce = rng.normal(size=(c, d))
     class_emb = (ce / np.linalg.norm(ce, axis=1, keepdims=True)).astype(np.float32)
     graph = build_knn_graph(class_emb, k=2)
-    params = init_params(d, 8, c, gcn_layers=2, seed=5)
+    params = init_params(d, 8, c, gcn_layers=2, seed=5)[0]
     row = rng.normal(size=d)
     row /= np.linalg.norm(row)
     x = np.stack([row, row]).astype(np.float32)
@@ -81,7 +81,7 @@ def test_similarity_features_bounded_and_matches_pairwise_cosine():
     ce /= np.linalg.norm(ce, axis=1, keepdims=True)
     class_emb = ce.astype(np.float32)
     graph = build_knn_graph(class_emb, k=2)
-    params = init_params(d, 6, c, gcn_layers=1, seed=3)
+    params = init_params(d, 6, c, gcn_layers=1, seed=3)[0]
     x = rng.normal(size=(n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x = x.astype(np.float32)
@@ -101,7 +101,7 @@ def _feature_inputs(n, d, hidden, c, seed=4):
     rng = np.random.default_rng(seed)
     class_emb = rng.normal(size=(c, d)).astype(np.float32)
     graph = build_knn_graph(class_emb, k=3)
-    params = init_params(d, hidden, c, gcn_layers=2, seed=0)
+    params = init_params(d, hidden, c, gcn_layers=2, seed=0)[0]
     return rng.normal(size=(n, d)).astype(np.float32), params, graph, class_emb
 
 
@@ -127,7 +127,7 @@ def test_cluster_features_equal_features_of_both_sets_stacked():
 
     # cluster-heavy's shape: 1500 labeled rows, 3000 unlabeled rows, 25 known classes
     labeled, unlabeled, class_emb = generate_synthetic(50, 25, 60, 128, 4.0, seed=1)
-    state = SimpleNamespace(params=init_params(128, 128, 25, gcn_layers=2, seed=0),
+    state = SimpleNamespace(params=init_params(128, 128, 25, gcn_layers=2, seed=0)[0],
                             config=SimpleNamespace(knn_k=3))
     features, labels = cluster_features(state, labeled, unlabeled, class_emb)
     graph = build_knn_graph(class_emb.data, 3)

@@ -17,7 +17,6 @@ from graphgcd.clustering import similarity_features
 from graphgcd.embed_io import RunConfig, generate_synthetic
 from graphgcd.losses import Batch, loss_cma, loss_cs, loss_sdp, loss_total, sample_triplets
 from graphgcd.neural_core import (
-    ModelParams,
     adam_step,
     gcn_backward,
     gcn_forward,
@@ -61,8 +60,7 @@ def _inputs(dtype, seed=0):
     graph = SemanticGraph(g.adjacency, g.norm_adjacency.astype(dtype))
     x = rng.normal(size=(B, D)).astype(np.float32).astype(dtype)
     y = rng.integers(0, C, size=B)
-    named = init_params(D, HIDDEN, C, 2, seed).named_tensors()
-    params = ModelParams.from_named({k: t.astype(dtype) for k, t in named.items()})
+    params = {k: t.astype(dtype) for k, t in init_params(D, HIDDEN, C, 2, seed)[0].items()}
     return graph, ce.astype(dtype), x, y, params
 
 
@@ -71,7 +69,7 @@ def _step(graph, h0, x, y, params, seed=0):
     returns every result in order and the parameter gradients by name."""
     ybar, gcn_tr = gcn_forward(graph, h0, params)
     z, proj_tr = projector_forward(x, params)
-    t, prompt_tr = normalize_rows(params.prompt_vectors)
+    t, prompt_tr = normalize_rows(params["prompt.t"])
     triplets = sample_triplets(y, np.random.default_rng(seed))
     loss, grads, parts = loss_total(Batch(z=z, y_idx=y, ybar=ybar, t=t), triplets, 0.3, 0.1)
     gw, gh0 = gcn_backward(gcn_tr, grads.ybar)
@@ -104,13 +102,13 @@ def test_each_loss_computes_in_its_operands_dtype(dtype):
 
 
 def test_adam_step_in_float32_keeps_params_and_moments_float32():
-    params = init_params(D, HIDDEN, C, 2, 0)
+    params, adam = init_params(D, HIDDEN, C, 2, 0)
     grads = _step(*_inputs(np.float32))[2]
     for _ in range(3):
-        adam_step(params, grads, lr=1e-3)
-    for name, t in params.named_tensors().items():
-        assert t.dtype == params.adam.m[name].dtype == params.adam.v[name].dtype == np.float32
-        assert params.adam.m[name].any() and params.adam.v[name].any()
+        adam_step(params, adam, grads, lr=1e-3)
+    for name, t in params.items():
+        assert t.dtype == adam.m[name].dtype == adam.v[name].dtype == np.float32
+        assert adam.m[name].any() and adam.v[name].any()
 
 
 def test_any_float64_operand_gives_float64():
@@ -119,8 +117,8 @@ def test_any_float64_operand_gives_float64():
     g64 = SemanticGraph(graph.adjacency, graph.norm_adjacency.astype(np.float64))
     assert _float_dtypes(gcn_forward(g64, h0, params)[0]) == {f64}
     assert _float_dtypes(gcn_forward(graph, h0.astype(np.float64), params)[0]) == {f64}
-    for name in ("proj_w1", "proj_b1", "proj_w2", "proj_b2"):
-        p64 = dataclasses.replace(params, **{name: getattr(params, name).astype(np.float64)})
+    for name in ("proj.w1", "proj.b1", "proj.w2", "proj.b2"):
+        p64 = {**params, name: params[name].astype(np.float64)}
         assert projector_forward(x, p64)[0].dtype == f64, name
     assert projector_forward(x.astype(np.float64), params)[0].dtype == f64
     # a step fed a float64 h0 is float64 from the GCN on, and so are its gradients
@@ -151,7 +149,7 @@ def test_float32_gradients_match_float64_ones(seed):
 def test_similarity_features_stay_float64_on_float32_inputs(layers):
     # with no GCN layer, a float32 h0 would reach the anchors uncast
     _, h0, x, _, _ = _inputs(np.float32)
-    params = init_params(D, HIDDEN, C, layers, 0)
+    params = init_params(D, HIDDEN, C, layers, 0)[0]
     graph = build_knn_graph(h0, 2)  # as the CLI builds it: float64 propagation
     feats = similarity_features(x, params, graph, h0)
     assert feats.dtype == np.float64

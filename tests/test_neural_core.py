@@ -5,7 +5,7 @@ from graphgcd.errors import InvariantError, NumericError
 from graphgcd.neural_core import (
     ADAM_BETA1,
     ADAM_BETA2,
-    ModelParams,
+    AdamState,
     adam_step,
     gcn_backward,
     gcn_forward,
@@ -26,8 +26,12 @@ def _graph_from_norm(norm: np.ndarray) -> SemanticGraph:
     return SemanticGraph(adjacency=(norm > 0).astype(np.int8), norm_adjacency=norm)
 
 
-def _params(d=3, hidden=4, classes=3, layers=2, seed=0) -> ModelParams:
+def _init(d=3, hidden=4, classes=3, layers=2, seed=0) -> tuple[dict, AdamState]:
     return init_params(d, hidden, classes, layers, np.random.default_rng(seed))
+
+
+def _params(**kw) -> dict:
+    return _init(**kw)[0]
 
 
 # -- init --------------------------------------------------------------------
@@ -40,27 +44,16 @@ def test_layer_dims_by_depth():
 
 
 def test_init_glorot_bounds_and_zero_biases():
-    p = _params(d=6, hidden=9, classes=4, layers=2)
+    p, adam = _init(d=6, hidden=9, classes=4, layers=2)
     limit01 = np.sqrt(6.0 / (6 + 9))
-    assert np.abs(p.gcn_weights[0]).max() <= limit01
-    assert np.abs(p.proj_w1).max() <= limit01
-    assert not p.proj_b1.any() and not p.proj_b2.any()
-    assert p.prompt_vectors.shape == (4, 6)
-    assert p.adam.step == 0
-    for name, t in p.named_tensors().items():
-        assert not p.adam.m[name].any() and not p.adam.v[name].any()
-        assert p.adam.m[name].shape == np.asarray(t).shape
-
-
-@pytest.mark.parametrize("layers", [0, 1, 2, 3])
-def test_param_shapes_is_the_layout_of_init_and_named_tensors(layers):
-    p = _params(d=5, hidden=7, classes=3, layers=layers)
-    named = p.named_tensors()
-    assert {n: t.shape for n, t in named.items()} == param_shapes(5, 7, 3, layers)
-    assert list(named) == list(param_shapes(5, 7, 3, layers))
-    back = ModelParams.from_named(named).named_tensors()
-    assert list(back) == list(named)
-    assert all(back[n] is named[n] for n in named)
+    assert np.abs(p["gcn.w0"]).max() <= limit01
+    assert np.abs(p["proj.w1"]).max() <= limit01
+    assert not p["proj.b1"].any() and not p["proj.b2"].any()
+    assert p["prompt.t"].shape == (4, 6)
+    assert adam.step == 0
+    for name, t in p.items():
+        assert not adam.m[name].any() and not adam.v[name].any()
+        assert adam.m[name].shape == np.asarray(t).shape
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2, 3])
@@ -73,7 +66,7 @@ def test_backward_gradients_are_keyed_by_the_layout(layers):
     z, proj_tr = projector_forward(rng.normal(size=(4, 5)), p)
     gcn, _ = gcn_backward(gcn_tr, rng.normal(size=ybar.shape))
     proj, _ = projector_backward(proj_tr, rng.normal(size=z.shape))
-    t, prompt_tr = normalize_rows(p.prompt_vectors)
+    t, prompt_tr = normalize_rows(p["prompt.t"])
     named = {**gcn, **proj, "prompt.t": normalize_rows_backward(prompt_tr, t)}
     assert list(gcn) == [f"gcn.w{l}" for l in range(layers)]
     assert {n: t.shape for n, t in named.items()} == param_shapes(5, 7, 3, layers)
@@ -85,23 +78,22 @@ def test_backward_gradients_are_keyed_by_the_layout(layers):
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_init_params_matches_explicit_order_oracle(layers, d, hidden, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    params = init_params(d, hidden, 4, layers, ours)
+    named, adam = init_params(d, hidden, 4, layers, ours)
     expect = plain_init_params(d, hidden, 4, layers, theirs)
-    named = params.named_tensors()
     assert list(named) == list(expect)
     for name, t in expect.items():
         assert named[name].dtype == np.float32 and np.array_equal(named[name], t), name
-        for moments in (params.adam.m, params.adam.v):
+        for moments in (adam.m, adam.v):
             assert moments[name].dtype == np.float32, name
             assert np.array_equal(moments[name], np.zeros_like(t)), name
-    assert params.adam.step == 0
+    assert adam.step == 0
     # both consumed the generator equally: the next draw agrees
     assert ours.random() == theirs.random()
 
 
 def test_init_deterministic():
     a, b = _params(seed=11), _params(seed=11)
-    for (na, ta), (nb, tb) in zip(a.named_tensors().items(), b.named_tensors().items()):
+    for (na, ta), (nb, tb) in zip(a.items(), b.items()):
         assert na == nb
         np.testing.assert_array_equal(ta, tb)
 
@@ -185,7 +177,7 @@ def test_gcn_identity_composition():
     g = _graph_from_norm(np.eye(2))
     h0 = np.asarray([[1.0, 0.0], [0.6, 0.8]])
     p = _params(d=2, classes=2, layers=1)
-    p.gcn_weights = [np.eye(2)]
+    p["gcn.w0"] = np.eye(2)
     ybar, _ = gcn_forward(g, h0, p)
     np.testing.assert_allclose(ybar, h0, atol=1e-12)
 
@@ -194,7 +186,7 @@ def test_gcn_two_node_averaging():
     g = _graph_from_norm(np.full((2, 2), 0.5))
     h0 = np.eye(2)
     p = _params(d=2, classes=2, layers=1)
-    p.gcn_weights = [np.eye(2)]
+    p["gcn.w0"] = np.eye(2)
     ybar, trace = gcn_forward(g, h0, p)
     np.testing.assert_allclose(trace.pres[0], np.full((2, 2), 0.5))
     np.testing.assert_allclose(ybar, np.full((2, 2), np.sqrt(0.5)), atol=1e-12)
@@ -266,7 +258,7 @@ def test_relu_dead_unit_has_zero_weight_column_grad():
     g = _graph_from_norm(np.eye(3))
     p = _params(d=2, hidden=2, classes=3, layers=2, seed=0)
     w0 = np.asarray([[1.0, -1.0], [1.0, -1.0]])  # unit 1 always negative
-    p.gcn_weights = [w0, np.eye(2)]
+    p["gcn.w0"], p["gcn.w1"] = w0, np.eye(2)
     h0 = np.abs(np.random.default_rng(7).normal(size=(3, 2))) + 0.1
     _, trace = gcn_forward(g, h0, p)
     assert (trace.pres[0][:, 1] < 0).all()
@@ -281,7 +273,8 @@ def _fd_check_gcn(layers: int, seed: int) -> float:
         h0 = rng.normal(size=(c, d))
         p = _params(d=d, hidden=hidden, classes=c, layers=layers,
                     seed=int(rng.integers(2**31)))
-        p.gcn_weights = [np.asarray(w, dtype=np.float64) * 3 for w in p.gcn_weights]
+        for li in range(layers):
+            p[f"gcn.w{li}"] = np.asarray(p[f"gcn.w{li}"], dtype=np.float64) * 3
         graph = build_knn_graph(rng.normal(size=(c, d)), 2)
         try:
             out, trace = gcn_forward(graph, h0, p)
@@ -303,15 +296,10 @@ def _fd_check_gcn(layers: int, seed: int) -> float:
     worst = grad_error(gh0, fd_gradient(f_h0, h0))
     for li in range(layers):
         def f_w(q, li=li):
-            saved = p.gcn_weights[li]
-            p.gcn_weights[li] = q
-            try:
-                o, _ = gcn_forward(graph, h0, p)
-            finally:
-                p.gcn_weights[li] = saved
+            o, _ = gcn_forward(graph, h0, {**p, f"gcn.w{li}": q})
             return float((o * probe).sum())
 
-        worst = max(worst, grad_error(gw[f"gcn.w{li}"], fd_gradient(f_w, p.gcn_weights[li])))
+        worst = max(worst, grad_error(gw[f"gcn.w{li}"], fd_gradient(f_w, p[f"gcn.w{li}"])))
     return worst
 
 
@@ -325,8 +313,8 @@ def test_gcn_backward_matches_finite_differences(layers):
 
 def test_projector_identity_pipe():
     p = _params(d=2, hidden=2, classes=2, layers=1)
-    p.proj_w1 = np.eye(2, dtype=np.float32)
-    p.proj_w2 = np.eye(2, dtype=np.float32)
+    p["proj.w1"] = np.eye(2, dtype=np.float32)
+    p["proj.w2"] = np.eye(2, dtype=np.float32)
     x = np.asarray([[0.6, 0.8]])
     z, _ = projector_forward(x, p)
     np.testing.assert_allclose(z, x, atol=1e-7)
@@ -334,9 +322,9 @@ def test_projector_identity_pipe():
 
 def test_projector_bias_only_normalization():
     p = _params(d=2, hidden=3, classes=2, layers=1)
-    p.proj_w1 = np.zeros((2, 3), dtype=np.float32)
-    p.proj_w2 = np.zeros((3, 2), dtype=np.float32)
-    p.proj_b2 = np.asarray([3.0, 4.0], dtype=np.float32)
+    p["proj.w1"] = np.zeros((2, 3), dtype=np.float32)
+    p["proj.w2"] = np.zeros((3, 2), dtype=np.float32)
+    p["proj.b2"] = np.asarray([3.0, 4.0], dtype=np.float32)
     z, _ = projector_forward(np.random.default_rng(0).normal(size=(5, 2)), p)
     np.testing.assert_allclose(z, np.tile([0.6, 0.8], (5, 1)), atol=1e-7)
 
@@ -371,13 +359,13 @@ def test_projector_backward_matches_finite_differences():
         for _ in range(200):
             p = _params(d=d, hidden=hidden, classes=2, layers=1,
                         seed=int(rng.integers(2**31)))
-            p.proj_w1 = (np.asarray(p.proj_w1, dtype=np.float64) * 3)
-            p.proj_w2 = (np.asarray(p.proj_w2, dtype=np.float64) * 3)
-            p.proj_b1 = rng.normal(size=hidden) * 0.5
-            p.proj_b2 = rng.normal(size=d) * 0.5
+            p["proj.w1"] = (np.asarray(p["proj.w1"], dtype=np.float64) * 3)
+            p["proj.w2"] = (np.asarray(p["proj.w2"], dtype=np.float64) * 3)
+            p["proj.b1"] = rng.normal(size=hidden) * 0.5
+            p["proj.b2"] = rng.normal(size=d) * 0.5
             x = rng.normal(size=(b, d))
             z, trace = projector_forward(x, p)
-            pre1 = x @ p.proj_w1 + p.proj_b1
+            pre1 = x @ p["proj.w1"] + p["proj.b1"]
             if np.abs(pre1).min() > 1e-2 and trace.norm.norms.min() > 0.3:
                 break
         else:
@@ -386,171 +374,157 @@ def test_projector_backward_matches_finite_differences():
         grads, gx = projector_backward(trace, probe)
 
         def run(**kw):
-            saved = {k: getattr(p, "proj_" + k) for k in ("w1", "b1", "w2", "b2")}
             xv = kw.pop("x", x)
-            for k, v in kw.items():
-                setattr(p, "proj_" + k, v)
-            try:
-                o, _ = projector_forward(xv, p)
-            finally:
-                for k, v in saved.items():
-                    setattr(p, "proj_" + k, v)
+            o, _ = projector_forward(xv, {**p, **{"proj." + k: v for k, v in kw.items()}})
             return float((o * probe).sum())
 
         assert grad_error(gx, fd_gradient(lambda q: run(x=q), x)) < 1e-4
         for name in ("w1", "b1", "w2", "b2"):
-            cur = np.asarray(getattr(p, "proj_" + name), dtype=np.float64)
+            cur = np.asarray(p["proj." + name], dtype=np.float64)
             num = fd_gradient(lambda q, nm=name: run(**{nm: q}), cur)
             assert grad_error(grads["proj." + name], num) < 1e-4
 
 
 # -- Adam --------------------------------------------------------------------
 
-def _tiny_params() -> ModelParams:
-    p = _params(d=2, hidden=2, classes=2, layers=1, seed=1)
-    return p
+def _tiny() -> tuple[dict, AdamState]:
+    return _init(d=2, hidden=2, classes=2, layers=1, seed=1)
 
 
-def _zero_grads(p: ModelParams) -> dict:
-    return {k: np.zeros_like(np.asarray(t, dtype=np.float64))
-            for k, t in p.named_tensors().items()}
+def _zero_grads(p: dict) -> dict:
+    return {k: np.zeros_like(np.asarray(t, dtype=np.float64)) for k, t in p.items()}
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = _tiny_params()
-    before = {k: np.asarray(t).copy() for k, t in p.named_tensors().items()}
-    adam_step(p, _zero_grads(p), lr=0.01)
-    for k, t in p.named_tensors().items():
+    p, adam = _tiny()
+    before = {k: np.asarray(t).copy() for k, t in p.items()}
+    adam_step(p, adam, _zero_grads(p), lr=0.01)
+    for k, t in p.items():
         np.testing.assert_array_equal(np.asarray(t), before[k])
-    assert p.adam.step == 1
+    assert adam.step == 1
 
 
 def test_adam_moments_decay_toward_zero():
-    p = _tiny_params()
+    p, adam = _tiny()
     grads = _zero_grads(p)
     grads["proj.b1"] = np.ones(2)
-    adam_step(p, grads, lr=0.01)
-    m1 = p.adam.m["proj.b1"].copy()
-    v1 = p.adam.v["proj.b1"].copy()
-    adam_step(p, _zero_grads(p), lr=0.01)
-    np.testing.assert_allclose(p.adam.m["proj.b1"], m1 * ADAM_BETA1, rtol=1e-6)
-    np.testing.assert_allclose(p.adam.v["proj.b1"], v1 * ADAM_BETA2, rtol=1e-6)
+    adam_step(p, adam, grads, lr=0.01)
+    m1 = adam.m["proj.b1"].copy()
+    v1 = adam.v["proj.b1"].copy()
+    adam_step(p, adam, _zero_grads(p), lr=0.01)
+    np.testing.assert_allclose(adam.m["proj.b1"], m1 * ADAM_BETA1, rtol=1e-6)
+    np.testing.assert_allclose(adam.v["proj.b1"], v1 * ADAM_BETA2, rtol=1e-6)
 
 
 def test_adam_first_step_is_signlike():
-    p = _tiny_params()
-    before = np.asarray(p.proj_b1).copy()
+    p, adam = _tiny()
+    before = np.asarray(p["proj.b1"]).copy()
     grads = _zero_grads(p)
     grads["proj.b1"] = np.asarray([0.5, -2.0])
-    adam_step(p, grads, lr=0.01)
+    adam_step(p, adam, grads, lr=0.01)
     # bias correction makes the first update exactly lr * g / (|g| + eps')
     np.testing.assert_allclose(
-        np.asarray(p.proj_b1) - before, [-0.01, 0.01], atol=1e-6
+        np.asarray(p["proj.b1"]) - before, [-0.01, 0.01], atol=1e-6
     )
 
 
 def test_adam_deterministic():
-    a, b = _tiny_params(), _tiny_params()
+    (a, adam_a), (b, adam_b) = _tiny(), _tiny()
     grads = _zero_grads(a)
     grads["gcn.w0"] = np.full((2, 2), 0.25)
-    adam_step(a, dict(grads), lr=0.003)
-    adam_step(b, dict(grads), lr=0.003)
-    for (ka, ta), (kb, tb) in zip(a.named_tensors().items(), b.named_tensors().items()):
+    adam_step(a, adam_a, dict(grads), lr=0.003)
+    adam_step(b, adam_b, dict(grads), lr=0.003)
+    for (ka, ta), (kb, tb) in zip(a.items(), b.items()):
         np.testing.assert_array_equal(np.asarray(ta), np.asarray(tb))
 
 
 def test_adam_rejects_nonfinite_grad_and_leaves_state():
-    p = _tiny_params()
-    before = {k: np.asarray(t).copy() for k, t in p.named_tensors().items()}
+    p, adam = _tiny()
+    before = {k: np.asarray(t).copy() for k, t in p.items()}
     grads = _zero_grads(p)
     grads["proj.w2"] = np.full((2, 2), np.nan)
     with pytest.raises(NumericError):
-        adam_step(p, grads, lr=0.01)
-    for k, t in p.named_tensors().items():
+        adam_step(p, adam, grads, lr=0.01)
+    for k, t in p.items():
         np.testing.assert_array_equal(np.asarray(t), before[k])
-    assert p.adam.step == 0
+    assert adam.step == 0
 
 
 def test_adam_strict_key_and_shape_checks():
-    p = _tiny_params()
+    p, adam = _tiny()
     grads = _zero_grads(p)
     del grads["proj.b2"]
     with pytest.raises(InvariantError):
-        adam_step(p, grads, lr=0.01)
+        adam_step(p, adam, grads, lr=0.01)
     grads = _zero_grads(p)
     grads["extra"] = np.zeros(1)
     with pytest.raises(InvariantError):
-        adam_step(p, grads, lr=0.01)
+        adam_step(p, adam, grads, lr=0.01)
     grads = _zero_grads(p)
     grads["proj.b1"] = np.zeros(3)
     with pytest.raises(InvariantError):
-        adam_step(p, grads, lr=0.01)
+        adam_step(p, adam, grads, lr=0.01)
 
 
 @pytest.mark.parametrize("moments", ["adam.m", "adam.v"])
 @pytest.mark.parametrize("fault", ["missing", "shape"])
 def test_adam_rejects_absent_or_misshapen_moments_and_leaves_state(moments, fault):
-    p = _tiny_params()
-    adam_step(p, _zero_grads(p), lr=0.01)
-    held = p.adam.m if moments == "adam.m" else p.adam.v
+    p, adam = _tiny()
+    adam_step(p, adam, _zero_grads(p), lr=0.01)
+    held = adam.m if moments == "adam.m" else adam.v
     if fault == "missing":
         del held["proj.b2"]
         message = rf"{moments} keys do not match tensors: \['proj.b2'\]"
     else:
         held["proj.b2"] = np.zeros(3, dtype=np.float32)
         message = f"{moments} proj.b2 shape"
-    before = {k: np.asarray(t).copy() for k, t in p.named_tensors().items()}
-    m_before = {k: t.copy() for k, t in p.adam.m.items()}
-    v_before = {k: t.copy() for k, t in p.adam.v.items()}
+    before = {k: np.asarray(t).copy() for k, t in p.items()}
+    m_before = {k: t.copy() for k, t in adam.m.items()}
+    v_before = {k: t.copy() for k, t in adam.v.items()}
     with pytest.raises(InvariantError, match=message):
-        adam_step(p, _zero_grads(p), lr=0.01)
-    assert p.adam.step == 1
-    for k, t in p.named_tensors().items():
+        adam_step(p, adam, _zero_grads(p), lr=0.01)
+    assert adam.step == 1
+    for k, t in p.items():
         np.testing.assert_array_equal(t, before[k])
-    for got, want in ((p.adam.m, m_before), (p.adam.v, v_before)):
+    for got, want in ((adam.m, m_before), (adam.v, v_before)):
         assert list(got) == list(want)
         for k, t in got.items():
             np.testing.assert_array_equal(t, want[k])
 
 
 def test_adam_on_params_without_moments_names_them_and_leaves_state():
-    # from_named starts with empty moments, as a caller-built ModelParams would
-    p = ModelParams.from_named(init_params(4, 4, 3, 1, 0).named_tensors())
-    before = {k: t.copy() for k, t in p.named_tensors().items()}
+    # a caller-built state with no moments yet
+    p = init_params(4, 4, 3, 1, 0)[0]
+    adam = AdamState({}, {})
+    before = {k: t.copy() for k, t in p.items()}
     grads = {k: np.ones_like(t) for k, t in before.items()}
     with pytest.raises(InvariantError, match=r"adam.m keys do not match tensors: \['gcn.w0'"):
-        adam_step(p, grads, lr=0.01)
-    assert p.adam.step == 0 and p.adam.m == {} and p.adam.v == {}
-    for k, t in p.named_tensors().items():
+        adam_step(p, adam, grads, lr=0.01)
+    assert adam.step == 0 and adam.m == {} and adam.v == {}
+    for k, t in p.items():
         np.testing.assert_array_equal(t, before[k])
 
 
 def test_adam_moments_stored_in_param_dtype():
-    p = _tiny_params()
+    p, adam = _tiny()
     grads = _zero_grads(p)
     grads["proj.b1"] = np.asarray([0.1, 0.2])
-    adam_step(p, grads, lr=0.01)
-    assert p.adam.m["proj.b1"].dtype == np.float32
-    assert p.adam.v["proj.b1"].dtype == np.float32
+    adam_step(p, adam, grads, lr=0.01)
+    assert adam.m["proj.b1"].dtype == np.float32
+    assert adam.v["proj.b1"].dtype == np.float32
 
 
 def test_adam_updates_tensors_and_moments_in_place():
-    p = _tiny_params()
-    tensors = p.named_tensors()
-    moments = {name: (p.adam.m[name], p.adam.v[name]) for name in tensors}
+    p, adam = _tiny()
+    tensors = dict(p)
+    moments = {name: (adam.m[name], adam.v[name]) for name in tensors}
     grads = {name: np.full(t.shape, 0.5) for name, t in tensors.items()}
     before = {name: t.copy() for name, t in tensors.items()}
-    adam_step(p, grads, lr=0.01)
-    for name, t in p.named_tensors().items():
+    adam_step(p, adam, grads, lr=0.01)
+    for name, t in p.items():
         assert t is tensors[name] and t.dtype == np.float32
         assert not np.array_equal(t, before[name])
         m, v = moments[name]
-        assert p.adam.m[name] is m and p.adam.v[name] is v
+        assert adam.m[name] is m and adam.v[name] is v
         assert m.dtype == v.dtype == np.float32
         assert m.any() and v.any()
-
-
-def test_named_tensors_set_tensor_roundtrip():
-    p = _tiny_params()
-    names = list(p.named_tensors())
-    assert names == ["gcn.w0", "proj.w1", "proj.b1", "proj.w2", "proj.b2", "prompt.t"]

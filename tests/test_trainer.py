@@ -16,7 +16,7 @@ from graphgcd.errors import (
     NumericError,
     TruncatedError,
 )
-from graphgcd.neural_core import init_params
+from graphgcd.neural_core import init_params, param_shapes
 from graphgcd.trainer import (
     EpochRecord,
     TrainState,
@@ -35,13 +35,12 @@ def tiny():
 
 
 def tensors_equal(a, b):
-    na, nb = a.named_tensors(), b.named_tensors()
-    assert na.keys() == nb.keys()
-    for name in na:
-        assert np.asarray(na[name]).tobytes() == np.asarray(nb[name]).tobytes(), name
-    for name in na:
-        assert a.adam.m[name].tobytes() == b.adam.m[name].tobytes(), f"m/{name}"
-        assert a.adam.v[name].tobytes() == b.adam.v[name].tobytes(), f"v/{name}"
+    """Two states' params and Adam moments: same names in the same order, same bytes."""
+    for kind, ga, gb in (("param", a.params, b.params), ("m", a.adam.m, b.adam.m),
+                         ("v", a.adam.v, b.adam.v)):
+        assert list(ga) == list(gb), kind
+        for name in ga:
+            assert np.asarray(ga[name]).tobytes() == np.asarray(gb[name]).tobytes(), f"{kind}/{name}"
     assert a.adam.step == b.adam.step
 
 
@@ -51,14 +50,14 @@ def test_zero_epochs_returns_fresh_init(tiny):
     labeled, class_emb, config = tiny
     config = dataclasses.replace(config, epochs=0)
     state = train(labeled, class_emb, config)
-    fresh = init_params(
+    params, adam = init_params(
         input_dim=labeled.dim,
         hidden_dim=8,
         known_class_count=class_emb.n,
         gcn_layers=config.gcn_layers,
         seed=np.random.SeedSequence([config.seed, 0]),
     )
-    tensors_equal(state.params, fresh)
+    tensors_equal(state, TrainState(params=params, adam=adam, epoch=0, config=config))
     assert state.epoch == 0
     assert state.trace == []
 
@@ -67,7 +66,7 @@ def test_training_is_deterministic(tiny):
     labeled, class_emb, config = tiny
     a = train(labeled, class_emb, config)
     b = train(labeled, class_emb, config)
-    tensors_equal(a.params, b.params)
+    tensors_equal(a, b)
     assert a.trace == b.trace
     assert a.epoch == b.epoch == config.epochs
 
@@ -91,7 +90,7 @@ def test_loss_decreases_over_training(tiny):
 def test_params_stay_float32(tiny):
     labeled, class_emb, config = tiny
     state = train(labeled, class_emb, config)
-    for name, t in state.params.named_tensors().items():
+    for name, t in state.params.items():
         assert np.asarray(t).dtype == np.float32, name
 
 
@@ -116,7 +115,7 @@ def test_resume_matches_uninterrupted_run(tiny, tmp_path):
     resumed = train(
         labeled, class_emb, dataclasses.replace(config, epochs=6), state=load_checkpoint(path)
     )
-    tensors_equal(straight.params, resumed.params)
+    tensors_equal(straight, resumed)
     assert resumed.epoch == 6
     # the in-memory trace restarts at the resume point
     assert [r.epoch for r in resumed.trace] == [3, 4, 5]
@@ -161,7 +160,7 @@ def test_training_with_oracle_sampler_is_identical(tiny, monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "sample_triplets", oracle)
     slow = train(labeled, class_emb, config)
-    tensors_equal(fast.params, slow.params)
+    tensors_equal(fast, slow)
     assert fast.trace == slow.trace
 
 
@@ -216,6 +215,59 @@ def test_resume_validation(tiny):
         train(other_labeled, other_emb, config, state=train(labeled, class_emb, config))
 
 
+def test_resume_rejects_params_out_of_layout_order(tiny):
+    # the checkpoint is written in the params' dict order, so a permuted state
+    # would save other bytes than the run it resumes
+    labeled, class_emb, config = tiny
+    state = train(labeled, class_emb, dataclasses.replace(config, epochs=1))
+    state.params = dict(reversed(state.params.items()))
+    before = {name: t.copy() for name, t in state.params.items()}
+    step = state.adam.step
+    with pytest.raises(InvariantError, match="layout"):
+        train(labeled, class_emb, config, state=state)
+    assert state.adam.step == step and state.epoch == 1
+    for name, t in state.params.items():
+        assert t.tobytes() == before[name].tobytes(), name
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_every_tensor_group_follows_the_layout(tiny, tmp_path, monkeypatch, layers):
+    # params, both moments, every step's gradients and the checkpoint's three
+    # groups hold param_shapes' names and shapes in its order, and a loaded
+    # checkpoint saves back to the same bytes
+    import graphgcd.trainer as trainer_mod
+
+    labeled, class_emb, config = tiny
+    config = dataclasses.replace(config, gcn_layers=layers, epochs=2)
+    layout = param_shapes(labeled.dim, config.hidden_dim, class_emb.n, layers)
+    assert list(layout) == [f"gcn.w{l}" for l in range(layers)] + [
+        "proj.w1", "proj.b1", "proj.w2", "proj.b2", "prompt.t"]
+    expect = list(layout.items())
+
+    def items(group):
+        return [(name, t.shape) for name, t in group.items()]
+
+    params, adam = init_params(labeled.dim, config.hidden_dim, class_emb.n, layers, 0)
+    assert items(params) == items(adam.m) == items(adam.v) == expect
+
+    seen, real_step = [], trainer_mod.adam_step
+
+    def spy(params, adam, grads, lr):
+        seen.append(items(grads))
+        real_step(params, adam, grads, lr)
+
+    monkeypatch.setattr(trainer_mod, "adam_step", spy)
+    state = train(labeled, class_emb, config)
+    assert seen and all(grads == expect for grads in seen)
+
+    first, second = tmp_path / "a.gvlp", tmp_path / "b.gvlp"
+    save_checkpoint(state, first)
+    back = load_checkpoint(first)
+    assert items(back.params) == items(back.adam.m) == items(back.adam.v) == expect
+    save_checkpoint(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 # ---------------------------------------------------------------- checkpoint round-trip
 
 def test_checkpoint_roundtrip_identity(tiny, tmp_path):
@@ -224,7 +276,7 @@ def test_checkpoint_roundtrip_identity(tiny, tmp_path):
     path = tmp_path / "ck.gvlp"
     save_checkpoint(state, path)
     back = load_checkpoint(path)
-    tensors_equal(state.params, back.params)
+    tensors_equal(state, back)
     assert back.epoch == state.epoch
     assert back.config == state.config.resolved(labeled.dim)
     assert back.trace == []
@@ -243,12 +295,12 @@ def test_progress_chunks_roundtrip_large_values(tiny, tmp_path):
     labeled, class_emb, config = tiny
     config = dataclasses.replace(config, epochs=0, seed=123_456_789)
     state = train(labeled, class_emb, config)
-    state.params.adam.step = 70_001  # larger than one 16-bit chunk
+    state.adam.step = 70_001  # larger than one 16-bit chunk
     path = tmp_path / "big.gvlp"
     save_checkpoint(state, path)
     back = load_checkpoint(path)
     assert back.config.seed == 123_456_789
-    assert back.params.adam.step == 70_001
+    assert back.adam.step == 70_001
 
 
 def test_checkpoint_with_retired_config_key_loads(tiny, tmp_path):
@@ -261,7 +313,7 @@ def test_checkpoint_with_retired_config_key_loads(tiny, tmp_path):
     old = tmp_path / "old.gvlp"
     old.write_bytes(raw)
     back = load_checkpoint(old)
-    tensors_equal(load_checkpoint(path).params, back.params)
+    tensors_equal(load_checkpoint(path), back)
     assert back.epoch == state.epoch
     assert back.config == state.config
 
