@@ -57,6 +57,17 @@ def test_init_glorot_bounds_and_zero_biases():
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_param_shapes_is_the_layout_of_init_and_named_tensors(layers):
+    # the params dict is the named form: init and both moments carry the
+    # layout's names and shapes in its order
+    p, adam = _init(d=5, hidden=7, classes=3, layers=layers)
+    layout = param_shapes(5, 7, 3, layers)
+    for group in (p, adam.m, adam.v):
+        assert {n: t.shape for n, t in group.items()} == layout
+        assert list(group) == list(layout)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
 def test_backward_gradients_are_keyed_by_the_layout(layers):
     # the step hands adam_step {**gcn, **proj, "prompt.t": ...} as it comes
     p = _params(d=5, hidden=7, classes=3, layers=layers)
@@ -528,3 +539,9 @@ def test_adam_updates_tensors_and_moments_in_place():
         assert adam.m[name] is m and adam.v[name] is v
         assert m.dtype == v.dtype == np.float32
         assert m.any() and v.any()
+
+
+def test_named_tensors_set_tensor_roundtrip():
+    p, adam = _tiny()
+    names = ["gcn.w0", "proj.w1", "proj.b1", "proj.w2", "proj.b2", "prompt.t"]
+    assert list(p) == list(adam.m) == list(adam.v) == names
