@@ -2,10 +2,10 @@
 
 Three terms, summed with unit weights: a class-matching term (cross-entropy
 over cosine logits plus a margin hinge), a triplet separation term, and a
-prompt-to-center quadratic term. Cosines are computed from raw rows inside
-each loss, so gradients include the normalization Jacobian and the losses are
-invariant to positive row rescaling. Like graphgcd.neural_core, every
-function computes in the dtype numpy promotes its operands to.
+prompt-to-center quadratic term. Cosines come from raw rows, so the losses are
+invariant to positive row rescaling. Each term differentiates w.r.t. the unit
+rows it reads; neural_core.normalize_rows_backward alone maps that onto the
+raw rows. Every function computes in the dtype numpy promotes its operands to.
 
 The `as_printed` switches reproduce the sign conventions of the published
 equations verbatim; the defaults follow the surrounding description (hinge
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .neural_core import NormTrace, normalize_rows
+from .neural_core import NormTrace, normalize_rows, normalize_rows_backward
 
 
 @dataclass
@@ -57,18 +57,18 @@ def _unit_traces(batch: Batch) -> tuple[NormTrace, NormTrace]:
 
 
 def _cma_terms(
-    tz: NormTrace, tybar: NormTrace, y: np.ndarray, alpha: float, temperature: float,
+    zu: np.ndarray, yu: np.ndarray, y: np.ndarray, alpha: float, temperature: float,
     as_printed: bool,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """loss_cma from the row normalizations of z and ybar."""
+    """loss_cma from the unit rows of z and ybar, with its gradients w.r.t. them."""
     if not 0.0 <= alpha <= 1.0:
         raise InvariantError(f"alpha must lie in [0,1], got {alpha}")
     if temperature <= 0.0:
         raise InvariantError(f"temperature must be positive, got {temperature}")
-    b = tz.unit.shape[0]
+    b = zu.shape[0]
     rows = np.arange(b)
 
-    s = tz.unit @ tybar.unit.T
+    s = zu @ yu.T
     logits = s / temperature
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -94,10 +94,7 @@ def _cma_terms(
         gs += active
         gs[rows, y] -= active.sum(axis=1)
     gs /= b
-    # d s_ij / d z_i = (ŷ_j - s_ij ẑ_i) / ||z_i||, symmetric in ybar
-    gz = (gs @ tybar.unit - (gs * s).sum(axis=1, keepdims=True) * tz.unit) / tz.norms
-    gybar = (gs.T @ tz.unit - (gs * s).sum(axis=0)[:, None] * tybar.unit) / tybar.norms
-    return loss, gz, gybar
+    return loss, gs @ yu, gs.T @ zu
 
 
 def loss_cma(
@@ -107,21 +104,23 @@ def loss_cma(
 
     Returns (loss, grad_z, grad_ybar), batch-mean reduction.
     """
-    return _cma_terms(*_unit_traces(batch), np.asarray(batch.y_idx), alpha, temperature,
-                      as_printed)
+    tz, tybar = _unit_traces(batch)
+    loss, gz, gybar = _cma_terms(tz.unit, tybar.unit, np.asarray(batch.y_idx), alpha,
+                                 temperature, as_printed)
+    return loss, normalize_rows_backward(tz, gz), normalize_rows_backward(tybar, gybar)
 
 
 def _sdp_terms(
-    ta: NormTrace, tp: NormTrace, tn: NormTrace, as_printed: bool, out: np.ndarray
+    au: np.ndarray, pu: np.ndarray, nu: np.ndarray, as_printed: bool, out: np.ndarray
 ) -> float:
-    """loss_sdp from the row normalizations of the m triplets' rows.
+    """loss_sdp from the m triplets' unit rows.
 
-    Writes the anchor, positive and negative gradients, in that order, into
-    the three m-row blocks of `out` [3m x d]; returns the loss.
+    Writes the gradients w.r.t. the anchor, positive and negative unit rows,
+    in that order, into the three m-row blocks of `out` [3m x d]; returns the loss.
     """
-    m = ta.unit.shape[0]
-    sp = (ta.unit * tp.unit).sum(axis=1)
-    sn = (ta.unit * tn.unit).sum(axis=1)
+    m = au.shape[0]
+    sp = (au * pu).sum(axis=1)
+    sn = (au * nu).sum(axis=1)
     if as_printed:
         loss = float((sp - 1.0).mean() + sn.mean())
         gsp = np.full(m, 1.0 / m, sp.dtype)
@@ -130,13 +129,13 @@ def _sdp_terms(
         loss = float((1.0 - sp).mean() + np.maximum(sn, 0.0).mean())
         gsp = np.full(m, -1.0 / m, sp.dtype)
         gsn = (sn > 0.0).astype(sn.dtype) / m
-    gsp, sp, gsn, sn = gsp[:, None], sp[:, None], gsn[:, None], sn[:, None]
+    gsp, gsn = gsp[:, None], gsn[:, None]
     ga, gp, gn = out.reshape(3, m, -1)
-    # d s / d a = (b̂ - s â) / ||a||, symmetric in b; the anchor sums both pairs' terms
-    np.divide(gsp * (tp.unit - sp * ta.unit), ta.norms, out=ga)
-    ga += gsn * (tn.unit - sn * ta.unit) / ta.norms
-    np.divide(gsp * (ta.unit - sp * tp.unit), tp.norms, out=gp)
-    np.divide(gsn * (ta.unit - sn * tn.unit), tn.norms, out=gn)
+    # the anchor appears in both pairs' cosines
+    np.multiply(gsp, pu, out=ga)
+    ga += gsn * nu
+    np.multiply(gsp, au, out=gp)
+    np.multiply(gsn, au, out=gn)
     return loss
 
 
@@ -159,8 +158,8 @@ def loss_sdp(
     m = anchors.shape[0]
     traces = [normalize_rows(rows)[1] for rows in (anchors, positives, negatives)]
     out = np.empty((3 * m, anchors.shape[1]), np.result_type(*(t.unit for t in traces)))
-    loss = _sdp_terms(*traces, as_printed, out)
-    return (loss, *out.reshape(3, m, -1))
+    loss = _sdp_terms(*(t.unit for t in traces), as_printed, out)
+    return (loss, *map(normalize_rows_backward, traces, out.reshape(3, m, -1)))
 
 
 def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
@@ -214,8 +213,8 @@ def loss_total(
     Returns (loss, grads, per-term values keyed l_cma/l_sdp/l_cs/l_tot).
     """
     tz, tybar = _unit_traces(batch)
-    l_cma, gz, gybar = _cma_terms(tz, tybar, np.asarray(batch.y_idx), alpha, temperature,
-                                  as_printed)
+    l_cma, gz, gybar = _cma_terms(tz.unit, tybar.unit, np.asarray(batch.y_idx), alpha,
+                                  temperature, as_printed)
 
     l_sdp = 0.0
     if len(triplets):
@@ -224,10 +223,8 @@ def loss_total(
             raise InvariantError(f"triplets must have shape (m, 3), got {idx.shape}")
         if idx.min() < 0 or idx.max() >= gz.shape[0]:
             raise InvariantError("triplet index outside the batch")
-        # normalization is row by row, so gathered unit rows equal renormalized gathered rows
-        traces = [NormTrace(tz.norms[col], tz.unit[col]) for col in idx.T]
         grads = np.empty((3 * idx.shape[0], gz.shape[1]), gz.dtype)
-        l_sdp = _sdp_terms(*traces, as_printed, grads)
+        l_sdp = _sdp_terms(*(tz.unit[col] for col in idx.T), as_printed, grads)
         # the a, p, n columns in sequence: the order of three np.add.at calls
         _scatter_add_rows(gz, idx.T.ravel(), grads)
 
@@ -236,7 +233,8 @@ def loss_total(
 
     total = l_cma + l_sdp + l_cs
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": total}
-    return total, TotalGrads(z=gz, ybar=gybar, t=gt), parts
+    return total, TotalGrads(z=normalize_rows_backward(tz, gz),
+                             ybar=normalize_rows_backward(tybar, gybar), t=gt), parts
 
 
 def sample_triplets(batch_labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

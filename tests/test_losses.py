@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from graphgcd.errors import InvariantError, NumericError
 from graphgcd.losses import (
     Batch,
+    _cma_terms,
     _scatter_add_rows,
+    _sdp_terms,
     loss_cma,
     loss_cs,
     loss_sdp,
     loss_total,
     sample_triplets,
 )
+from graphgcd.neural_core import normalize_rows, normalize_rows_backward
 
-from oracles import cosine, fd_gradient, grad_error, plain_sample_triplets
+from oracles import cosine, fd_gradient, grad_error, plain_loss_total, plain_sample_triplets
 
 
 def unit(v):
@@ -32,6 +35,14 @@ def make_batch(z, y, ybar, t=None):
     if t is None:
         t = ybar.copy()
     return Batch(z=z, y_idx=np.asarray(y, dtype=np.int64), ybar=ybar, t=t)
+
+
+def assert_close_to_rounding(got, ref, rows):
+    # raw-row gradients w.r.t. `rows` at float64 rounding: each unit-row
+    # gradient entry here is O(1), so the Jacobian's rounding is O(eps / ||row||),
+    # and gradients that cancel to zero are compared against that
+    atol = 1e-12 / np.linalg.norm(rows, axis=1).min()
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
 
 
 # ---------------------------------------------------------------- cosine
@@ -270,8 +281,7 @@ _REPEATS = [(0, 1, 4), (0, 1, 2), (1, 0, 4), (4, 2, 0), (0, 3, 4)]
 
 
 def test_total_is_sum_of_parts():
-    # bit for bit: the shared traces and gradient buffer of loss_total must
-    # give exactly what the three terms give on their own
+    # the loss values are bit for bit those of the three terms on their own
     for make, triplets in ((_random_total_inputs, [(0, 1, 2), (1, 0, 3), (4, 2, 0)]),
                            (_anchor_opposite_row_4, _REPEATS)):
         for as_printed in (False, True):
@@ -293,16 +303,49 @@ def _check_total_is_sum_of_parts(batch, triplets, as_printed):
     assert parts["l_cma"] == l_cma
     assert parts["l_sdp"] == l_sdp
     assert parts["l_cs"] == l_cs
+    np.testing.assert_array_equal(grads.ybar, gybar_c)
+    np.testing.assert_array_equal(grads.t, gcs)
 
-    # scatter-add the triplet grads onto the batch rows by hand
+    # grads.z: unit-row gradients summed in np.add.at order, then one Jacobian
+    _, tz = normalize_rows(z)
+    _, gzu, _ = _cma_terms(tz.unit, normalize_rows(batch.ybar)[0], batch.y_idx, 0.3, 1.0,
+                           as_printed)
+    unit_grads = np.empty((3 * len(idx), z.shape[1]))
+    _sdp_terms(*(tz.unit[col] for col in idx.T), as_printed, unit_grads)
+    _scatter_add_rows(gzu, idx.T.ravel(), unit_grads)
+    np.testing.assert_array_equal(grads.z, normalize_rows_backward(tz, gzu))
+
+    # the per-term raw-row gradients scattered by hand agree to float64 rounding
     gz_manual = gz_c.copy()
     np.add.at(gz_manual, idx[:, 0], ga)
     np.add.at(gz_manual, idx[:, 1], gp)
     np.add.at(gz_manual, idx[:, 2], gn)
-    np.testing.assert_array_equal(grads.z, gz_manual)
-    np.testing.assert_array_equal(grads.ybar, gybar_c)
-    np.testing.assert_array_equal(grads.t, gcs)
+    assert_close_to_rounding(grads.z, gz_manual, z)
     return gn
+
+
+@given(st.integers(3, 8), st.integers(1, 4), st.integers(2, 6), st.integers(0, 12),
+       st.booleans(), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_total_matches_plain_per_term_reference(b, c, d, m, as_printed, seed):
+    # rows over two decades of norm; triplets of distinct rows, as the sampler
+    # draws them, taken from the first `hot` rows so that rows repeat
+    rng = np.random.default_rng(seed)
+
+    def rows(k):
+        return rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-1, 1, size=(k, 1))
+
+    z, ybar, t = rows(b), rows(c), rows(c)
+    y = rng.integers(c, size=b)
+    hot = int(rng.integers(3, b + 1))
+    triplets = np.array([rng.permutation(hot)[:3] for _ in range(m)], np.int64).reshape(-1, 3)
+    total, grads, parts = loss_total(Batch(z, y, ybar, t), triplets, 0.3, 0.5, as_printed)
+    ref_parts, gz, gybar, gt = plain_loss_total(z, y, ybar, t, triplets, 0.3, 0.5, as_printed)
+    assert parts == ref_parts
+    assert total == ref_parts["l_tot"]
+    assert_close_to_rounding(grads.z, gz, z)
+    assert_close_to_rounding(grads.ybar, gybar, ybar)
+    np.testing.assert_array_equal(grads.t, gt)
 
 
 def test_total_centers_are_stop_gradient():
