@@ -147,6 +147,13 @@ def _write_assignments(result: ClusterAssignment, path: Path) -> None:
     print(f"wrote {path}")
 
 
+def _decimal(field: str) -> int:
+    """int() of ASCII digits after minus signs only; int() alone also reads ' 1' and '1_0'."""
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
 def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -158,7 +165,7 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
                 parts = line.strip().split(",")
                 if len(parts) != 3:
                     raise InputError(f"{path}:{lineno}: expected 3 columns")
-                index, cid, flag = (int(v) for v in parts)
+                index, cid, flag = map(_decimal, parts)
                 if index != lineno - 2:
                     raise InputError(f"{path}:{lineno}: sample_index {index} is not the row position")
                 if flag not in (0, 1):

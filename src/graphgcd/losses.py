@@ -1,11 +1,14 @@
-"""Metric losses with exact analytic gradients.
+"""Metric losses with exact analytic gradients, on unit rows.
 
 Three terms, summed with unit weights: a class-matching term (cross-entropy
 over cosine logits plus a margin hinge), a triplet separation term, and a
-prompt-to-center quadratic term. Cosines come from raw rows, so the losses are
-invariant to positive row rescaling. Each term differentiates w.r.t. the unit
-rows it reads; neural_core.normalize_rows_backward alone maps that onto the
-raw rows. Every function computes in the dtype numpy promotes its operands to.
+prompt-to-center quadratic term. Every row a loss reads is a unit row, as the
+forward passes return them, so a dot product is a cosine; each public loss
+rejects rows more than 1e-6 from unit norm, and returns its gradients w.r.t.
+the unit rows it was given. Normalization, and with it the invariance to
+positive row rescaling and the normalization Jacobian, belongs to the
+forwards and their backward passes. Every function computes in the dtype
+numpy promotes its operands to.
 
 The `as_printed` switches reproduce the sign conventions of the published
 equations verbatim; the defaults follow the surrounding description (hinge
@@ -20,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .neural_core import NormTrace, normalize_rows, normalize_rows_backward
+
+_UNIT_TOL = 1e-6
+
+
+def _check_unit(**named_rows: np.ndarray) -> None:
+    """InvariantError unless every row's norm is within _UNIT_TOL of 1; NaN fails."""
+    for name, m in named_rows.items():
+        if not (np.abs(np.linalg.norm(m, axis=1) - 1.0) <= _UNIT_TOL).all():
+            raise InvariantError(f"{name} rows are not unit-norm")
 
 
 @dataclass
@@ -29,6 +40,7 @@ class Batch:
 
     z: projected visual features [b x d]; y_idx: known-class index per row;
     ybar: per-class graph embeddings [C x d]; t: prompt features [C x d].
+    z, ybar and t hold unit rows.
     """
 
     z: np.ndarray
@@ -45,30 +57,26 @@ class Batch:
             raise InvariantError("y_idx length does not match batch size")
         if self.y_idx.min() < 0 or self.y_idx.max() >= c:
             raise InvariantError("class index out of range")
-        for name, m in (("z", self.z), ("ybar", self.ybar), ("t", self.t)):
-            norms = np.linalg.norm(m, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-6:
-                raise InvariantError(f"{name} rows are not unit-norm")
+        _check_unit(z=self.z, ybar=self.ybar, t=self.t)
 
 
-def _unit_traces(batch: Batch) -> tuple[NormTrace, NormTrace]:
-    """Row normalizations of batch.z and batch.ybar, shared by every term."""
-    return normalize_rows(batch.z)[1], normalize_rows(batch.ybar)[1]
-
-
-def _cma_terms(
-    zu: np.ndarray, yu: np.ndarray, y: np.ndarray, alpha: float, temperature: float,
-    as_printed: bool,
+def loss_cma(
+    batch: Batch, alpha: float, temperature: float, as_printed: bool = False
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """loss_cma from the unit rows of z and ybar, with its gradients w.r.t. them."""
+    """Class-matching loss: CE over cosine logits plus margin hinge.
+
+    Validates the batch; returns (loss, grad_z, grad_ybar), batch-mean reduction.
+    """
+    batch.validate()
     if not 0.0 <= alpha <= 1.0:
         raise InvariantError(f"alpha must lie in [0,1], got {alpha}")
     if temperature <= 0.0:
         raise InvariantError(f"temperature must be positive, got {temperature}")
-    b = zu.shape[0]
+    z, y, ybar = batch.z, batch.y_idx, batch.ybar
+    b = z.shape[0]
     rows = np.arange(b)
 
-    s = zu @ yu.T
+    s = z @ ybar.T
     logits = s / temperature
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -94,20 +102,7 @@ def _cma_terms(
         gs += active
         gs[rows, y] -= active.sum(axis=1)
     gs /= b
-    return loss, gs @ yu, gs.T @ zu
-
-
-def loss_cma(
-    batch: Batch, alpha: float, temperature: float, as_printed: bool = False
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Class-matching loss: CE over cosine logits plus margin hinge.
-
-    Returns (loss, grad_z, grad_ybar), batch-mean reduction.
-    """
-    tz, tybar = _unit_traces(batch)
-    loss, gz, gybar = _cma_terms(tz.unit, tybar.unit, np.asarray(batch.y_idx), alpha,
-                                 temperature, as_printed)
-    return loss, normalize_rows_backward(tz, gz), normalize_rows_backward(tybar, gybar)
+    return loss, gs @ ybar, gs.T @ z
 
 
 def _sdp_terms(
@@ -145,21 +140,21 @@ def loss_sdp(
     negatives: np.ndarray,
     as_printed: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Triplet separation loss; mean over row-aligned triplets.
+    """Triplet separation loss; mean over row-aligned triplets of unit rows.
 
     Returns (loss, grad_anchors, grad_positives, grad_negatives).
     """
-    anchors = np.asarray(anchors)
+    anchors, positives, negatives = map(np.asarray, (anchors, positives, negatives))
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise InvariantError("loss_sdp needs at least one triplet")
     for other in (positives, negatives):
-        if np.shape(other) != anchors.shape:
-            raise InvariantError(f"pair shapes differ: {anchors.shape} vs {np.shape(other)}")
+        if other.shape != anchors.shape:
+            raise InvariantError(f"pair shapes differ: {anchors.shape} vs {other.shape}")
+    _check_unit(anchors=anchors, positives=positives, negatives=negatives)
     m = anchors.shape[0]
-    traces = [normalize_rows(rows)[1] for rows in (anchors, positives, negatives)]
-    out = np.empty((3 * m, anchors.shape[1]), np.result_type(*(t.unit for t in traces)))
-    loss = _sdp_terms(*(t.unit for t in traces), as_printed, out)
-    return (loss, *map(normalize_rows_backward, traces, out.reshape(3, m, -1)))
+    out = np.empty((3 * m, anchors.shape[1]), np.result_type(anchors, positives, negatives))
+    loss = _sdp_terms(anchors, positives, negatives, as_printed, out)
+    return (loss, *out.reshape(3, m, -1))
 
 
 def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
@@ -176,7 +171,8 @@ def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class TotalGrads:
-    """Gradients of the summed loss w.r.t. the three trainable inputs."""
+    """Gradients of the summed loss w.r.t. the unit rows of batch.z, batch.ybar
+    and batch.t; the backward passes map them onto what was normalized."""
 
     z: np.ndarray
     ybar: np.ndarray
@@ -208,13 +204,11 @@ def loss_total(
 ) -> tuple[float, TotalGrads, dict[str, float]]:
     """Sum of the three terms with unit weights.
 
-    Triplets are (anchor, positive, negative) rows of batch.z, repeats
-    allowed; no triplets drops the triplet term.
+    Validates the batch. Triplets are (anchor, positive, negative) rows of
+    batch.z, repeats allowed; no triplets drops the triplet term.
     Returns (loss, grads, per-term values keyed l_cma/l_sdp/l_cs/l_tot).
     """
-    tz, tybar = _unit_traces(batch)
-    l_cma, gz, gybar = _cma_terms(tz.unit, tybar.unit, np.asarray(batch.y_idx), alpha,
-                                  temperature, as_printed)
+    l_cma, gz, gybar = loss_cma(batch, alpha, temperature, as_printed)
 
     l_sdp = 0.0
     if len(triplets):
@@ -224,7 +218,7 @@ def loss_total(
         if idx.min() < 0 or idx.max() >= gz.shape[0]:
             raise InvariantError("triplet index outside the batch")
         grads = np.empty((3 * idx.shape[0], gz.shape[1]), gz.dtype)
-        l_sdp = _sdp_terms(*(tz.unit[col] for col in idx.T), as_printed, grads)
+        l_sdp = _sdp_terms(*(batch.z[col] for col in idx.T), as_printed, grads)
         # the a, p, n columns in sequence: the order of three np.add.at calls
         _scatter_add_rows(gz, idx.T.ravel(), grads)
 
@@ -233,8 +227,7 @@ def loss_total(
 
     total = l_cma + l_sdp + l_cs
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": total}
-    return total, TotalGrads(z=normalize_rows_backward(tz, gz),
-                             ybar=normalize_rows_backward(tybar, gybar), t=gt), parts
+    return total, TotalGrads(z=gz, ybar=gybar, t=gt), parts
 
 
 def sample_triplets(batch_labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

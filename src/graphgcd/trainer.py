@@ -139,10 +139,9 @@ def train(
             ybar, gcn_tr = gcn_forward(graph, h0, state.params)
             z, proj_tr = projector_forward(x[idx], state.params)
             t, prompt_tr = normalize_rows(state.params["prompt.t"])
-            batch = Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t)
-            batch.validate()
             triplets = sample_triplets(labels[idx], rng)
-            loss, grads, parts = loss_total(batch, triplets, config.margin_alpha,
+            loss, grads, parts = loss_total(Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t),
+                                            triplets, config.margin_alpha,
                                             config.temperature, config.losses_as_printed)
             if not np.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}, step {steps}")

@@ -253,12 +253,14 @@ def plain_loss_total(z, y, ybar, t, triplets, alpha: float, temperature: float,
     Class matching: cross-entropy over cosine logits s / temperature plus the
     margin hinge over the wrong classes, batch mean. Triplets: mean of
     1 - cos(a, p) + max(cos(a, n), 0), or cos(a, p) - 1 + cos(a, n) as
-    printed. Prompts: half squared distance to ybar, which is a constant.
-    Every cosine's raw-row gradient is d cos(u, v) / du = (v̂ - cos(u, v) û) / ||u||,
-    written out per term; each triplet's rows are scattered onto the batch
-    with np.add.at, anchors, then positives, then negatives. The loss values
-    follow the package's operation order, so they agree bit for bit; the
-    gradients agree to rounding. Returns (parts, grad_z, grad_ybar, grad_t).
+    printed. Prompts: half squared distance from the unit rows of t to the
+    unit rows of ybar, which are constants. Every cosine's raw-row gradient is
+    d cos(u, v) / du = (v̂ - cos(u, v) û) / ||u||, written out per term; each
+    triplet's rows are scattered onto the batch with np.add.at, anchors, then
+    positives, then negatives. The loss values follow the package's operation
+    order, so they agree bit for bit with loss_total on normalize_rows of the
+    same rows; the gradients agree to rounding. Returns (parts, grad_z,
+    grad_ybar, grad_t), all w.r.t. the raw rows.
     """
     z, ybar, t = (np.asarray(m, dtype=np.float64) for m in (z, ybar, t))
     y = np.asarray(y)
@@ -305,10 +307,13 @@ def plain_loss_total(z, y, ybar, t, triplets, alpha: float, temperature: float,
         np.add.at(gz, idx[:, 1], gsp * (a - sp * p) / np_)
         np.add.at(gz, idx[:, 2], gsn * (a - sn * n) / nn)
 
-    diff = t - ybar
+    nt = np.sqrt((t * t).sum(axis=1, keepdims=True))
+    tu = t / nt
+    diff = tu - yu
     l_cs = float(0.5 * (diff * diff).sum())
+    gt = (diff - (diff * tu).sum(axis=1, keepdims=True) * tu) / nt
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": l_cma + l_sdp + l_cs}
-    return parts, gz, gybar, diff
+    return parts, gz, gybar, gt
 
 
 def plain_similarity_features(x, params, graph, h0) -> np.ndarray:

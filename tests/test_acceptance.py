@@ -32,6 +32,8 @@ from graphgcd.neural_core import (
     gcn_forward,
     gcn_layer_dims,
     init_params,
+    normalize_rows,
+    normalize_rows_backward,
     projector_backward,
     projector_forward,
 )
@@ -52,6 +54,13 @@ def outcome(name: str, ok: bool, detail: str) -> str:
 
 
 # =================================================================== criterion 1
+
+def _unit(raw):
+    # the losses read unit rows: each check finite-differences a loss of the
+    # normalized raw rows and maps the analytic unit-row gradients back through
+    # normalize_rows_backward, as the forward passes and their backwards do
+    return normalize_rows(raw)[0]
+
 
 def _row_norms_ok(*mats):
     return all(np.linalg.norm(m, axis=1).min() > 0.5 for m in mats)
@@ -77,17 +86,18 @@ def _cma_instance(rng, b=3, c=3, d=4, alpha=0.3):
 def _check_cma(rng):
     z, y, ybar = _cma_instance(rng)
     t = np.ones_like(ybar) / np.sqrt(ybar.shape[1])
-    batch = Batch(z=z, y_idx=y, ybar=ybar, t=t)
-    _, gz, gybar = loss_cma(batch, 0.3, 1.0)
+    (zu, tz), (yu, ty) = normalize_rows(z), normalize_rows(ybar)
+    _, gz, gybar = loss_cma(Batch(zu, y, yu, t), 0.3, 1.0)
     fd_z = fd_gradient(
-        lambda f: loss_cma(Batch(f.reshape(z.shape), y, ybar, t), 0.3, 1.0)[0],
+        lambda f: loss_cma(Batch(_unit(f.reshape(z.shape)), y, yu, t), 0.3, 1.0)[0],
         z.ravel().copy(),
     ).reshape(z.shape)
     fd_y = fd_gradient(
-        lambda f: loss_cma(Batch(z, y, f.reshape(ybar.shape), t), 0.3, 1.0)[0],
+        lambda f: loss_cma(Batch(zu, y, _unit(f.reshape(ybar.shape)), t), 0.3, 1.0)[0],
         ybar.ravel().copy(),
     ).reshape(ybar.shape)
-    return max(grad_error(gz, fd_z), grad_error(gybar, fd_y))
+    return max(grad_error(normalize_rows_backward(tz, gz), fd_z),
+               grad_error(normalize_rows_backward(ty, gybar), fd_y))
 
 
 def _sdp_instance(rng, m=3, d=4):
@@ -104,16 +114,17 @@ def _sdp_instance(rng, m=3, d=4):
 
 def _check_sdp(rng):
     a, p, n = _sdp_instance(rng)
-    _, ga, gp, gn = loss_sdp(a, p, n)
+    traces = [normalize_rows(m)[1] for m in (a, p, n)]
+    _, *grads = loss_sdp(*(tr.unit for tr in traces))
     worst = 0.0
-    for idx, analytic, base in ((0, ga, a), (1, gp, p), (2, gn, n)):
+    for idx, (base, trace, grad) in enumerate(zip((a, p, n), traces, grads)):
         def f(flat, idx=idx):
-            mats = [a, p, n]
-            mats[idx] = flat.reshape(base.shape)
+            mats = [tr.unit for tr in traces]
+            mats[idx] = _unit(flat.reshape(base.shape))
             return loss_sdp(*mats)[0]
 
         fd = fd_gradient(f, base.ravel().copy()).reshape(base.shape)
-        worst = max(worst, grad_error(analytic, fd))
+        worst = max(worst, grad_error(normalize_rows_backward(trace, grad), fd))
     return worst
 
 
@@ -141,31 +152,31 @@ def _check_total(rng):
         raise AssertionError("no kink-free summed-loss instance found")
     t = rng.normal(size=(c, d))
     t /= np.linalg.norm(t, axis=1, keepdims=True)
-    batch = Batch(z=z, y_idx=y, ybar=ybar, t=t)
-    _, grads, _ = loss_total(batch, triplets, 0.3, 1.0)
+    (zu, tz), (yu, ty), (tu, tt) = (normalize_rows(m) for m in (z, ybar, t))
+    _, grads, _ = loss_total(Batch(zu, y, yu, tu), triplets, 0.3, 1.0)
 
     fd_z = fd_gradient(
-        lambda f: loss_total(Batch(f.reshape(z.shape), y, ybar, t), triplets, 0.3, 1.0)[0],
+        lambda f: loss_total(Batch(_unit(f.reshape(z.shape)), y, yu, tu), triplets, 0.3, 1.0)[0],
         z.ravel().copy(),
     ).reshape(z.shape)
     fd_t = fd_gradient(
-        lambda f: loss_total(Batch(z, y, ybar, f.reshape(t.shape)), triplets, 0.3, 1.0)[0],
+        lambda f: loss_total(Batch(zu, y, yu, _unit(f.reshape(t.shape))), triplets, 0.3, 1.0)[0],
         t.ravel().copy(),
     ).reshape(t.shape)
 
     # the quadratic term's centers are constants, so the probe for ybar holds
     # them at the base value while the class-matching term sees the perturbation
-    l_sdp = loss_sdp(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]])[0]
+    l_sdp = loss_sdp(zu[idx[:, 0]], zu[idx[:, 1]], zu[idx[:, 2]])[0]
 
     def f_ybar(flat):
-        moved = Batch(z, y, flat.reshape(ybar.shape), t)
-        return loss_cma(moved, 0.3, 1.0)[0] + l_sdp + loss_cs(t, ybar)[0]
+        moved = Batch(zu, y, _unit(flat.reshape(ybar.shape)), tu)
+        return loss_cma(moved, 0.3, 1.0)[0] + l_sdp + loss_cs(tu, yu)[0]
 
     fd_y = fd_gradient(f_ybar, ybar.ravel().copy()).reshape(ybar.shape)
     return max(
-        grad_error(grads.z, fd_z),
-        grad_error(grads.t, fd_t),
-        grad_error(grads.ybar, fd_y),
+        grad_error(normalize_rows_backward(tz, grads.z), fd_z),
+        grad_error(normalize_rows_backward(tt, grads.t), fd_t),
+        grad_error(normalize_rows_backward(ty, grads.ybar), fd_y),
     )
 
 

@@ -600,10 +600,12 @@ def test_eval_row_count_mismatch(ws, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("edit", ["swap", "duplicate", "flag2", "flag-1"])
+@pytest.mark.parametrize("edit", ["swap", "duplicate", "flag2", "flag-1",
+                                  "cid1_0", "cid 1 ", "flag\u0661"])
 def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
     # edits on labeled rows leave the unconstrained rows, and so the report,
-    # unchanged: only the row checks themselves can catch them
+    # unchanged: only the row checks themselves can catch them. int() would
+    # read 1_0, " 1 " and the Arabic-Indic digit one as 10, 1 and 1
     cdir = tmp_path / "c"
     assert cli.main(cluster_args(ws, cdir, "--k-total", "4")) == 0
     lines = (cdir / "assignments.csv").read_text().splitlines()
@@ -611,6 +613,9 @@ def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
         lines[1], lines[2] = lines[2], lines[1]
     elif edit == "duplicate":
         lines[2] = "0," + lines[2].split(",", 1)[1]
+    elif edit.startswith("cid"):
+        index, _, flag = lines[1].split(",")
+        lines[1] = ",".join((index, edit[len("cid"):], flag))
     else:
         lines[1] = lines[1].rsplit(",", 1)[0] + "," + edit[len("flag"):]
     bad = tmp_path / "bad.csv"

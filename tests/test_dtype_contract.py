@@ -91,7 +91,8 @@ def test_a_step_computes_in_its_operands_dtype(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_each_loss_computes_in_its_operands_dtype(dtype):
     rng = np.random.default_rng(1)
-    z, ybar = (rng.normal(size=s).astype(dtype) for s in ((B, D), (C, D)))
+    # the losses read unit rows, so the raw rows go through normalize_rows first
+    z, ybar = (normalize_rows(rng.normal(size=s).astype(dtype))[0] for s in ((B, D), (C, D)))
     y = rng.integers(0, C, size=B)
     for as_printed in (False, True):
         assert _float_dtypes(loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1, as_printed)) == {
@@ -125,8 +126,8 @@ def test_any_float64_operand_gives_float64():
     grads = _step(graph, h0.astype(np.float64), x, y, params)[2]
     assert grads["gcn.w0"].dtype == grads["prompt.t"].dtype == f64
     rng = np.random.default_rng(2)
-    z = rng.normal(size=(B, D)).astype(np.float32)
-    ybar = rng.normal(size=(C, D))
+    z = normalize_rows(rng.normal(size=(B, D)).astype(np.float32))[0]
+    ybar = normalize_rows(rng.normal(size=(C, D)))[0]
     assert {a.dtype for a in loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1)[1:]} == {f64}
     assert loss_cs(ybar.astype(np.float32), ybar)[1].dtype == f64
     assert loss_sdp(z[:5], z[5:10], ybar[:5])[1].dtype == f64

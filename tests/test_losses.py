@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgcd.errors import InvariantError, NumericError
+from graphgcd.errors import InvariantError
 from graphgcd.losses import (
     Batch,
-    _cma_terms,
     _scatter_add_rows,
-    _sdp_terms,
     loss_cma,
     loss_cs,
     loss_sdp,
@@ -35,6 +33,21 @@ def make_batch(z, y, ybar, t=None):
     if t is None:
         t = ybar.copy()
     return Batch(z=z, y_idx=np.asarray(y, dtype=np.int64), ybar=ybar, t=t)
+
+
+def raw_cma(z, y, ybar, alpha=0.3, temperature=1.0, as_printed=False):
+    """loss_cma as a function of raw rows: normalized on the way in, and the
+    unit-row gradients mapped back by the Jacobian, as the forwards do."""
+    (zu, tz), (yu, ty) = (normalize_rows(np.asarray(r, float)) for r in (z, ybar))
+    loss, gz, gybar = loss_cma(make_batch(zu, y, yu), alpha, temperature, as_printed)
+    return loss, normalize_rows_backward(tz, gz), normalize_rows_backward(ty, gybar)
+
+
+def raw_sdp(a, p, n, as_printed=False):
+    """loss_sdp as a function of raw rows, composed as raw_cma is."""
+    traces = [normalize_rows(np.asarray(rows, float))[1] for rows in (a, p, n)]
+    loss, *grads = loss_sdp(*(tr.unit for tr in traces), as_printed)
+    return (loss, *map(normalize_rows_backward, traces, grads))
 
 
 def assert_close_to_rounding(got, ref, rows):
@@ -102,8 +115,9 @@ def test_cma_row_rescaling_invariance():
     z = rng.normal(size=(4, 3))
     ybar = rng.normal(size=(3, 3))
     y = np.array([0, 1, 2, 1])
-    base, gz, gybar = loss_cma(make_batch(z, y, ybar), 0.3, 1.0)
-    scaled, gz_s, gybar_s = loss_cma(make_batch(z * 3.7, y, ybar * 0.2), 0.3, 1.0)
+    # the invariance belongs to the normalization in front of the loss
+    base, gz, gybar = raw_cma(z, y, ybar)
+    scaled, gz_s, gybar_s = raw_cma(z * 3.7, y, ybar * 0.2)
     assert scaled == pytest.approx(base, rel=1e-12)
     # cosines are scale-free, so raw-input grads shrink by the scale factor
     np.testing.assert_allclose(gz_s, gz / 3.7, rtol=1e-9, atol=1e-12)
@@ -142,8 +156,9 @@ def test_cma_parameter_validation():
 
 
 def test_cma_zero_row_rejected():
+    # not a unit row; normalize_rows, in front of the loss, raises NumericError on it
     batch = make_batch([[0.0, 0.0]], [0], [[1.0, 0.0]])
-    with pytest.raises(NumericError):
+    with pytest.raises(InvariantError, match="z rows are not unit-norm"):
         loss_cma(batch, 0.3, 1.0)
 
 
@@ -153,7 +168,7 @@ def test_sdp_perfect_triplet_is_zero():
     a = np.array([[1.0, 0.0]])
     p = np.array([[2.0, 0.0]])  # same direction, norm irrelevant
     n = np.array([[0.0, 1.0]])
-    loss, ga, gp, gn = loss_sdp(a, p, n)
+    loss, ga, gp, gn = raw_sdp(a, p, n)
     assert loss == pytest.approx(0.0, abs=1e-15)
 
 
@@ -200,7 +215,7 @@ def test_sdp_nonnegative_on_random_inputs():
         a = rng.normal(size=(m, d))
         p = rng.normal(size=(m, d))
         n = rng.normal(size=(m, d))
-        loss, _, _, _ = loss_sdp(a, p, n)
+        loss, _, _, _ = raw_sdp(a, p, n)
         assert loss >= 0.0
 
 
@@ -212,7 +227,7 @@ def test_sdp_empty_and_mismatched_inputs_rejected():
 
 
 def test_sdp_zero_row_rejected():
-    with pytest.raises(NumericError):
+    with pytest.raises(InvariantError, match="anchors rows are not unit-norm"):
         loss_sdp(np.array([[0.0, 0.0]]), np.ones((1, 2)), np.ones((1, 2)))
 
 
@@ -297,7 +312,7 @@ def _check_total_is_sum_of_parts(batch, triplets, as_printed):
 
     l_cma, gz_c, gybar_c = loss_cma(batch, 0.3, 1.0, as_printed)
     idx = np.asarray(triplets)
-    z = np.asarray(batch.z, dtype=np.float64)
+    z = batch.z
     l_sdp, ga, gp, gn = loss_sdp(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]], as_printed)
     l_cs, gcs = loss_cs(batch.t, batch.ybar)
     assert parts["l_cma"] == l_cma
@@ -306,21 +321,11 @@ def _check_total_is_sum_of_parts(batch, triplets, as_printed):
     np.testing.assert_array_equal(grads.ybar, gybar_c)
     np.testing.assert_array_equal(grads.t, gcs)
 
-    # grads.z: unit-row gradients summed in np.add.at order, then one Jacobian
-    _, tz = normalize_rows(z)
-    _, gzu, _ = _cma_terms(tz.unit, normalize_rows(batch.ybar)[0], batch.y_idx, 0.3, 1.0,
-                           as_printed)
-    unit_grads = np.empty((3 * len(idx), z.shape[1]))
-    _sdp_terms(*(tz.unit[col] for col in idx.T), as_printed, unit_grads)
-    _scatter_add_rows(gzu, idx.T.ravel(), unit_grads)
-    np.testing.assert_array_equal(grads.z, normalize_rows_backward(tz, gzu))
-
-    # the per-term raw-row gradients scattered by hand agree to float64 rounding
-    gz_manual = gz_c.copy()
-    np.add.at(gz_manual, idx[:, 0], ga)
-    np.add.at(gz_manual, idx[:, 1], gp)
-    np.add.at(gz_manual, idx[:, 2], gn)
-    assert_close_to_rounding(grads.z, gz_manual, z)
+    # grads.z: the per-term gradients scattered with np.add.at, bit for bit
+    np.add.at(gz_c, idx[:, 0], ga)
+    np.add.at(gz_c, idx[:, 1], gp)
+    np.add.at(gz_c, idx[:, 2], gn)
+    np.testing.assert_array_equal(grads.z, gz_c)
     return gn
 
 
@@ -339,13 +344,15 @@ def test_total_matches_plain_per_term_reference(b, c, d, m, as_printed, seed):
     y = rng.integers(c, size=b)
     hot = int(rng.integers(3, b + 1))
     triplets = np.array([rng.permutation(hot)[:3] for _ in range(m)], np.int64).reshape(-1, 3)
-    total, grads, parts = loss_total(Batch(z, y, ybar, t), triplets, 0.3, 0.5, as_printed)
+    # loss_total reads unit rows: the normalization and its Jacobian go around it
+    (zu, tz), (yu, ty), (tu, tt) = (normalize_rows(r) for r in (z, ybar, t))
+    total, grads, parts = loss_total(Batch(zu, y, yu, tu), triplets, 0.3, 0.5, as_printed)
     ref_parts, gz, gybar, gt = plain_loss_total(z, y, ybar, t, triplets, 0.3, 0.5, as_printed)
     assert parts == ref_parts
     assert total == ref_parts["l_tot"]
-    assert_close_to_rounding(grads.z, gz, z)
-    assert_close_to_rounding(grads.ybar, gybar, ybar)
-    np.testing.assert_array_equal(grads.t, gt)
+    assert_close_to_rounding(normalize_rows_backward(tz, grads.z), gz, z)
+    assert_close_to_rounding(normalize_rows_backward(ty, grads.ybar), gybar, ybar)
+    np.testing.assert_array_equal(normalize_rows_backward(tt, grads.t), gt)
 
 
 def test_total_centers_are_stop_gradient():
@@ -385,6 +392,24 @@ def test_total_accepts_sampler_array_and_list_alike():
     np.testing.assert_array_equal(from_array[1].z, from_list[1].z)
     empty = loss_total(batch, np.empty((0, 3), dtype=np.int64), 0.3, 1.0)
     assert empty[2]["l_sdp"] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-5, 2.0, np.nan])  # zero rows: *_zero_row_rejected
+@pytest.mark.parametrize("name", ["z", "ybar", "t"])
+def test_every_public_loss_rejects_non_unit_rows(name, scale):
+    batch = _random_total_inputs(1)
+    setattr(batch, name, getattr(batch, name).copy())
+    getattr(batch, name)[1] *= scale
+    with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
+        loss_cma(batch, 0.3, 1.0)
+    with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
+        loss_total(batch, [(0, 1, 2)], 0.3, 1.0)
+    z = _random_total_inputs(1).z
+    for k, role in enumerate(("anchors", "positives", "negatives")):
+        rows = [z[0:2].copy(), z[2:4].copy(), z[3:5].copy()]
+        rows[k][1] *= scale
+        with pytest.raises(InvariantError, match=f"^{role} rows are not unit-norm"):
+            loss_sdp(*rows)
 
 
 @pytest.mark.parametrize("triplets", [[(0, 1, 5)], [(-1, 0, 1)], [(0, 1)]])
@@ -439,15 +464,13 @@ def _margin_safe_cma_instance(seed, b=3, c=3, d=4, alpha=0.3):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_cma_gradients_match_finite_differences(seed):
     batch, _ = _margin_safe_cma_instance(seed)
-    _, gz, gybar = loss_cma(batch, 0.3, 1.0)
+    _, gz, gybar = raw_cma(batch.z, batch.y_idx, batch.ybar)
 
     def f_z(flat):
-        b2 = make_batch(flat.reshape(batch.z.shape), batch.y_idx, batch.ybar)
-        return loss_cma(b2, 0.3, 1.0)[0]
+        return raw_cma(flat.reshape(batch.z.shape), batch.y_idx, batch.ybar)[0]
 
     def f_ybar(flat):
-        b2 = make_batch(batch.z, batch.y_idx, flat.reshape(batch.ybar.shape))
-        return loss_cma(b2, 0.3, 1.0)[0]
+        return raw_cma(batch.z, batch.y_idx, flat.reshape(batch.ybar.shape))[0]
 
     fd_z = fd_gradient(f_z, batch.z.ravel().copy()).reshape(batch.z.shape)
     fd_y = fd_gradient(f_ybar, batch.ybar.ravel().copy()).reshape(batch.ybar.shape)
@@ -470,12 +493,12 @@ def test_sdp_gradients_match_finite_differences(seed):
         nh = n / np.linalg.norm(n, axis=1, keepdims=True)
         if np.abs((ah * nh).sum(axis=1)).min() > 5e-3:  # away from the clamp kink
             break
-    _, ga, gp, gn = loss_sdp(a, p, n)
+    _, ga, gp, gn = raw_sdp(a, p, n)
     for target, analytic, idx in ((a, ga, 0), (p, gp, 1), (n, gn, 2)):
         def f(flat, idx=idx):
             parts = [a.copy(), p.copy(), n.copy()]
             parts[idx] = flat.reshape(m, d)
-            return loss_sdp(*parts)[0]
+            return raw_sdp(*parts)[0]
 
         fd = fd_gradient(f, target.ravel().copy()).reshape(m, d)
         assert grad_error(analytic, fd) < 1e-4

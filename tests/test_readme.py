@@ -1,5 +1,5 @@
-"""The README's library example runs as written, it names only real CLI flags, and its
-`train` table lists every RunConfig field."""
+"""The README's library example runs as written, its Quick start prints what run-all
+prints, it names only real CLI flags, and its `train` table lists every RunConfig field."""
 
 import dataclasses
 import re
@@ -19,6 +19,16 @@ def test_readme_library_example_runs(capsys):
     accuracies = [float(v) for v in capsys.readouterr().out.split()]
     assert len(accuracies) == 3
     assert all(0.0 <= a <= 1.0 for a in accuracies)
+
+
+def test_readme_quick_start_prints_what_run_all_prints(tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Quick start") : text.index("## Subcommands")]
+    documented = re.findall(r"^acc_[a-z]+ \S+$", section, re.MULTILINE)
+    assert cli.main(["run-all", "--synthetic", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("acc_")]
+    assert len(documented) == 3
+    assert printed == documented
 
 
 def test_readme_flags_exist():

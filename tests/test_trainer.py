@@ -164,6 +164,35 @@ def test_training_with_oracle_sampler_is_identical(tiny, monkeypatch):
     assert fast.trace == slow.trace
 
 
+def test_a_step_normalizes_each_row_set_once(tiny, monkeypatch):
+    # z, ybar and the prompts: normalized once in the forwards, and the Jacobian
+    # applied once in the backwards, counted through every module binding the names
+    import graphgcd.losses as losses_mod
+    import graphgcd.neural_core as neural_core_mod
+    import graphgcd.trainer as trainer_mod
+
+    labeled, class_emb, config = tiny
+    calls = {"normalize_rows": 0, "normalize_rows_backward": 0}
+
+    def counted(name):
+        fn = getattr(neural_core_mod, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        spy = counted(name)
+        for mod in (neural_core_mod, trainer_mod, losses_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
+    state = train(labeled, class_emb, dataclasses.replace(config, epochs=1,
+                                                          batch_size=labeled.n))
+    assert state.adam.step == 1
+    assert calls == {"normalize_rows": 3, "normalize_rows_backward": 3}
+
+
 def test_diverged_loss_raises(tiny, monkeypatch):
     import graphgcd.trainer as trainer_mod
     from graphgcd.losses import loss_total as real_loss
