@@ -148,8 +148,10 @@ def _write_assignments(result: ClusterAssignment, path: Path) -> None:
 
 
 def _decimal(field: str) -> int:
-    """int() of ASCII digits after minus signs only; int() alone also reads ' 1' and '1_0'."""
-    if not (field.isascii() and field.lstrip("-").isdigit()):
+    """int() of ASCII digits after at most one minus sign, with no sign on a zero;
+    int() alone also reads ' 1', '1_0' and '-0'."""
+    digits = field.removeprefix("-")
+    if not (field.isascii() and digits.isdigit()) or (digits != field and int(digits) == 0):
         raise ValueError(f"invalid literal for int() with base 10: {field!r}")
     return int(field)
 

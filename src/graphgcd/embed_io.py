@@ -274,13 +274,7 @@ class RunConfig:
 
 def format_config(config: RunConfig) -> str:
     """Render a RunConfig as key=value lines in field order."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        if type(f.default) is float:
-            lines.append(f"{f.name}={value!r}")
-        else:
-            lines.append(f"{f.name}={value}")
+    lines = [f"{f.name}={getattr(config, f.name)}" for f in dataclasses.fields(RunConfig)]
     return "\n".join(lines) + "\n"
 
 

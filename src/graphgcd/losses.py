@@ -7,8 +7,9 @@ forward passes return them, so a dot product is a cosine; each public loss
 rejects rows more than 1e-6 from unit norm, and returns its gradients w.r.t.
 the unit rows it was given. Normalization, and with it the invariance to
 positive row rescaling and the normalization Jacobian, belongs to the
-forwards and their backward passes. Every function computes in the dtype
-numpy promotes its operands to.
+forwards and their backward passes. The triplet term's gradient is one
+product of a b×b weight matrix with the batch rows. Every function computes
+in the dtype numpy promotes its operands to.
 
 The `as_printed` switches reproduce the sign conventions of the published
 equations verbatim; the defaults follow the surrounding description (hinge
@@ -55,6 +56,8 @@ class Batch:
             raise InvariantError("batch tensors disagree on dimensions")
         if self.y_idx.shape != (b,):
             raise InvariantError("y_idx length does not match batch size")
+        if b == 0:
+            raise InvariantError("batch has no rows")
         if self.y_idx.min() < 0 or self.y_idx.max() >= c:
             raise InvariantError("class index out of range")
         _check_unit(z=self.z, ybar=self.ybar, t=self.t)
@@ -105,17 +108,32 @@ def loss_cma(
     return loss, gs @ ybar, gs.T @ z
 
 
-def _sdp_terms(
-    au: np.ndarray, pu: np.ndarray, nu: np.ndarray, as_printed: bool, out: np.ndarray
-) -> float:
-    """loss_sdp from the m triplets' unit rows.
+def loss_sdp(
+    z: np.ndarray, triplets: np.ndarray | list[tuple[int, int, int]], as_printed: bool = False
+) -> tuple[float, np.ndarray]:
+    """Triplet separation loss; mean over (anchor, positive, negative) rows of z.
 
-    Writes the gradients w.r.t. the anchor, positive and negative unit rows,
-    in that order, into the three m-row blocks of `out` [3m x d]; returns the loss.
+    z holds unit rows, and triplets index them, repeats allowed. Each cosine
+    z_a·z_p has gradient z_p at row a and z_a at row p, so every triplet's
+    cosine weights go into one b×b matrix w at [a, p], [p, a], [a, n] and
+    [n, a], and grad_z = w @ z. Returns (loss, grad_z).
     """
-    m = au.shape[0]
-    sp = (au * pu).sum(axis=1)
-    sn = (au * nu).sum(axis=1)
+    z = np.asarray(z)
+    if z.ndim != 2:
+        raise InvariantError(f"z must be a matrix of rows, got shape {z.shape}")
+    idx = np.asarray(triplets, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != 3:
+        raise InvariantError(f"triplets must have shape (m, 3), got {idx.shape}")
+    if idx.shape[0] < 1:
+        raise InvariantError("loss_sdp needs at least one triplet")
+    if idx.min() < 0 or idx.max() >= z.shape[0]:
+        raise InvariantError("triplet index outside the batch")
+    _check_unit(z=z)
+    m = idx.shape[0]
+    a, p, n = idx.T
+    za = z[a]
+    sp = (za * z[p]).sum(axis=1)
+    sn = (za * z[n]).sum(axis=1)
     if as_printed:
         loss = float((sp - 1.0).mean() + sn.mean())
         gsp = np.full(m, 1.0 / m, sp.dtype)
@@ -124,37 +142,12 @@ def _sdp_terms(
         loss = float((1.0 - sp).mean() + np.maximum(sn, 0.0).mean())
         gsp = np.full(m, -1.0 / m, sp.dtype)
         gsn = (sn > 0.0).astype(sn.dtype) / m
-    gsp, gsn = gsp[:, None], gsn[:, None]
-    ga, gp, gn = out.reshape(3, m, -1)
-    # the anchor appears in both pairs' cosines
-    np.multiply(gsp, pu, out=ga)
-    ga += gsn * nu
-    np.multiply(gsp, au, out=gp)
-    np.multiply(gsn, au, out=gn)
-    return loss
-
-
-def loss_sdp(
-    anchors: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    as_printed: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Triplet separation loss; mean over row-aligned triplets of unit rows.
-
-    Returns (loss, grad_anchors, grad_positives, grad_negatives).
-    """
-    anchors, positives, negatives = map(np.asarray, (anchors, positives, negatives))
-    if anchors.ndim != 2 or anchors.shape[0] < 1:
-        raise InvariantError("loss_sdp needs at least one triplet")
-    for other in (positives, negatives):
-        if other.shape != anchors.shape:
-            raise InvariantError(f"pair shapes differ: {anchors.shape} vs {other.shape}")
-    _check_unit(anchors=anchors, positives=positives, negatives=negatives)
-    m = anchors.shape[0]
-    out = np.empty((3 * m, anchors.shape[1]), np.result_type(anchors, positives, negatives))
-    loss = _sdp_terms(anchors, positives, negatives, as_printed, out)
-    return (loss, *out.reshape(3, m, -1))
+    # built in z's dtype: np.bincount would always give float64
+    b = z.shape[0]
+    w = np.zeros((b, b), z.dtype)
+    rows, cols = np.concatenate((a, p, a, n)), np.concatenate((p, a, n, a))
+    np.add.at(w.reshape(-1), rows * b + cols, np.concatenate((gsp, gsp, gsn, gsn)))
+    return loss, w @ z
 
 
 def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
@@ -179,22 +172,6 @@ class TotalGrads:
     t: np.ndarray
 
 
-def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """`np.add.at(out, idx, vals)` bit for bit, one vectorised add per repeat.
-
-    Each entry is ranked by how often its row occurred before it; round k adds
-    every row's k-th entry. Rows within a round are unique, and each row
-    receives its additions in the original order, as np.add.at applies them.
-    """
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    occurrence = np.empty(idx.size, dtype=np.int64)
-    occurrence[order] = np.arange(idx.size) - np.searchsorted(sorted_idx, sorted_idx)
-    for k in range(int(occurrence.max()) + 1):
-        sel = np.flatnonzero(occurrence == k)
-        out[idx[sel]] += vals[sel]
-
-
 def loss_total(
     batch: Batch,
     triplets: np.ndarray | list[tuple[int, int, int]],
@@ -212,15 +189,8 @@ def loss_total(
 
     l_sdp = 0.0
     if len(triplets):
-        idx = np.asarray(triplets, dtype=np.int64)
-        if idx.ndim != 2 or idx.shape[1] != 3:
-            raise InvariantError(f"triplets must have shape (m, 3), got {idx.shape}")
-        if idx.min() < 0 or idx.max() >= gz.shape[0]:
-            raise InvariantError("triplet index outside the batch")
-        grads = np.empty((3 * idx.shape[0], gz.shape[1]), gz.dtype)
-        l_sdp = _sdp_terms(*(batch.z[col] for col in idx.T), as_printed, grads)
-        # the a, p, n columns in sequence: the order of three np.add.at calls
-        _scatter_add_rows(gz, idx.T.ravel(), grads)
+        l_sdp, g = loss_sdp(batch.z, triplets, as_printed)
+        gz += g
 
     # centers are the per-class graph embeddings, detached
     l_cs, gt = loss_cs(batch.t, batch.ybar)

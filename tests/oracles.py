@@ -4,10 +4,11 @@ Everything in this file is written from the textbook definition and shares
 no code with the package: brute-force assignment enumeration, a plain
 Lloyd's k-means, list-deletion k-means++ seeding, a per-anchor triplet
 sampler, a two-vector cosine, a per-term loss with hand-derived Jacobians,
-central finite differences, an explicit-order parameter init, and one-product
-similarity features. `plain_semisup_kmeans` is no textbook form: it is the package's
-constrained loop as it ran before Hamerly's bounds, kept apart as the
-byte-identity reference. Keeping these separate is the point; do not
+a triplet gradient added one triplet at a time, central finite differences,
+an explicit-order parameter init, and one-product similarity features.
+`plain_semisup_kmeans` is no textbook form: it is the package's constrained
+loop as it ran before Hamerly's bounds, kept apart as the byte-identity
+reference. Keeping these separate is the point; do not
 "simplify" them by calling into graphgcd.
 """
 
@@ -314,6 +315,25 @@ def plain_loss_total(z, y, ybar, t, triplets, alpha: float, temperature: float,
     gt = (diff - (diff * tu).sum(axis=1, keepdims=True) * tu) / nt
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": l_cma + l_sdp + l_cs}
     return parts, gz, gybar, gt
+
+
+def plain_sdp_grad(z, triplets, as_printed: bool) -> np.ndarray:
+    """Gradient of the mean triplet term w.r.t. the unit rows z, in float64.
+
+    Per triplet the term is 1 - a·p + max(a·n, 0), or a·p - 1 + a·n as
+    printed, and d(u·v)/du = v, so each triplet in turn adds its weights
+    times the partner rows onto its own three rows.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    grad = np.zeros_like(z)
+    m = len(triplets)
+    for a, p, n in triplets:
+        wp = 1.0 / m if as_printed else -1.0 / m
+        wn = 1.0 / m if as_printed or z[a] @ z[n] > 0.0 else 0.0
+        grad[a] += wp * z[p] + wn * z[n]
+        grad[p] += wp * z[a]
+        grad[n] += wn * z[a]
+    return grad
 
 
 def plain_similarity_features(x, params, graph, h0) -> np.ndarray:

@@ -114,18 +114,16 @@ def _sdp_instance(rng, m=3, d=4):
 
 def _check_sdp(rng):
     a, p, n = _sdp_instance(rng)
-    traces = [normalize_rows(m)[1] for m in (a, p, n)]
-    _, *grads = loss_sdp(*(tr.unit for tr in traces))
-    worst = 0.0
-    for idx, (base, trace, grad) in enumerate(zip((a, p, n), traces, grads)):
-        def f(flat, idx=idx):
-            mats = [tr.unit for tr in traces]
-            mats[idx] = _unit(flat.reshape(base.shape))
-            return loss_sdp(*mats)[0]
-
-        fd = fd_gradient(f, base.ravel().copy()).reshape(base.shape)
-        worst = max(worst, grad_error(normalize_rows_backward(trace, grad), fd))
-    return worst
+    # the triplets index one row set: anchors, then positives, then negatives
+    m = a.shape[0]
+    z = np.vstack([a, p, n])
+    triplets = [(i, m + i, 2 * m + i) for i in range(m)]
+    zu, trace = normalize_rows(z)
+    _, grad = loss_sdp(zu, triplets)
+    fd = fd_gradient(
+        lambda f: loss_sdp(_unit(f.reshape(z.shape)), triplets)[0], z.ravel().copy()
+    ).reshape(z.shape)
+    return grad_error(normalize_rows_backward(trace, grad), fd)
 
 
 def _check_cs(rng):
@@ -166,7 +164,7 @@ def _check_total(rng):
 
     # the quadratic term's centers are constants, so the probe for ybar holds
     # them at the base value while the class-matching term sees the perturbation
-    l_sdp = loss_sdp(zu[idx[:, 0]], zu[idx[:, 1]], zu[idx[:, 2]])[0]
+    l_sdp = loss_sdp(zu, triplets)[0]
 
     def f_ybar(flat):
         moved = Batch(zu, y, _unit(flat.reshape(ybar.shape)), tu)

@@ -94,11 +94,11 @@ def test_each_loss_computes_in_its_operands_dtype(dtype):
     # the losses read unit rows, so the raw rows go through normalize_rows first
     z, ybar = (normalize_rows(rng.normal(size=s).astype(dtype))[0] for s in ((B, D), (C, D)))
     y = rng.integers(0, C, size=B)
+    triplets = [(i, 5 + i, 10 + i) for i in range(5)]
     for as_printed in (False, True):
         assert _float_dtypes(loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1, as_printed)) == {
             np.dtype(dtype)}
-        assert _float_dtypes(loss_sdp(z[:5], z[5:10], z[10:15], as_printed)) == {
-            np.dtype(dtype)}
+        assert _float_dtypes(loss_sdp(z, triplets, as_printed)) == {np.dtype(dtype)}
     assert _float_dtypes(loss_cs(ybar, ybar[::-1])) == {np.dtype(dtype)}
 
 
@@ -130,7 +130,8 @@ def test_any_float64_operand_gives_float64():
     ybar = normalize_rows(rng.normal(size=(C, D)))[0]
     assert {a.dtype for a in loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1)[1:]} == {f64}
     assert loss_cs(ybar.astype(np.float32), ybar)[1].dtype == f64
-    assert loss_sdp(z[:5], z[5:10], ybar[:5])[1].dtype == f64
+    triplets = [(i, 5 + i, 10 + i) for i in range(5)]
+    assert loss_sdp(np.vstack([z[:5], z[5:10], ybar[:5]]), triplets)[1].dtype == f64
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -328,6 +328,13 @@ def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp, pri
     assert parse_config(format_config(cfg)) == cfg
 
 
+def test_config_text_roundtrip_with_numpy_float_field():
+    # f"{np.float64(0.25)!r}" is "np.float64(0.25)", which parse_config rejects
+    cfg = RunConfig(margin_alpha=np.float64(0.25), learn_rate=np.float32(0.5))
+    assert "margin_alpha=0.25\n" in format_config(cfg)
+    assert parse_config(format_config(cfg)) == cfg
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = RunConfig(seed=123456789012345678, learn_rate=3e-4)
     path = tmp_path / "config.txt"

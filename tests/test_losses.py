@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from graphgcd.errors import InvariantError
 from graphgcd.losses import (
     Batch,
-    _scatter_add_rows,
     loss_cma,
     loss_cs,
     loss_sdp,
@@ -19,7 +18,14 @@ from graphgcd.losses import (
 )
 from graphgcd.neural_core import normalize_rows, normalize_rows_backward
 
-from oracles import cosine, fd_gradient, grad_error, plain_loss_total, plain_sample_triplets
+from oracles import (
+    cosine,
+    fd_gradient,
+    grad_error,
+    plain_loss_total,
+    plain_sample_triplets,
+    plain_sdp_grad,
+)
 
 
 def unit(v):
@@ -43,11 +49,24 @@ def raw_cma(z, y, ybar, alpha=0.3, temperature=1.0, as_printed=False):
     return loss, normalize_rows_backward(tz, gz), normalize_rows_backward(ty, gybar)
 
 
+def stack(a, p, n):
+    """Row-aligned anchor, positive and negative blocks as one z and its triplets."""
+    m = len(a)
+    return np.vstack([a, p, n]), [(i, m + i, 2 * m + i) for i in range(m)]
+
+
+def sdp(a, p, n, as_printed=False):
+    """loss_sdp of row-aligned unit-row blocks: (loss, grad_a, grad_p, grad_n)."""
+    loss, grad = loss_sdp(*stack(a, p, n), as_printed)
+    return (loss, *np.split(grad, 3))
+
+
 def raw_sdp(a, p, n, as_printed=False):
-    """loss_sdp as a function of raw rows, composed as raw_cma is."""
-    traces = [normalize_rows(np.asarray(rows, float))[1] for rows in (a, p, n)]
-    loss, *grads = loss_sdp(*(tr.unit for tr in traces), as_printed)
-    return (loss, *map(normalize_rows_backward, traces, grads))
+    """sdp as a function of raw rows, composed as raw_cma is."""
+    z, triplets = stack(a, p, n)
+    zu, trace = normalize_rows(np.asarray(z, float))
+    loss, grad = loss_sdp(zu, triplets, as_printed)
+    return (loss, *np.split(normalize_rows_backward(trace, grad), 3))
 
 
 def assert_close_to_rounding(got, ref, rows):
@@ -176,7 +195,7 @@ def test_sdp_worst_case_with_orthogonal_negative():
     a = np.array([[1.0, 0.0]])
     p = np.array([[-1.0, 0.0]])
     n = np.array([[0.0, 1.0]])
-    loss, _, _, _ = loss_sdp(a, p, n)
+    loss, _, _, _ = sdp(a, p, n)
     assert loss == pytest.approx(2.0, abs=1e-12)
 
 
@@ -184,7 +203,7 @@ def test_sdp_negative_similarity_clamped():
     a = np.array([[1.0, 0.0]])
     p = np.array([[1.0, 0.0]])
     n = np.array([[-0.5, math.sqrt(3.0) / 2.0]])  # cos = -0.5
-    loss, ga, gp, gn = loss_sdp(a, p, n)
+    loss, ga, gp, gn = sdp(a, p, n)
     assert loss == pytest.approx(0.0, abs=1e-15)
     # clamped term contributes no gradient through the negative
     np.testing.assert_allclose(gn, 0.0, atol=1e-15)
@@ -194,8 +213,8 @@ def test_sdp_printed_form_drops_clamp_and_constant():
     a = np.array([[1.0, 0.0]])
     p = np.array([[0.0, 1.0]])
     n = np.array([[-1.0, 0.0]])
-    prose, _, _, _ = loss_sdp(a, p, n)
-    printed, _, _, _ = loss_sdp(a, p, n, as_printed=True)
+    prose, _, _, _ = sdp(a, p, n)
+    printed, _, _, _ = sdp(a, p, n, as_printed=True)
     assert prose == pytest.approx(1.0)  # (1 - 0) + max(-1, 0)
     assert printed == pytest.approx(-2.0)  # (0 - 1) + (-1)
 
@@ -204,7 +223,7 @@ def test_sdp_mean_over_triplets():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     p = np.array([[1.0, 0.0], [-1.0, 0.0]])
     n = np.array([[0.0, 1.0], [0.0, 1.0]])
-    loss, _, _, _ = loss_sdp(a, p, n)
+    loss, _, _, _ = sdp(a, p, n)
     assert loss == pytest.approx((0.0 + 2.0) / 2.0)
 
 
@@ -220,15 +239,40 @@ def test_sdp_nonnegative_on_random_inputs():
 
 
 def test_sdp_empty_and_mismatched_inputs_rejected():
-    with pytest.raises(InvariantError):
-        loss_sdp(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
-    with pytest.raises(InvariantError):
-        loss_sdp(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
+    z = np.eye(3)
+    with pytest.raises(InvariantError, match="at least one triplet"):
+        loss_sdp(z, np.empty((0, 3), np.int64))
+    for triplets in ([], [(0, 1)], [(0, 1, 2, 0)], [(0, 1, 3)], [(-1, 0, 1)]):
+        with pytest.raises(InvariantError):
+            loss_sdp(z, triplets)
+    with pytest.raises(InvariantError, match="matrix of rows"):
+        loss_sdp(z[0], [(0, 1, 2)])
 
 
 def test_sdp_zero_row_rejected():
-    with pytest.raises(InvariantError, match="anchors rows are not unit-norm"):
-        loss_sdp(np.array([[0.0, 0.0]]), np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(InvariantError, match="z rows are not unit-norm"):
+        loss_sdp(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sdp_gradient_matches_plain_loop_oracle(dtype):
+    # indices drawn from the first `hot` rows with replacement, and whole
+    # triplets drawn again: rows repeat within and across triplets, so several
+    # weights add onto one entry of the b×b matrix
+    rng = np.random.default_rng(2024)
+    eps = np.finfo(dtype).eps
+    for _ in range(300):
+        b, d, m = int(rng.integers(1, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        z = normalize_rows(rng.normal(size=(b, d)).astype(dtype))[0]
+        triplets = rng.integers(int(rng.integers(1, b + 1)), size=(m, 3))
+        triplets = triplets[rng.integers(m, size=m)]
+        for as_printed in (False, True):
+            _, grad = loss_sdp(z, triplets, as_printed)
+            assert grad.dtype == dtype
+            # a row's weights sum to at most 4 in magnitude; rounding in the
+            # operands' dtype: each weight adds up to 4m terms, each product b
+            np.testing.assert_allclose(grad, plain_sdp_grad(z, triplets.tolist(), as_printed),
+                                       rtol=0, atol=4 * (b + 4 * m) * eps)
 
 
 # ---------------------------------------------------------------- loss_cs
@@ -300,9 +344,9 @@ def test_total_is_sum_of_parts():
     for make, triplets in ((_random_total_inputs, [(0, 1, 2), (1, 0, 3), (4, 2, 0)]),
                            (_anchor_opposite_row_4, _REPEATS)):
         for as_printed in (False, True):
-            gn = _check_total_is_sum_of_parts(make(3), triplets, as_printed)
-            if make is _anchor_opposite_row_4 and not as_printed:
-                assert not gn[0].any()  # triplet (0, 1, 4): its negative term is inactive
+            _check_total_is_sum_of_parts(make(3), triplets, as_printed)
+    # triplet (0, 1, 4): its negative term is inactive, so row 4 gets no gradient
+    assert not loss_sdp(_anchor_opposite_row_4(3).z, _REPEATS[:1])[1][4].any()
 
 
 def _check_total_is_sum_of_parts(batch, triplets, as_printed):
@@ -311,9 +355,7 @@ def _check_total_is_sum_of_parts(batch, triplets, as_printed):
     assert total == parts["l_tot"]
 
     l_cma, gz_c, gybar_c = loss_cma(batch, 0.3, 1.0, as_printed)
-    idx = np.asarray(triplets)
-    z = batch.z
-    l_sdp, ga, gp, gn = loss_sdp(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]], as_printed)
+    l_sdp, gz_s = loss_sdp(batch.z, triplets, as_printed)
     l_cs, gcs = loss_cs(batch.t, batch.ybar)
     assert parts["l_cma"] == l_cma
     assert parts["l_sdp"] == l_sdp
@@ -321,12 +363,8 @@ def _check_total_is_sum_of_parts(batch, triplets, as_printed):
     np.testing.assert_array_equal(grads.ybar, gybar_c)
     np.testing.assert_array_equal(grads.t, gcs)
 
-    # grads.z: the per-term gradients scattered with np.add.at, bit for bit
-    np.add.at(gz_c, idx[:, 0], ga)
-    np.add.at(gz_c, idx[:, 1], gp)
-    np.add.at(gz_c, idx[:, 2], gn)
-    np.testing.assert_array_equal(grads.z, gz_c)
-    return gn
+    # grads.z: the two terms' gradients added, bit for bit
+    np.testing.assert_array_equal(grads.z, gz_c + gz_s)
 
 
 @given(st.integers(3, 8), st.integers(1, 4), st.integers(2, 6), st.integers(0, 12),
@@ -404,39 +442,15 @@ def test_every_public_loss_rejects_non_unit_rows(name, scale):
         loss_cma(batch, 0.3, 1.0)
     with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
         loss_total(batch, [(0, 1, 2)], 0.3, 1.0)
-    z = _random_total_inputs(1).z
-    for k, role in enumerate(("anchors", "positives", "negatives")):
-        rows = [z[0:2].copy(), z[2:4].copy(), z[3:5].copy()]
-        rows[k][1] *= scale
-        with pytest.raises(InvariantError, match=f"^{role} rows are not unit-norm"):
-            loss_sdp(*rows)
+    # loss_sdp reads one row set, whichever it is given
+    with pytest.raises(InvariantError, match="^z rows are not unit-norm"):
+        loss_sdp(getattr(batch, name), [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("triplets", [[(0, 1, 5)], [(-1, 0, 1)], [(0, 1)]])
 def test_total_rejects_malformed_triplets(triplets):
     with pytest.raises(InvariantError):
         loss_total(_random_total_inputs(2), triplets, 0.3, 1.0)
-
-
-def test_scatter_add_rows_matches_np_add_at():
-    # heavy repeats in every column, values over sixteen decades: any change
-    # in a row's summation order shows up as a bit difference
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        b = int(rng.integers(1, 40))
-        d = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 120))
-        hot = int(rng.integers(1, b + 1))  # rows drawn from the first `hot` only
-        idx = rng.integers(hot, size=(m, 3))
-        vals = [rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
-                for _ in range(3)]
-        base = rng.normal(size=(b, d))
-        expect = base.copy()
-        for col in range(3):
-            np.add.at(expect, idx[:, col], vals[col])
-        got = base.copy()
-        _scatter_add_rows(got, idx.T.ravel(), np.concatenate(vals))
-        np.testing.assert_array_equal(got, expect)
 
 
 # ---------------------------------------------------------------- gradients vs finite differences
@@ -585,6 +599,13 @@ def test_batch_validate_rejects_non_unit_rows():
     batch.z = batch.z * 2.0
     with pytest.raises(InvariantError, match="unit-norm"):
         batch.validate()
+
+
+def test_batch_validate_rejects_empty_batch():
+    # y_idx.min() of no rows would raise numpy's untyped ValueError
+    empty = Batch(np.zeros((0, 3)), np.zeros(0, np.int64), np.eye(3), np.eye(3))
+    with pytest.raises(InvariantError, match="batch has no rows"):
+        loss_total(empty, [], 0.3, 1.0)
 
 
 def test_batch_validate_rejects_bad_class_index():
