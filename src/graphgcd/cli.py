@@ -41,6 +41,7 @@ from .embed_io import (
     check_run_inputs,
     format_config,
     generate_synthetic,
+    parse_decimal,
     read_embedding_file,
     write_csv,
     write_embedding_file,
@@ -147,15 +148,6 @@ def _write_assignments(result: ClusterAssignment, path: Path) -> None:
     print(f"wrote {path}")
 
 
-def _decimal(field: str) -> int:
-    """int() of ASCII digits after at most one minus sign, with no sign on a zero;
-    int() alone also reads ' 1', '1_0' and '-0'."""
-    digits = field.removeprefix("-")
-    if not (field.isascii() and digits.isdigit()) or (digits != field and int(digits) == 0):
-        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
-    return int(field)
-
-
 def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -167,7 +159,7 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
                 parts = line.strip().split(",")
                 if len(parts) != 3:
                     raise InputError(f"{path}:{lineno}: expected 3 columns")
-                index, cid, flag = map(_decimal, parts)
+                index, cid, flag = map(parse_decimal, parts)
                 if index != lineno - 2:
                     raise InputError(f"{path}:{lineno}: sample_index {index} is not the row position")
                 if flag not in (0, 1):
@@ -214,9 +206,9 @@ def cluster_features(
     Labeled rows keep their class id and unlabeled rows get -1 (free), so row
     i of both results is row i of assignments.csv.
     """
-    graph = build_knn_graph(class_emb.data, state.config.knn_k)
+    a = build_knn_graph(class_emb.data, state.config.knn_k)
     # each set on its own: no n x d copy of both, only the n x C results are joined
-    features = np.concatenate([similarity_features(s.data, state.params, graph, class_emb.data)
+    features = np.concatenate([similarity_features(s.data, state.params, a, class_emb.data)
                                for s in (labeled, unlabeled)])
     labels = np.concatenate([labeled.labels, np.full(unlabeled.n, -1)]).astype(np.int64)
     return features, labels

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .neural_core import Params, gcn_forward, projector_forward
-from .semantic_graph import SemanticGraph
 
 MAX_LLOYD_ITERATIONS = 300
 _INERTIA_SLACK = 1e-9
@@ -34,7 +33,7 @@ class ClusterAssignment:
 
 
 def similarity_features(
-    x: np.ndarray, params: Params, graph: SemanticGraph, h0: np.ndarray
+    x: np.ndarray, params: Params, a: np.ndarray, h0: np.ndarray
 ) -> np.ndarray:
     """Cosine of each projected row of `x` (the caller's array, not a copy) to each GCN class row.
 
@@ -47,7 +46,7 @@ def similarity_features(
     differently, and with full-size blocks the bits equal one whole-array
     product on tested shapes.
     """
-    ybar = gcn_forward(graph, np.asarray(h0, dtype=np.float64), params)[0]
+    ybar = gcn_forward(a, np.asarray(h0, dtype=np.float64), params)[0]
     n, d = x.shape
     block = min(n, _CHUNK_ROWS)
     rows_buf = np.empty((block, d))

@@ -278,9 +278,18 @@ def format_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_decimal(field: str) -> int:
+    """int() of ASCII digits after at most one minus sign, with no sign on a zero;
+    int() alone also reads ' 1', '1_0', '+1' and '-0'."""
+    digits = field.removeprefix("-")
+    if not (field.isascii() and digits.isdigit()) or (digits != field and int(digits) == 0):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value config text; retired keys are dropped, unknown ones rejected,
-    missing ones take their defaults, and a bool is exactly True or False."""
+    """Parse key=value config text: retired keys dropped, unknown or repeated ones rejected,
+    missing ones defaulted; an int is read by parse_decimal, a bool is exactly True or False."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -296,11 +305,14 @@ def parse_config(text: str) -> RunConfig:
             continue
         if key not in fields:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InputError(f"config line {lineno}: repeated key {key!r}")
         kind = type(fields[key].default)
         try:
             if kind is bool and raw not in ("True", "False"):
                 raise ValueError(raw)
-            values[key] = raw == "True" if kind is bool else kind(raw)
+            values[key] = (raw == "True" if kind is bool
+                           else parse_decimal(raw) if kind is int else kind(raw))
         except ValueError as exc:
             raise InputError(f"config line {lineno}: bad value for {key}: {raw!r}") from exc
     return RunConfig(**values)

@@ -8,8 +8,9 @@ rejects rows more than 1e-6 from unit norm, and returns its gradients w.r.t.
 the unit rows it was given. Normalization, and with it the invariance to
 positive row rescaling and the normalization Jacobian, belongs to the
 forwards and their backward passes. The triplet term's gradient is one
-product of a b×b weight matrix with the batch rows. Every function computes
-in the dtype numpy promotes its operands to.
+product of a b×b weight matrix with the batch rows. The losses take the
+arrays they read, and each checks only those. Every function computes in
+the dtype numpy promotes its operands to.
 
 The `as_printed` switches reproduce the sign conventions of the published
 equations verbatim; the defaults follow the surrounding description (hinge
@@ -18,8 +19,6 @@ triplet term rewards high positive similarity).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,48 +34,31 @@ def _check_unit(**named_rows: np.ndarray) -> None:
             raise InvariantError(f"{name} rows are not unit-norm")
 
 
-@dataclass
-class Batch:
-    """One training step's tensors.
-
-    z: projected visual features [b x d]; y_idx: known-class index per row;
-    ybar: per-class graph embeddings [C x d]; t: prompt features [C x d].
-    z, ybar and t hold unit rows.
-    """
-
-    z: np.ndarray
-    y_idx: np.ndarray
-    ybar: np.ndarray
-    t: np.ndarray
-
-    def validate(self) -> None:
-        b, d = self.z.shape
-        c = self.ybar.shape[0]
-        if self.ybar.shape[1] != d or self.t.shape != (c, d):
-            raise InvariantError("batch tensors disagree on dimensions")
-        if self.y_idx.shape != (b,):
-            raise InvariantError("y_idx length does not match batch size")
-        if b == 0:
-            raise InvariantError("batch has no rows")
-        if self.y_idx.min() < 0 or self.y_idx.max() >= c:
-            raise InvariantError("class index out of range")
-        _check_unit(z=self.z, ybar=self.ybar, t=self.t)
-
-
 def loss_cma(
-    batch: Batch, alpha: float, temperature: float, as_printed: bool = False
+    z: np.ndarray, y_idx: np.ndarray, ybar: np.ndarray, alpha: float, temperature: float,
+    as_printed: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Class-matching loss: CE over cosine logits plus margin hinge.
 
-    Validates the batch; returns (loss, grad_z, grad_ybar), batch-mean reduction.
+    z: projected visual features [b x d]; y_idx: known-class index per row;
+    ybar: per-class graph embeddings [C x d]; z and ybar hold unit rows.
+    Returns (loss, grad_z, grad_ybar), batch-mean reduction.
     """
-    batch.validate()
+    b, d = z.shape
+    c = ybar.shape[0]
+    if ybar.shape[1] != d:
+        raise InvariantError("batch tensors disagree on dimensions")
+    if y_idx.shape != (b,):
+        raise InvariantError("y_idx length does not match batch size")
+    if b == 0:
+        raise InvariantError("batch has no rows")
+    if y_idx.min() < 0 or y_idx.max() >= c:
+        raise InvariantError("class index out of range")
+    _check_unit(z=z, ybar=ybar)
     if not 0.0 <= alpha <= 1.0:
         raise InvariantError(f"alpha must lie in [0,1], got {alpha}")
     if temperature <= 0.0:
         raise InvariantError(f"temperature must be positive, got {temperature}")
-    z, y, ybar = batch.z, batch.y_idx, batch.ybar
-    b = z.shape[0]
     rows = np.arange(b)
 
     s = z @ ybar.T
@@ -84,26 +66,26 @@ def loss_cma(
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     softmax = exp / exp.sum(axis=1, keepdims=True)
-    ce = np.log(exp.sum(axis=1)) - shifted[rows, y]
+    ce = np.log(exp.sum(axis=1)) - shifted[rows, y_idx]
 
-    pos = s[rows, y][:, None]
+    pos = s[rows, y_idx][:, None]
     if as_printed:
         hinge = np.maximum(pos - s - alpha, 0.0)
     else:
         hinge = np.maximum(s - pos + alpha, 0.0)
-    hinge[rows, y] = 0.0  # c = y excluded from the margin sum
+    hinge[rows, y_idx] = 0.0  # c = y excluded from the margin sum
     loss = float((ce + hinge.sum(axis=1)).mean())
 
     gs = softmax.copy()
-    gs[rows, y] -= 1.0
+    gs[rows, y_idx] -= 1.0
     gs /= temperature
     active = (hinge > 0.0).astype(hinge.dtype)
     if as_printed:
         gs -= active
-        gs[rows, y] += active.sum(axis=1)
+        gs[rows, y_idx] += active.sum(axis=1)
     else:
         gs += active
-        gs[rows, y] -= active.sum(axis=1)
+        gs[rows, y_idx] -= active.sum(axis=1)
     gs /= b
     return loss, gs @ ybar, gs.T @ z
 
@@ -162,42 +144,35 @@ def loss_cs(t: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
     return float(0.5 * (diff * diff).sum()), diff
 
 
-@dataclass
-class TotalGrads:
-    """Gradients of the summed loss w.r.t. the unit rows of batch.z, batch.ybar
-    and batch.t; the backward passes map them onto what was normalized."""
-
-    z: np.ndarray
-    ybar: np.ndarray
-    t: np.ndarray
-
-
 def loss_total(
-    batch: Batch,
-    triplets: np.ndarray | list[tuple[int, int, int]],
-    alpha: float,
-    temperature: float,
+    z: np.ndarray, y_idx: np.ndarray, ybar: np.ndarray, t: np.ndarray,
+    triplets: np.ndarray | list[tuple[int, int, int]], alpha: float, temperature: float,
     as_printed: bool = False,
-) -> tuple[float, TotalGrads, dict[str, float]]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, float]]:
     """Sum of the three terms with unit weights.
 
-    Validates the batch. Triplets are (anchor, positive, negative) rows of
-    batch.z, repeats allowed; no triplets drops the triplet term.
-    Returns (loss, grads, per-term values keyed l_cma/l_sdp/l_cs/l_tot).
+    z, y_idx and ybar are loss_cma's; t holds the prompt features [C x d] as
+    unit rows. Triplets are (anchor, positive, negative) rows of z, repeats
+    allowed; no triplets drops the triplet term. Returns (loss, (grad_z,
+    grad_ybar, grad_t), per-term values keyed l_cma/l_sdp/l_cs/l_tot), the
+    gradients w.r.t. the unit rows given; the backward passes map them onto
+    what was normalized.
     """
-    l_cma, gz, gybar = loss_cma(batch, alpha, temperature, as_printed)
+    l_cma, gz, gybar = loss_cma(z, y_idx, ybar, alpha, temperature, as_printed)
 
     l_sdp = 0.0
     if len(triplets):
-        l_sdp, g = loss_sdp(batch.z, triplets, as_printed)
+        l_sdp, g = loss_sdp(z, triplets, as_printed)
         gz += g
 
-    # centers are the per-class graph embeddings, detached
-    l_cs, gt = loss_cs(batch.t, batch.ybar)
+    # centers are the per-class graph embeddings, detached; loss_cs checks
+    # that t has their shape before its rows are read
+    l_cs, gt = loss_cs(t, ybar)
+    _check_unit(t=t)
 
     total = l_cma + l_sdp + l_cs
     parts = {"l_cma": l_cma, "l_sdp": l_sdp, "l_cs": l_cs, "l_tot": total}
-    return total, TotalGrads(z=gz, ybar=gybar, t=gt), parts
+    return total, (gz, gybar, gt), parts
 
 
 def sample_triplets(batch_labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, NumericError
-from .semantic_graph import SemanticGraph
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -138,15 +137,14 @@ class GcnTrace:
 
 
 def gcn_forward(
-    graph: SemanticGraph, h0: np.ndarray, params: Params
+    a: np.ndarray, h0: np.ndarray, params: Params
 ) -> tuple[np.ndarray, GcnTrace]:
-    """Message-passing layers "gcn.w0", "gcn.w1", ... with ReLU on all but the
-    last, then row L2-norm.
+    """Message-passing layers "gcn.w0", "gcn.w1", ... over the propagation
+    matrix a = D^-1 A, with ReLU on all but the last, then row L2-norm.
 
     Zero layers returns h0 row-normalized.
     """
     h = np.asarray(h0)
-    a = graph.norm_adjacency
     if h.ndim != 2 or h.shape[0] != a.shape[0]:
         raise InvariantError(
             f"h0 shape {h.shape} does not match graph with {a.shape[0]} nodes"

@@ -1,9 +1,13 @@
-"""Class-level kNN graph over class embeddings and its propagation matrix."""
+"""Class-level kNN graph over class embeddings, as its propagation matrix D^-1 A.
+
+A[i, j] = 1 iff j is among the k classes most cosine-similar to i (ties to
+the lower index) or i == j. Self-loops keep every row sum positive, so A is
+exactly the positive entries of D^-1 A, and the matrix is the whole graph.
+"""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,21 +15,8 @@ from .embed_io import write_csv
 from .errors import InvariantError, NonFiniteError
 
 
-@dataclass
-class SemanticGraph:
-    """Directed kNN adjacency over class nodes plus its row-normalized form.
-
-    adjacency[i, j] = 1 iff j is among the k classes most cosine-similar to i
-    (ties to the lower index) or i == j; norm_adjacency is adjacency with each
-    row divided by its row sum.
-    """
-
-    adjacency: np.ndarray
-    norm_adjacency: np.ndarray
-
-
-def build_knn_graph(class_embeddings: np.ndarray, k: int) -> SemanticGraph:
-    """Connect each class to its k nearest neighbors by cosine similarity.
+def build_knn_graph(class_embeddings: np.ndarray, k: int) -> np.ndarray:
+    """Join each class to its k nearest by cosine similarity; return D^-1 A in float64.
 
     Self-loops are always present. k >= (number of classes) - 1 degenerates
     to the complete graph (a warning when k reaches the class count, not an
@@ -59,7 +50,7 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> SemanticGraph:
     nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     adjacency[np.arange(c)[:, None], nearest] = 1
 
-    return SemanticGraph(adjacency=adjacency, norm_adjacency=row_normalize(adjacency))
+    return row_normalize(adjacency)
 
 
 def row_normalize(adjacency: np.ndarray) -> np.ndarray:
@@ -71,6 +62,6 @@ def row_normalize(adjacency: np.ndarray) -> np.ndarray:
     return a / row_sums
 
 
-def dump_graph_csv(graph: SemanticGraph, path) -> None:
-    """Write the binary adjacency as CSV, one node row per line."""
-    write_csv(path, (), graph.adjacency.tolist())
+def dump_graph_csv(a: np.ndarray, path) -> None:
+    """Write A, the positive entries of a = D^-1 A, as 0/1 CSV, one node row per line."""
+    write_csv(path, (), (a > 0).astype(int).tolist())

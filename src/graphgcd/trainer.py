@@ -1,5 +1,8 @@
 """Training loop, loss trace, and GVLP checkpoint serialization.
 
+The loop reads the class graph as its propagation matrix alone, hands the
+losses the arrays they read, and unpacks their three gradients directly.
+
 Checkpoint layout (little-endian), all of it produced and consumed here:
 
     magic "GVLP"
@@ -36,7 +39,7 @@ from .embed_io import (
     write_csv,
 )
 from .errors import FormatError, InputError, InvariantError, NonFiniteError, NumericError
-from .losses import Batch, loss_total, sample_triplets
+from .losses import loss_total, sample_triplets
 from .neural_core import (
     AdamState,
     Params,
@@ -50,7 +53,7 @@ from .neural_core import (
     projector_backward,
     projector_forward,
 )
-from .semantic_graph import SemanticGraph, build_knn_graph
+from .semantic_graph import build_knn_graph
 
 GVLP_MAGIC = b"GVLP"
 _GROUPS = ("param", "adam.m", "adam.v")  # file order; each holds one tensor per layout name
@@ -74,10 +77,10 @@ class TrainState:
     trace: list[EpochRecord] = field(default_factory=list)
 
 
-def _frozen_bytes(graph: SemanticGraph, h0: np.ndarray) -> bytes:
-    """The bytes training must leave unchanged. A copy, not a digest: these
-    arrays are small, and hashlib would load OpenSSL (see graphgcd.cli.main)."""
-    return b"".join(a.tobytes() for a in (graph.adjacency, graph.norm_adjacency, h0))
+def _frozen_bytes(a: np.ndarray, h0: np.ndarray) -> bytes:
+    """Everything the GCN reads, which training must leave unchanged. A copy, not a
+    digest: these arrays are small, and hashlib would load OpenSSL (see graphgcd.cli.main)."""
+    return a.tobytes() + h0.tobytes()
 
 
 def train(
@@ -88,13 +91,13 @@ def train(
 ) -> TrainState:
     """Optimize GCN weights, projector, and prompts over the labeled set.
 
-    The class graph is built once from class_embeddings and never mutated
-    (checked against a copy of its bytes). Each epoch shuffles the labeled
-    samples with a generator seeded by (seed, 1, epoch) and walks minibatches
-    of config.batch_size; every step runs the full forward, the summed loss, the
-    exact backward, and one Adam update, all in float32 (the propagation
-    matrix is cast to it). Passing a loaded `state` resumes at state.epoch;
-    the in-memory trace restarts at the resume point.
+    The class graph's propagation matrix is built once from class_embeddings,
+    cast to float32, and, like h0, never mutated (checked against a copy of
+    their bytes). Each epoch shuffles the labeled samples with a generator
+    seeded by (seed, 1, epoch) and walks minibatches of config.batch_size;
+    every step runs the full forward, the summed loss, the exact backward, and
+    one Adam update, all in float32. Passing a loaded `state` resumes at
+    state.epoch; the in-memory trace restarts at the resume point.
     """
     config = check_run_inputs(config, labeled, class_embeddings)
     known = class_embeddings.n
@@ -122,10 +125,9 @@ def train(
             f"checkpoint is at epoch {state.epoch}, beyond configured {config.epochs}"
         )
 
-    graph = build_knn_graph(class_embeddings.data, config.knn_k)
-    graph = SemanticGraph(graph.adjacency, graph.norm_adjacency.astype(np.float32))
+    a = build_knn_graph(class_embeddings.data, config.knn_k).astype(np.float32)
     h0 = class_embeddings.data
-    frozen = _frozen_bytes(graph, h0)
+    frozen = _frozen_bytes(a, h0)
 
     n = labeled.n
     x = labeled.data
@@ -136,19 +138,19 @@ def train(
         steps = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            ybar, gcn_tr = gcn_forward(graph, h0, state.params)
+            ybar, gcn_tr = gcn_forward(a, h0, state.params)
             z, proj_tr = projector_forward(x[idx], state.params)
             t, prompt_tr = normalize_rows(state.params["prompt.t"])
             triplets = sample_triplets(labels[idx], rng)
-            loss, grads, parts = loss_total(Batch(z=z, y_idx=labels[idx], ybar=ybar, t=t),
-                                            triplets, config.margin_alpha,
-                                            config.temperature, config.losses_as_printed)
+            loss, (g_z, g_ybar, g_t), parts = loss_total(
+                z, labels[idx], ybar, t, triplets, config.margin_alpha,
+                config.temperature, config.losses_as_printed)
             if not np.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}, step {steps}")
 
-            gcn_grads, _ = gcn_backward(gcn_tr, grads.ybar)
-            proj_grads, _ = projector_backward(proj_tr, grads.z)
-            g_prompt = normalize_rows_backward(prompt_tr, grads.t)
+            gcn_grads, _ = gcn_backward(gcn_tr, g_ybar)
+            proj_grads, _ = projector_backward(proj_tr, g_z)
+            g_prompt = normalize_rows_backward(prompt_tr, g_t)
             adam_step(state.params, state.adam,
                       {**gcn_grads, **proj_grads, "prompt.t": g_prompt}, config.learn_rate)
             sums += (parts["l_cma"], parts["l_sdp"], parts["l_cs"], parts["l_tot"])
@@ -157,7 +159,7 @@ def train(
         state.trace.append(EpochRecord(epoch, mean[0], mean[1], mean[2], mean[3]))
         state.epoch = epoch + 1
 
-    if _frozen_bytes(graph, h0) != frozen:
+    if _frozen_bytes(a, h0) != frozen:
         raise InvariantError("semantic graph or h0 mutated during training")
     return state
 

@@ -336,20 +336,20 @@ def plain_sdp_grad(z, triplets, as_printed: bool) -> np.ndarray:
     return grad
 
 
-def plain_similarity_features(x, params, graph, h0) -> np.ndarray:
+def plain_similarity_features(x, params, a, h0) -> np.ndarray:
     """Cosine of each projected row of x to each GCN class row, one product per layer.
 
-    GCN: H <- (A_norm H) W per layer, ReLU on all but the last, then unit
-    rows. Projector: unit rows of relu(x W1 + b1) W2 + b2, all n rows at
-    once. Each step is written in the order the definition reads, so results
-    agree with the package bit for bit wherever BLAS rounds a row alike in
-    any product.
+    GCN: H <- (a H) W per layer over the propagation matrix a = D^-1 A, ReLU
+    on all but the last, then unit rows. Projector: unit rows of
+    relu(x W1 + b1) W2 + b2, all n rows at once. Each step is written in the
+    order the definition reads, so results agree with the package bit for bit
+    wherever BLAS rounds a row alike in any product.
     """
     h = np.asarray(h0, dtype=np.float64)
     weights = [np.asarray(params[f"gcn.w{i}"], dtype=np.float64)
                for i in range(sum(name.startswith("gcn.") for name in params))]
     for i, w in enumerate(weights):
-        h = (graph.norm_adjacency @ h) @ w
+        h = (a @ h) @ w
         if i < len(weights) - 1:
             h = np.maximum(h, 0.0)
     ybar = h / np.linalg.norm(h, axis=1, keepdims=True)

@@ -15,7 +15,7 @@ import pytest
 
 from graphgcd.clustering import similarity_features
 from graphgcd.embed_io import RunConfig, generate_synthetic
-from graphgcd.losses import Batch, loss_cma, loss_cs, loss_sdp, loss_total, sample_triplets
+from graphgcd.losses import loss_cma, loss_cs, loss_sdp, loss_total, sample_triplets
 from graphgcd.neural_core import (
     adam_step,
     gcn_backward,
@@ -26,7 +26,7 @@ from graphgcd.neural_core import (
     projector_backward,
     projector_forward,
 )
-from graphgcd.semantic_graph import SemanticGraph, build_knn_graph
+from graphgcd.semantic_graph import build_knn_graph
 from graphgcd.trainer import train
 
 C, D, B, HIDDEN = 6, 16, 32, 12
@@ -56,8 +56,7 @@ def _inputs(dtype, seed=0):
     float32 values are the float64 ones rounded."""
     rng = np.random.default_rng(seed)
     ce = rng.normal(size=(C, D)).astype(np.float32)
-    g = build_knn_graph(ce, 2)
-    graph = SemanticGraph(g.adjacency, g.norm_adjacency.astype(dtype))
+    graph = build_knn_graph(ce, 2).astype(dtype)
     x = rng.normal(size=(B, D)).astype(np.float32).astype(dtype)
     y = rng.integers(0, C, size=B)
     params = {k: t.astype(dtype) for k, t in init_params(D, HIDDEN, C, 2, seed)[0].items()}
@@ -71,10 +70,11 @@ def _step(graph, h0, x, y, params, seed=0):
     z, proj_tr = projector_forward(x, params)
     t, prompt_tr = normalize_rows(params["prompt.t"])
     triplets = sample_triplets(y, np.random.default_rng(seed))
-    loss, grads, parts = loss_total(Batch(z=z, y_idx=y, ybar=ybar, t=t), triplets, 0.3, 0.1)
-    gw, gh0 = gcn_backward(gcn_tr, grads.ybar)
-    pg, gx = projector_backward(proj_tr, grads.z)
-    gt = normalize_rows_backward(prompt_tr, grads.t)
+    loss, grads, parts = loss_total(z, y, ybar, t, triplets, 0.3, 0.1)
+    g_z, g_ybar, g_t = grads
+    gw, gh0 = gcn_backward(gcn_tr, g_ybar)
+    pg, gx = projector_backward(proj_tr, g_z)
+    gt = normalize_rows_backward(prompt_tr, g_t)
     named = {**gw, **pg, "prompt.t": gt}
     results = [ybar, gcn_tr, z, proj_tr, t, prompt_tr, grads, gw, gh0, pg, gx, gt]
     return loss, results, named
@@ -96,8 +96,7 @@ def test_each_loss_computes_in_its_operands_dtype(dtype):
     y = rng.integers(0, C, size=B)
     triplets = [(i, 5 + i, 10 + i) for i in range(5)]
     for as_printed in (False, True):
-        assert _float_dtypes(loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1, as_printed)) == {
-            np.dtype(dtype)}
+        assert _float_dtypes(loss_cma(z, y, ybar, 0.3, 0.1, as_printed)) == {np.dtype(dtype)}
         assert _float_dtypes(loss_sdp(z, triplets, as_printed)) == {np.dtype(dtype)}
     assert _float_dtypes(loss_cs(ybar, ybar[::-1])) == {np.dtype(dtype)}
 
@@ -115,7 +114,7 @@ def test_adam_step_in_float32_keeps_params_and_moments_float32():
 def test_any_float64_operand_gives_float64():
     graph, h0, x, y, params = _inputs(np.float32)
     f64 = np.dtype(np.float64)
-    g64 = SemanticGraph(graph.adjacency, graph.norm_adjacency.astype(np.float64))
+    g64 = graph.astype(np.float64)
     assert _float_dtypes(gcn_forward(g64, h0, params)[0]) == {f64}
     assert _float_dtypes(gcn_forward(graph, h0.astype(np.float64), params)[0]) == {f64}
     for name in ("proj.w1", "proj.b1", "proj.w2", "proj.b2"):
@@ -128,7 +127,7 @@ def test_any_float64_operand_gives_float64():
     rng = np.random.default_rng(2)
     z = normalize_rows(rng.normal(size=(B, D)).astype(np.float32))[0]
     ybar = normalize_rows(rng.normal(size=(C, D)))[0]
-    assert {a.dtype for a in loss_cma(Batch(z, y, ybar, ybar), 0.3, 0.1)[1:]} == {f64}
+    assert {a.dtype for a in loss_cma(z, y, ybar, 0.3, 0.1)[1:]} == {f64}
     assert loss_cs(ybar.astype(np.float32), ybar)[1].dtype == f64
     triplets = [(i, 5 + i, 10 + i) for i in range(5)]
     assert loss_sdp(np.vstack([z[:5], z[5:10], ybar[:5]]), triplets)[1].dtype == f64

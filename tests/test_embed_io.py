@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -373,6 +374,20 @@ def test_config_accepts_and_drops_retired_key():
                                   + "losses_as_printed=False\n")
     with pytest.raises(InputError, match="unknown key 'foo'"):
         parse_config(old + "foo=1\n")
+
+
+def test_config_rejects_repeated_key():
+    # the later line used to win silently
+    with pytest.raises(InputError, match="config line 3: repeated key 'seed'"):
+        parse_config("seed=1\nknn_k=3\nseed=2\n")
+
+
+@pytest.mark.parametrize("field,raw", [("knn_k", "1_0"), ("epochs", "+5"), ("seed", "-0"),
+                                       ("batch_size", "١٢")])
+def test_config_int_is_plain_decimal(field, raw):
+    # int() alone reads all of these; an int field takes only what format_config writes
+    with pytest.raises(InputError, match=re.escape(f"line 1: bad value for {field}: '{raw}'")):
+        parse_config(f"{field}={raw}\n")
 
 
 @pytest.mark.parametrize("raw", ["yes", "1", "true", "0", "false", ""])

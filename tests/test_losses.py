@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from graphgcd.errors import InvariantError
 from graphgcd.losses import (
-    Batch,
     loss_cma,
     loss_cs,
     loss_sdp,
@@ -33,19 +32,17 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def make_batch(z, y, ybar, t=None):
-    z = np.asarray(z, dtype=np.float64)
-    ybar = np.asarray(ybar, dtype=np.float64)
-    if t is None:
-        t = ybar.copy()
-    return Batch(z=z, y_idx=np.asarray(y, dtype=np.int64), ybar=ybar, t=t)
+def cma_inputs(z, y, ybar):
+    """loss_cma's arrays (z, y_idx, ybar), as float64 rows and int64 labels."""
+    return (np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.int64),
+            np.asarray(ybar, dtype=np.float64))
 
 
 def raw_cma(z, y, ybar, alpha=0.3, temperature=1.0, as_printed=False):
     """loss_cma as a function of raw rows: normalized on the way in, and the
     unit-row gradients mapped back by the Jacobian, as the forwards do."""
     (zu, tz), (yu, ty) = (normalize_rows(np.asarray(r, float)) for r in (z, ybar))
-    loss, gz, gybar = loss_cma(make_batch(zu, y, yu), alpha, temperature, as_printed)
+    loss, gz, gybar = loss_cma(*cma_inputs(zu, y, yu), alpha, temperature, as_printed)
     return loss, normalize_rows_backward(tz, gz), normalize_rows_backward(ty, gybar)
 
 
@@ -104,8 +101,8 @@ def test_cosine_zero_vector_rejected():
 
 def test_cma_single_class_is_zero():
     # one class: softmax is identically 1 and no wrong-class margin exists
-    batch = make_batch([[1.0, 0.0], [0.0, 1.0]], [0, 0], [[1.0, 0.0]])
-    loss, gz, gybar = loss_cma(batch, alpha=0.3, temperature=1.0)
+    batch = cma_inputs([[1.0, 0.0], [0.0, 1.0]], [0, 0], [[1.0, 0.0]])
+    loss, gz, gybar = loss_cma(*batch, alpha=0.3, temperature=1.0)
     assert loss == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(gz, 0.0, atol=1e-15)
     np.testing.assert_allclose(gybar, 0.0, atol=1e-15)
@@ -113,17 +110,17 @@ def test_cma_single_class_is_zero():
 
 def test_cma_two_class_aligned_example():
     # z on class 0, the other class antipodal: logits (1, -1), inactive hinge
-    batch = make_batch([[1.0, 0.0]], [0], [[1.0, 0.0], [-1.0, 0.0]])
-    loss, _, _ = loss_cma(batch, alpha=0.3, temperature=1.0)
+    batch = cma_inputs([[1.0, 0.0]], [0], [[1.0, 0.0], [-1.0, 0.0]])
+    loss, _, _ = loss_cma(*batch, alpha=0.3, temperature=1.0)
     assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
     assert loss == pytest.approx(0.126928011, abs=1e-9)
 
 
 def test_cma_tied_logits_prose_vs_printed():
     s = 1.0 / math.sqrt(2.0)
-    batch = make_batch([[1.0, 0.0]], [0], [[s, s], [s, -s]])
-    loss_prose, _, _ = loss_cma(batch, alpha=0.3, temperature=1.0)
-    loss_printed, _, _ = loss_cma(batch, alpha=0.3, temperature=1.0, as_printed=True)
+    batch = cma_inputs([[1.0, 0.0]], [0], [[s, s], [s, -s]])
+    loss_prose, _, _ = loss_cma(*batch, alpha=0.3, temperature=1.0)
+    loss_printed, _, _ = loss_cma(*batch, alpha=0.3, temperature=1.0, as_printed=True)
     # tie: CE = log 2 either way; the hinge fires only under the prose sign
     assert loss_prose == pytest.approx(math.log(2.0) + 0.3, abs=1e-12)
     assert loss_printed == pytest.approx(math.log(2.0), abs=1e-12)
@@ -150,7 +147,7 @@ def test_cma_loss_grows_as_true_class_similarity_drops():
     losses = []
     for a in [0.9, 0.6, 0.3, 0.0, -0.4, -0.8]:
         z = np.array([[a, b, math.sqrt(1.0 - a * a - b * b)]])
-        loss, _, _ = loss_cma(make_batch(z, [0], ybar), 0.3, 1.0)
+        loss, _, _ = loss_cma(*cma_inputs(z, [0], ybar), 0.3, 1.0)
         losses.append(loss)
     diffs = np.diff(losses)
     assert (diffs >= -1e-12).all()
@@ -158,27 +155,27 @@ def test_cma_loss_grows_as_true_class_similarity_drops():
 
 
 def test_cma_temperature_sharpens_ce():
-    batch = make_batch([[1.0, 0.0]], [0], [[1.0, 0.0], [-1.0, 0.0]])
-    hot, _, _ = loss_cma(batch, 0.0, 10.0)
-    cold, _, _ = loss_cma(batch, 0.0, 0.1)
+    batch = cma_inputs([[1.0, 0.0]], [0], [[1.0, 0.0], [-1.0, 0.0]])
+    hot, _, _ = loss_cma(*batch, 0.0, 10.0)
+    cold, _, _ = loss_cma(*batch, 0.0, 0.1)
     assert cold < hot
 
 
 def test_cma_parameter_validation():
-    batch = make_batch([[1.0, 0.0]], [0], [[1.0, 0.0]])
+    batch = cma_inputs([[1.0, 0.0]], [0], [[1.0, 0.0]])
     with pytest.raises(InvariantError):
-        loss_cma(batch, alpha=-0.1, temperature=1.0)
+        loss_cma(*batch, alpha=-0.1, temperature=1.0)
     with pytest.raises(InvariantError):
-        loss_cma(batch, alpha=1.5, temperature=1.0)
+        loss_cma(*batch, alpha=1.5, temperature=1.0)
     with pytest.raises(InvariantError):
-        loss_cma(batch, alpha=0.3, temperature=0.0)
+        loss_cma(*batch, alpha=0.3, temperature=0.0)
 
 
 def test_cma_zero_row_rejected():
     # not a unit row; normalize_rows, in front of the loss, raises NumericError on it
-    batch = make_batch([[0.0, 0.0]], [0], [[1.0, 0.0]])
+    batch = cma_inputs([[0.0, 0.0]], [0], [[1.0, 0.0]])
     with pytest.raises(InvariantError, match="z rows are not unit-norm"):
-        loss_cma(batch, 0.3, 1.0)
+        loss_cma(*batch, 0.3, 1.0)
 
 
 # ---------------------------------------------------------------- loss_sdp
@@ -325,15 +322,15 @@ def _random_total_inputs(seed, b=5, d=4, c=3):
     t = rng.normal(size=(c, d))
     t /= np.linalg.norm(t, axis=1, keepdims=True)
     y = rng.integers(c, size=b)
-    return make_batch(z, y, ybar, t)
+    return (*cma_inputs(z, y, ybar), t)
 
 
 def _anchor_opposite_row_4(seed):
     # row 4 = -row 0: as the negative of anchor 0 its cosine is -1, so its
     # hinge term is inactive under the default convention
-    batch = _random_total_inputs(seed)
-    batch.z[4] = -batch.z[0]
-    return batch
+    z, y, ybar, t = _random_total_inputs(seed)
+    z[4] = -z[0]
+    return z, y, ybar, t
 
 
 _REPEATS = [(0, 1, 4), (0, 1, 2), (1, 0, 4), (4, 2, 0), (0, 3, 4)]
@@ -346,25 +343,26 @@ def test_total_is_sum_of_parts():
         for as_printed in (False, True):
             _check_total_is_sum_of_parts(make(3), triplets, as_printed)
     # triplet (0, 1, 4): its negative term is inactive, so row 4 gets no gradient
-    assert not loss_sdp(_anchor_opposite_row_4(3).z, _REPEATS[:1])[1][4].any()
+    assert not loss_sdp(_anchor_opposite_row_4(3)[0], _REPEATS[:1])[1][4].any()
 
 
-def _check_total_is_sum_of_parts(batch, triplets, as_printed):
-    total, grads, parts = loss_total(batch, triplets, 0.3, 1.0, as_printed)
+def _check_total_is_sum_of_parts(inputs, triplets, as_printed):
+    z, y, ybar, t = inputs
+    total, (gz, gybar, gt), parts = loss_total(z, y, ybar, t, triplets, 0.3, 1.0, as_printed)
     assert parts["l_tot"] == parts["l_cma"] + parts["l_sdp"] + parts["l_cs"]
     assert total == parts["l_tot"]
 
-    l_cma, gz_c, gybar_c = loss_cma(batch, 0.3, 1.0, as_printed)
-    l_sdp, gz_s = loss_sdp(batch.z, triplets, as_printed)
-    l_cs, gcs = loss_cs(batch.t, batch.ybar)
+    l_cma, gz_c, gybar_c = loss_cma(z, y, ybar, 0.3, 1.0, as_printed)
+    l_sdp, gz_s = loss_sdp(z, triplets, as_printed)
+    l_cs, gcs = loss_cs(t, ybar)
     assert parts["l_cma"] == l_cma
     assert parts["l_sdp"] == l_sdp
     assert parts["l_cs"] == l_cs
-    np.testing.assert_array_equal(grads.ybar, gybar_c)
-    np.testing.assert_array_equal(grads.t, gcs)
+    np.testing.assert_array_equal(gybar, gybar_c)
+    np.testing.assert_array_equal(gt, gcs)
 
-    # grads.z: the two terms' gradients added, bit for bit
-    np.testing.assert_array_equal(grads.z, gz_c + gz_s)
+    # grad_z: the two terms' gradients added, bit for bit
+    np.testing.assert_array_equal(gz, gz_c + gz_s)
 
 
 @given(st.integers(3, 8), st.integers(1, 4), st.integers(2, 6), st.integers(0, 12),
@@ -384,73 +382,74 @@ def test_total_matches_plain_per_term_reference(b, c, d, m, as_printed, seed):
     triplets = np.array([rng.permutation(hot)[:3] for _ in range(m)], np.int64).reshape(-1, 3)
     # loss_total reads unit rows: the normalization and its Jacobian go around it
     (zu, tz), (yu, ty), (tu, tt) = (normalize_rows(r) for r in (z, ybar, t))
-    total, grads, parts = loss_total(Batch(zu, y, yu, tu), triplets, 0.3, 0.5, as_printed)
+    total, (g_z, g_ybar, g_t), parts = loss_total(zu, y, yu, tu, triplets, 0.3, 0.5, as_printed)
     ref_parts, gz, gybar, gt = plain_loss_total(z, y, ybar, t, triplets, 0.3, 0.5, as_printed)
     assert parts == ref_parts
     assert total == ref_parts["l_tot"]
-    assert_close_to_rounding(normalize_rows_backward(tz, grads.z), gz, z)
-    assert_close_to_rounding(normalize_rows_backward(ty, grads.ybar), gybar, ybar)
-    np.testing.assert_array_equal(normalize_rows_backward(tt, grads.t), gt)
+    assert_close_to_rounding(normalize_rows_backward(tz, g_z), gz, z)
+    assert_close_to_rounding(normalize_rows_backward(ty, g_ybar), gybar, ybar)
+    np.testing.assert_array_equal(normalize_rows_backward(tt, g_t), gt)
 
 
 def test_total_centers_are_stop_gradient():
     # ybar feeds the quadratic term only as a constant: its grad must be
     # exactly the class-matching grad, with no residual term added
-    batch = _random_total_inputs(9)
-    _, grads, _ = loss_total(batch, [(0, 1, 2)], 0.3, 1.0)
-    _, _, gybar_cma = loss_cma(batch, 0.3, 1.0)
-    np.testing.assert_array_equal(grads.ybar, gybar_cma)
+    z, y, ybar, t = _random_total_inputs(9)
+    _, (_, gybar, _), _ = loss_total(z, y, ybar, t, [(0, 1, 2)], 0.3, 1.0)
+    _, _, gybar_cma = loss_cma(z, y, ybar, 0.3, 1.0)
+    np.testing.assert_array_equal(gybar, gybar_cma)
 
 
 def test_total_empty_triplets():
-    batch = _random_total_inputs(5)
-    total, grads, parts = loss_total(batch, [], 0.3, 1.0)
+    z, y, ybar, t = _random_total_inputs(5)
+    total, (gz, _, _), parts = loss_total(z, y, ybar, t, [], 0.3, 1.0)
     assert parts["l_sdp"] == 0.0
-    l_cma, gz_c, _ = loss_cma(batch, 0.3, 1.0)
+    l_cma, gz_c, _ = loss_cma(z, y, ybar, 0.3, 1.0)
     assert total == pytest.approx(l_cma + parts["l_cs"])
-    np.testing.assert_allclose(grads.z, gz_c, atol=1e-15)
+    np.testing.assert_allclose(gz, gz_c, atol=1e-15)
 
 
 def test_total_repeated_triplet_indices_accumulate():
-    batch = _random_total_inputs(8)
-    once, g1, _ = loss_total(batch, [(0, 1, 2)], 0.3, 1.0)
-    twice, g2, _ = loss_total(batch, [(0, 1, 2), (0, 1, 2)], 0.3, 1.0)
+    inputs = _random_total_inputs(8)
+    once, g1, _ = loss_total(*inputs, [(0, 1, 2)], 0.3, 1.0)
+    twice, g2, _ = loss_total(*inputs, [(0, 1, 2), (0, 1, 2)], 0.3, 1.0)
     # duplicating the only triplet keeps the mean, and the grads, identical
     assert twice == pytest.approx(once)
-    np.testing.assert_allclose(g2.z, g1.z, atol=1e-12)
+    np.testing.assert_allclose(g2[0], g1[0], atol=1e-12)
 
 
 def test_total_accepts_sampler_array_and_list_alike():
-    batch = _random_total_inputs(4, b=8)
+    inputs = _random_total_inputs(4, b=8)
     triplets = sample_triplets(np.array([0, 1, 0, 1, 2, 2, 0, 1]), np.random.default_rng(6))
     assert triplets.shape == (8, 3)
-    from_array = loss_total(batch, triplets, 0.3, 1.0)
-    from_list = loss_total(batch, [tuple(t) for t in triplets.tolist()], 0.3, 1.0)
+    from_array = loss_total(*inputs, triplets, 0.3, 1.0)
+    from_list = loss_total(*inputs, [tuple(t) for t in triplets.tolist()], 0.3, 1.0)
     assert from_array[0] == from_list[0]
-    np.testing.assert_array_equal(from_array[1].z, from_list[1].z)
-    empty = loss_total(batch, np.empty((0, 3), dtype=np.int64), 0.3, 1.0)
+    np.testing.assert_array_equal(from_array[1][0], from_list[1][0])
+    empty = loss_total(*inputs, np.empty((0, 3), dtype=np.int64), 0.3, 1.0)
     assert empty[2]["l_sdp"] == 0.0
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-5, 2.0, np.nan])  # zero rows: *_zero_row_rejected
 @pytest.mark.parametrize("name", ["z", "ybar", "t"])
 def test_every_public_loss_rejects_non_unit_rows(name, scale):
-    batch = _random_total_inputs(1)
-    setattr(batch, name, getattr(batch, name).copy())
-    getattr(batch, name)[1] *= scale
+    inputs = dict(zip(("z", "y_idx", "ybar", "t"), _random_total_inputs(1)))
+    inputs[name] = inputs[name].copy()
+    inputs[name][1] *= scale
+    if name != "t":  # loss_cma reads no prompt rows
+        with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
+            loss_cma(inputs["z"], inputs["y_idx"], inputs["ybar"], 0.3, 1.0)
     with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
-        loss_cma(batch, 0.3, 1.0)
-    with pytest.raises(InvariantError, match=f"^{name} rows are not unit-norm"):
-        loss_total(batch, [(0, 1, 2)], 0.3, 1.0)
+        loss_total(**inputs, triplets=[(0, 1, 2)], alpha=0.3, temperature=1.0)
     # loss_sdp reads one row set, whichever it is given
     with pytest.raises(InvariantError, match="^z rows are not unit-norm"):
-        loss_sdp(getattr(batch, name), [(0, 1, 2)])
+        loss_sdp(inputs[name], [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("triplets", [[(0, 1, 5)], [(-1, 0, 1)], [(0, 1)]])
 def test_total_rejects_malformed_triplets(triplets):
     with pytest.raises(InvariantError):
-        loss_total(_random_total_inputs(2), triplets, 0.3, 1.0)
+        loss_total(*_random_total_inputs(2), triplets, 0.3, 1.0)
 
 
 # ---------------------------------------------------------------- gradients vs finite differences
@@ -471,23 +470,23 @@ def _margin_safe_cma_instance(seed, b=3, c=3, d=4, alpha=0.3):
         margin = s - pos + alpha
         margin[np.arange(b), y] = 1.0
         if np.abs(margin).min() > 5e-3:
-            return make_batch(z, y, ybar), y
+            return cma_inputs(z, y, ybar)
     raise AssertionError("could not build a kink-free instance")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_cma_gradients_match_finite_differences(seed):
-    batch, _ = _margin_safe_cma_instance(seed)
-    _, gz, gybar = raw_cma(batch.z, batch.y_idx, batch.ybar)
+    z, y, ybar = _margin_safe_cma_instance(seed)
+    _, gz, gybar = raw_cma(z, y, ybar)
 
     def f_z(flat):
-        return raw_cma(flat.reshape(batch.z.shape), batch.y_idx, batch.ybar)[0]
+        return raw_cma(flat.reshape(z.shape), y, ybar)[0]
 
     def f_ybar(flat):
-        return raw_cma(batch.z, batch.y_idx, flat.reshape(batch.ybar.shape))[0]
+        return raw_cma(z, y, flat.reshape(ybar.shape))[0]
 
-    fd_z = fd_gradient(f_z, batch.z.ravel().copy()).reshape(batch.z.shape)
-    fd_y = fd_gradient(f_ybar, batch.ybar.ravel().copy()).reshape(batch.ybar.shape)
+    fd_z = fd_gradient(f_z, z.ravel().copy()).reshape(z.shape)
+    fd_y = fd_gradient(f_ybar, ybar.ravel().copy()).reshape(ybar.shape)
     assert grad_error(gz, fd_z) < 1e-4
     assert grad_error(gybar, fd_y) < 1e-4
 
@@ -588,46 +587,45 @@ def test_sample_triplets_matches_oracle_on_random_batches():
         _assert_sampler_matches_oracle(labels, int(rng.integers(2**32)))
 
 
-# ---------------------------------------------------------------- Batch.validate
+# ---------------------------------------------------------------- batch checks
+# loss_cma checks the arrays it reads; loss_total also checks the prompt rows
 
 def test_batch_validate_accepts_unit_rows():
-    _random_total_inputs(0).validate()
+    loss_total(*_random_total_inputs(0), [(0, 1, 2)], 0.3, 1.0)
 
 
 def test_batch_validate_rejects_non_unit_rows():
-    batch = _random_total_inputs(0)
-    batch.z = batch.z * 2.0
+    z, y, ybar, _ = _random_total_inputs(0)
     with pytest.raises(InvariantError, match="unit-norm"):
-        batch.validate()
+        loss_cma(z * 2.0, y, ybar, 0.3, 1.0)
 
 
 def test_batch_validate_rejects_empty_batch():
     # y_idx.min() of no rows would raise numpy's untyped ValueError
-    empty = Batch(np.zeros((0, 3)), np.zeros(0, np.int64), np.eye(3), np.eye(3))
     with pytest.raises(InvariantError, match="batch has no rows"):
-        loss_total(empty, [], 0.3, 1.0)
+        loss_total(np.zeros((0, 3)), np.zeros(0, np.int64), np.eye(3), np.eye(3), [], 0.3, 1.0)
 
 
 def test_batch_validate_rejects_bad_class_index():
-    batch = _random_total_inputs(0)
-    batch.y_idx = batch.y_idx.copy()
-    batch.y_idx[0] = batch.ybar.shape[0]
+    z, y, ybar, _ = _random_total_inputs(0)
+    y = y.copy()
+    y[0] = ybar.shape[0]
     with pytest.raises(InvariantError, match="out of range"):
-        batch.validate()
-    batch.y_idx[0] = -1
+        loss_cma(z, y, ybar, 0.3, 1.0)
+    y[0] = -1
     with pytest.raises(InvariantError, match="out of range"):
-        batch.validate()
+        loss_cma(z, y, ybar, 0.3, 1.0)
 
 
 def test_batch_validate_rejects_dimension_mismatch():
-    batch = _random_total_inputs(0)
-    batch.t = batch.t[:, :-1]
+    z, y, ybar, t = _random_total_inputs(0)
     with pytest.raises(InvariantError, match="dimensions"):
-        batch.validate()
+        loss_cma(z, y, ybar[:, :-1], 0.3, 1.0)
+    with pytest.raises(InvariantError, match="prompt shape"):
+        loss_total(z, y, ybar, t[:, :-1], [], 0.3, 1.0)
 
 
 def test_batch_validate_rejects_wrong_label_count():
-    batch = _random_total_inputs(0)
-    batch.y_idx = batch.y_idx[:-1]
+    z, y, ybar, _ = _random_total_inputs(0)
     with pytest.raises(InvariantError, match="length"):
-        batch.validate()
+        loss_cma(z, y[:-1], ybar, 0.3, 1.0)

@@ -17,13 +17,9 @@ from graphgcd.neural_core import (
     projector_backward,
     projector_forward,
 )
-from graphgcd.semantic_graph import SemanticGraph, build_knn_graph
+from graphgcd.semantic_graph import build_knn_graph
 
 from oracles import fd_gradient, grad_error, plain_init_params
-
-
-def _graph_from_norm(norm: np.ndarray) -> SemanticGraph:
-    return SemanticGraph(adjacency=(norm > 0).astype(np.int8), norm_adjacency=norm)
 
 
 def _init(d=3, hidden=4, classes=3, layers=2, seed=0) -> tuple[dict, AdamState]:
@@ -176,7 +172,7 @@ def test_normalize_rows_backward_fd():
 # -- GCN forward -------------------------------------------------------------
 
 def test_gcn_zero_layers_returns_normalized_input():
-    g = _graph_from_norm(np.eye(3))
+    g = np.eye(3)
     h0 = np.random.default_rng(1).normal(size=(3, 4))
     p = _params(d=4, classes=3, layers=0)
     ybar, _ = gcn_forward(g, h0, p)
@@ -185,7 +181,7 @@ def test_gcn_zero_layers_returns_normalized_input():
 
 def test_gcn_identity_composition():
     # identity propagation, identity weights, nonnegative unit rows: a no-op
-    g = _graph_from_norm(np.eye(2))
+    g = np.eye(2)
     h0 = np.asarray([[1.0, 0.0], [0.6, 0.8]])
     p = _params(d=2, classes=2, layers=1)
     p["gcn.w0"] = np.eye(2)
@@ -194,7 +190,7 @@ def test_gcn_identity_composition():
 
 
 def test_gcn_two_node_averaging():
-    g = _graph_from_norm(np.full((2, 2), 0.5))
+    g = np.full((2, 2), 0.5)
     h0 = np.eye(2)
     p = _params(d=2, classes=2, layers=1)
     p["gcn.w0"] = np.eye(2)
@@ -234,7 +230,7 @@ def test_gcn_permutation_equivariance():
 
 
 def test_gcn_shape_mismatch():
-    g = _graph_from_norm(np.eye(3))
+    g = np.eye(3)
     p = _params(d=4, classes=3, layers=1)
     with pytest.raises(InvariantError):
         gcn_forward(g, np.ones((2, 4)), p)   # wrong node count
@@ -261,12 +257,12 @@ def test_gcn_single_linear_layer_weight_grad_formula():
     grad_out = np.random.default_rng(6).normal(size=(4, 3))
     gw, _ = gcn_backward(trace, grad_out)
     g_pre = normalize_rows_backward(trace.norm, grad_out)
-    msg = g.norm_adjacency @ h0
+    msg = g @ h0
     np.testing.assert_allclose(gw["gcn.w0"], msg.T @ g_pre, atol=1e-12)
 
 
 def test_relu_dead_unit_has_zero_weight_column_grad():
-    g = _graph_from_norm(np.eye(3))
+    g = np.eye(3)
     p = _params(d=2, hidden=2, classes=3, layers=2, seed=0)
     w0 = np.asarray([[1.0, -1.0], [1.0, -1.0]])  # unit 1 always negative
     p["gcn.w0"], p["gcn.w1"] = w0, np.eye(2)

@@ -7,33 +7,40 @@ from graphgcd.errors import InvariantError, NonFiniteError
 from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv, row_normalize
 
 
+def knn_adjacency(x, k) -> np.ndarray:
+    """The binary adjacency A: the positive entries of build_knn_graph's D^-1 A."""
+    return (build_knn_graph(x, k) > 0).astype(np.int8)
+
+
 def test_orthogonal_vectors_tie_to_lowest_index():
     # all off-diagonal cosines are 0, so every node picks the lowest other index
-    g = build_knn_graph(np.eye(3), k=1)
+    a = build_knn_graph(np.eye(3), k=1)
     expected = np.asarray([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=np.int8)
-    np.testing.assert_array_equal(g.adjacency, expected)
+    np.testing.assert_array_equal(a > 0, expected)
+    assert a.dtype == np.float64
+    np.testing.assert_array_equal(a, row_normalize(expected))
 
 
 def test_close_angles_link_mutually():
     angles = np.deg2rad([0.0, 10.0, 90.0])
     x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    g = build_knn_graph(x, k=1)
-    assert g.adjacency[0, 1] == 1 and g.adjacency[1, 0] == 1
+    g = knn_adjacency(x, k=1)
+    assert g[0, 1] == 1 and g[1, 0] == 1
     # the 90-degree node is closer to 10 than to 0
-    assert g.adjacency[2, 1] == 1 and g.adjacency[2, 0] == 0
+    assert g[2, 1] == 1 and g[2, 0] == 0
 
 
 def test_k_equals_nodes_minus_one_is_complete():
     x = np.random.default_rng(0).normal(size=(4, 3))
-    g = build_knn_graph(x, k=3)
-    np.testing.assert_array_equal(g.adjacency, np.ones((4, 4), dtype=np.int8))
+    g = knn_adjacency(x, k=3)
+    np.testing.assert_array_equal(g, np.ones((4, 4), dtype=np.int8))
 
 
 def test_k_at_least_nodes_warns_and_completes():
     x = np.random.default_rng(1).normal(size=(3, 3))
     with pytest.warns(UserWarning, match="complete graph"):
-        g = build_knn_graph(x, k=5)
-    np.testing.assert_array_equal(g.adjacency, np.ones((3, 3), dtype=np.int8))
+        g = knn_adjacency(x, k=5)
+    np.testing.assert_array_equal(g, np.ones((3, 3), dtype=np.int8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,19 +53,18 @@ def test_row_structure_invariants(c, k, seed):
     x = np.random.default_rng(seed).normal(size=(c, 5))
     if k >= c:
         with pytest.warns(UserWarning):
-            g = build_knn_graph(x, k)
+            a = build_knn_graph(x, k)
     else:
-        g = build_knn_graph(x, k)
-    row_sums = g.adjacency.sum(axis=1)
+        a = build_knn_graph(x, k)
+    adjacency = (a > 0).astype(np.int8)
+    row_sums = adjacency.sum(axis=1)
     if k >= c - 1:
-        np.testing.assert_array_equal(g.adjacency, np.ones((c, c), dtype=np.int8))
+        np.testing.assert_array_equal(adjacency, np.ones((c, c), dtype=np.int8))
     else:
         np.testing.assert_array_equal(row_sums, np.full(c, k + 1))
-    assert np.all(np.diag(g.adjacency) == 1)
-    np.testing.assert_allclose(g.norm_adjacency.sum(axis=1), 1.0, atol=1e-6)
-    np.testing.assert_allclose(
-        g.norm_adjacency, g.adjacency / row_sums[:, None], atol=0
-    )
+    assert np.all(np.diag(adjacency) == 1)
+    np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(a, adjacency / row_sums[:, None], atol=0)
 
 
 def loop_knn_adjacency(x: np.ndarray, k: int) -> np.ndarray:
@@ -84,9 +90,10 @@ def test_matches_per_row_reference_with_ties(seed):
     if c > 2:
         x[-1] = x[0]
     for k in range(1, c + 2):
-        got = build_knn_graph(x, k).adjacency
-        assert got.dtype == np.int8
-        np.testing.assert_array_equal(got, loop_knn_adjacency(x, k))
+        got = build_knn_graph(x, k)
+        assert got.dtype == np.float64
+        # D^-1 A of the reference's A, bit for bit
+        np.testing.assert_array_equal(got, row_normalize(loop_knn_adjacency(x, k)))
 
 
 def test_row_normalize_hand_cases():
@@ -116,17 +123,17 @@ def test_permutation_consistency(c, k, seed):
         return
     perm = rng.permutation(c)
     p = np.eye(c)[perm]
-    a = build_knn_graph(x, k).adjacency
-    a_perm = build_knn_graph(p @ x, k).adjacency
+    a = knn_adjacency(x, k)
+    a_perm = knn_adjacency(p @ x, k)
     np.testing.assert_array_equal(a_perm, p @ a @ p.T)
 
 
 def test_row_rescaling_leaves_graph_unchanged():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 4))
-    base = build_knn_graph(x, 2).adjacency
+    base = build_knn_graph(x, 2)
     x[3] *= 17.0
-    np.testing.assert_array_equal(build_knn_graph(x, 2).adjacency, base)
+    np.testing.assert_array_equal(build_knn_graph(x, 2), base)
 
 
 def test_input_validation():
@@ -141,11 +148,13 @@ def test_input_validation():
 
 
 def test_dump_graph_csv(tmp_path):
-    g = build_knn_graph(np.eye(3), k=1)
+    a = build_knn_graph(np.eye(3), k=1)
     path = tmp_path / "graph.csv"
-    dump_graph_csv(g, path)
+    dump_graph_csv(a, path)
+    # the binary adjacency as 0/1, not the propagation weights
+    assert path.read_bytes() == b"1,1,0\n1,1,0\n1,0,1\n"
     rows = [
         [int(v) for v in line.split(",")]
         for line in path.read_text().strip().splitlines()
     ]
-    np.testing.assert_array_equal(np.asarray(rows), g.adjacency)
+    np.testing.assert_array_equal(np.asarray(rows), a > 0)

@@ -208,6 +208,24 @@ def test_diverged_loss_raises(tiny, monkeypatch):
         train(labeled, class_emb, config)
 
 
+@pytest.mark.parametrize("target", ["propagation matrix", "h0"])
+def test_writing_into_what_the_gcn_reads_raises(tiny, monkeypatch, target):
+    import graphgcd.trainer as trainer_mod
+    from graphgcd.neural_core import gcn_forward as real_forward
+
+    labeled, class_emb, config = tiny
+    class_emb = EmbeddingSet(class_emb.data.copy(), class_emb.labels)  # h0 is its data
+
+    def writing(a, h0, params):
+        result = real_forward(a, h0, params)
+        (a if target == "propagation matrix" else h0)[0, 0] += 1.0
+        return result
+
+    monkeypatch.setattr(trainer_mod, "gcn_forward", writing)
+    with pytest.raises(InvariantError, match="semantic graph or h0 mutated during training"):
+        train(labeled, class_emb, config)
+
+
 def test_train_input_validation(tiny):
     labeled, class_emb, config = tiny
     with pytest.raises(InputError, match="labeled"):
