@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FormatError,
-    InputError,
-    InvariantError,
-    LabelRangeError,
-    NonFiniteError,
-    TruncatedError,
-)
+from .errors import FormatError, InputError, InvariantError, NonFiniteError
 
 GVLE_MAGIC = b"GVLE"
 
@@ -125,7 +117,7 @@ class ByteReader:
         found = self._file.read(len(magic))
         if found != magic:
             self.close()
-            raise BadMagicError(path, magic, found)
+            raise FormatError(f"{path}: bad magic at offset 0: expected {magic!r}, found {found!r}")
         self.offset = len(magic)
 
     def __enter__(self) -> "ByteReader":
@@ -140,13 +132,15 @@ class ByteReader:
     def _check(self, nbytes: int) -> None:
         available = self._size - self.offset
         if nbytes > available:
-            raise TruncatedError(self.path, self.offset, nbytes, available)
+            raise FormatError(f"{self.path}: truncated at offset {self.offset}: "
+                              f"needed {nbytes} bytes, only {available} available")
 
     def _fill(self, buf, nbytes: int):
         """Read the next nbytes, already checked, into buf, a buffer of that size."""
         got = self._file.readinto(buf)
-        if got != nbytes:  # the file shrank after it was opened
-            raise TruncatedError(self.path, self.offset, nbytes, got)
+        if got != nbytes:  # the file shrank after it was opened: re-check at its new size
+            self._size = self.offset + got
+            self._check(nbytes)
         self.offset += nbytes
         return buf
 
@@ -206,7 +200,8 @@ def read_embedding_file(path) -> EmbeddingSet:
             bad = np.flatnonzero(labels < -1)
             if bad.size:
                 i = int(bad[0])
-                raise LabelRangeError(path, labels_off + 4 * i, int(labels[i]))
+                raise FormatError(f"{path}: label {labels[i]} at offset {labels_off + 4 * i} "
+                                  "is out of range (must be >= -1)")
             emb.labels = labels.astype(np.int32, copy=False)  # checked as __post_init__ would
         r.end()
     return emb
@@ -289,7 +284,8 @@ def parse_decimal(field: str) -> int:
 
 def parse_config(text: str) -> RunConfig:
     """Parse key=value config text: retired keys dropped, unknown or repeated ones rejected,
-    missing ones defaulted; an int is read by parse_decimal, a bool is exactly True or False."""
+    missing ones defaulted; an int is read by parse_decimal, a float by float() of ASCII
+    text with no '_' and no leading '+', and a bool is exactly True or False."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -311,6 +307,8 @@ def parse_config(text: str) -> RunConfig:
         try:
             if kind is bool and raw not in ("True", "False"):
                 raise ValueError(raw)
+            if kind is float and (not raw.isascii() or "_" in raw or raw.startswith("+")):
+                raise ValueError(raw)  # float() alone also reads '1_0', '+1' and non-ASCII digits
             values[key] = (raw == "True" if kind is bool
                            else parse_decimal(raw) if kind is int else kind(raw))
         except ValueError as exc:

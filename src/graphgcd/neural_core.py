@@ -100,15 +100,26 @@ def normalize_rows(
     `out` receives the unit rows and may be x itself; `squares`, an x-shaped
     buffer, receives x * x. Either defaults to a new array. The norms are
     sqrt(add.reduce(x * x, axis=1)), which is how np.linalg.norm computes a
-    row norm, so buffers or not, the bits are the same. A zero or non-finite
-    norm (x * x overflows float32 at |x| above about 1.8e19) is a NumericError.
+    row norm, so buffers or not, the bits are the same. A finite row whose
+    squares overflow (float32 at |x| above about 1.8e19) instead gets
+    scale * sqrt(sum((x / scale)**2)), scale its largest magnitude. A zero or
+    non-finite norm (NaN or inf in the row, or a norm beyond the dtype's
+    range) is a NumericError.
     """
     x = np.asarray(x)
-    squares = np.multiply(x, x, out=squares)
-    norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):  # an overflowed norm is recomputed or rejected below
+        squares = np.multiply(x, x, out=squares)
+        norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
+        finite = np.isfinite(norms).all()
+        if not finite:
+            rows = np.flatnonzero(~np.isfinite(norms[:, 0]) & np.isfinite(x).all(axis=1))
+            big = x[rows]
+            scale = np.abs(big).max(axis=1, keepdims=True)
+            norms[rows] = scale * np.sqrt(np.add.reduce((big / scale) ** 2, axis=1, keepdims=True))
+            finite = np.isfinite(norms).all()
     if (norms < _MIN_ROW_NORM).any():
         raise NumericError("zero-norm row cannot be L2-normalized")
-    if not np.isfinite(norms).all():
+    if not finite:
         raise NumericError(f"non-finite row norm: NaN, inf or {squares.dtype} overflow")
     unit = np.divide(x, norms, out=out)
     return unit, NormTrace(norms=norms, unit=unit)
@@ -255,7 +266,8 @@ def adam_step(params: Params, adam: AdamState, grads: Params, lr: float) -> None
     Tensors and moments are updated in place and keep their dtype.
     Gradients and both moments must hold every tensor's name and shape, and
     gradients must be finite: else InvariantError or NumericError, raised
-    before any state changes. Asserts every tensor finite after the update.
+    before any state changes. A tensor the update leaves non-finite is a
+    NumericError.
     """
     for kind, named in (("gradient", grads), ("adam.m", adam.m), ("adam.v", adam.v)):
         if set(named) != set(params):
@@ -294,6 +306,6 @@ def adam_step(params: Params, adam: AdamState, grads: Params, lr: float) -> None
         denom += ADAM_EPS
         buf /= denom
         new = np.subtract(tensor, buf, out=buf).astype(tensor.dtype, copy=False)
-        if not np.isfinite(new).all():
-            raise InvariantError(f"tensor {name} became non-finite after update")
+        if not np.isfinite(new).all():  # finite operands, so only a float overflow
+            raise NumericError(f"tensor {name} became non-finite after update")
         tensor[...] = new

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .embed_io import write_csv
-from .errors import InvariantError, NonFiniteError
+from .errors import InputError, InvariantError, NonFiniteError
 
 
 def build_knn_graph(class_embeddings: np.ndarray, k: int) -> np.ndarray:
@@ -39,7 +39,7 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> np.ndarray:
 
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if (norms < 1e-12).any():
-        raise NonFiniteError("zero-norm class embedding row")
+        raise InputError("zero-norm class embedding row")
     unit = x / norms
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -1281,23 +1282,42 @@ def test_numeric_failure_maps_to_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_row_norm_overflow_in_float32_training_exits_3(tmp_path, capsys):
+def test_row_norm_overflow_in_float32_training_exits_0(tmp_path, capsys):
     # finite float32 class embeddings whose squares overflow: training, which
-    # runs in float32, must refuse to normalize them rather than zero them
+    # runs in float32, rescales their norms, so it trains as on the unit rows
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 4)).astype(np.float32)
     labels = np.array([0, 0, 0, 1, 1, 1], dtype=np.int32)
-    ce = np.eye(2, 4, dtype=np.float32) * np.float32(3e19)
     write_embedding_file(EmbeddingSet(x, labels), tmp_path / "labeled.gvle")
-    write_embedding_file(EmbeddingSet(ce), tmp_path / "class_emb.gvle")
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    for name, scale in (("unit", 1), ("big", 3e19)):
+        write_embedding_file(EmbeddingSet(np.eye(2, 4) * np.float32(scale)),
+                             tmp_path / f"{name}.gvle")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([
+                "train", "--labeled", str(tmp_path / "labeled.gvle"),
+                "--class-emb", str(tmp_path / f"{name}.gvle"), "--gcn-layers", "0",
+                "--knn-k", "1", "--epochs", "1", "--out-dir", str(tmp_path / name),
+            ])
+        assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "big" / "loss_trace.csv").read_bytes()
+            == (tmp_path / "unit" / "loss_trace.csv").read_bytes())
+
+
+def test_adam_update_overflow_exits_3(ws, tmp_path, capsys):
+    # lr overflows float32, so the first update leaves a tensor non-finite:
+    # a numeric failure, not a broken internal contract
+    data = ws["data"]
+    with pytest.warns(RuntimeWarning):  # the cast of lr overflows, then inf * 0 is NaN
         rc = cli.main([
-            "train", "--labeled", str(tmp_path / "labeled.gvle"),
-            "--class-emb", str(tmp_path / "class_emb.gvle"), "--gcn-layers", "0",
-            "--knn-k", "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"),
+            "train", "--labeled", str(data / "labeled.gvle"),
+            "--class-emb", str(data / "class_emb.gvle"), "--lr", "1e39",
+            "--out-dir", str(tmp_path), *TRAIN_OPTS,
         ])
     assert rc == 3
-    assert "non-finite row norm" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "graphgcd: NumericError: tensor gcn.w0 became non-finite after update\n")
 
 
 def test_zero_projected_row_in_the_feature_stage_exits_3(ws, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,24 @@ def test_normalize_rows_unit_and_zero_rejected():
 
 
 @pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 3e19)])
-def test_normalize_rows_rejects_a_norm_whose_squares_overflow(dtype, big):
-    # x * x overflows to inf, and x / inf would be a silent zero row
-    x = np.asarray([[1.0, 2.0], [big, big]], dtype=dtype)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(NumericError, match="non-finite row norm"):
-            normalize_rows(x)
+def test_normalize_rows_rescales_a_norm_whose_squares_overflow(dtype, big):
+    # x * x overflows to inf, and x / inf would be a silent zero row: the
+    # norm is recomputed on the row scaled by its largest magnitude
+    x = np.asarray([[1.0, 2.0], [big, -3 * big]], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, trace = normalize_rows(x)
+    assert unit.dtype == trace.norms.dtype == dtype
+    scale = dtype(3 * big)
+    assert trace.norms[1, 0] == scale * np.sqrt((x[1] / scale) @ (x[1] / scale))
+    assert trace.norms[0, 0] == np.linalg.norm(x[0])  # a row that fits keeps its bits
+    np.testing.assert_allclose(unit, [[1, 2] / np.sqrt(5), [1, -3] / np.sqrt(10)], atol=1e-6)
+
+
+def test_normalize_rows_rejects_a_norm_beyond_the_dtype_range():
+    # every square overflows and so does the rescaled norm, sqrt(2) * 3e38
+    with pytest.raises(NumericError, match="non-finite row norm: NaN, inf or float32 overflow"):
+        normalize_rows(np.full((1, 2), 3e38, dtype=np.float32))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -535,6 +549,16 @@ def test_adam_updates_tensors_and_moments_in_place():
         assert adam.m[name] is m and adam.v[name] is v
         assert m.dtype == v.dtype == np.float32
         assert m.any() and v.any()
+
+
+def test_adam_update_that_overflows_is_a_numeric_error():
+    # finite tensor, gradient and moments; only the sum max + 1e38 overflows
+    p = {"w": np.full(2, np.finfo(np.float32).max, dtype=np.float32)}
+    adam = AdamState({"w": np.zeros(2, np.float32)}, {"w": np.zeros(2, np.float32)})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericError, match="^tensor w became non-finite after update$"):
+            adam_step(p, adam, {"w": -np.ones(2, np.float32)}, lr=1e38)
+    assert (p["w"] == np.finfo(np.float32).max).all()
 
 
 def test_named_tensors_set_tensor_roundtrip():

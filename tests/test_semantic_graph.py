@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgcd.errors import InvariantError, NonFiniteError
+from graphgcd.errors import InputError, InvariantError, NonFiniteError
 from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv, row_normalize
 
 
@@ -139,8 +139,9 @@ def test_row_rescaling_leaves_graph_unchanged():
 def test_input_validation():
     with pytest.raises(NonFiniteError):
         build_knn_graph(np.asarray([[1.0, np.nan], [0.0, 1.0]]), 1)
-    with pytest.raises(NonFiniteError, match="zero-norm"):
+    with pytest.raises(InputError, match="zero-norm") as exc:
         build_knn_graph(np.asarray([[1.0, 0.0], [0.0, 0.0]]), 1)
+    assert type(exc.value) is InputError  # the row is finite, just zero
     with pytest.raises(InvariantError):
         build_knn_graph(np.ones((2, 2)), 0)
     with pytest.raises(InvariantError):

@@ -31,3 +31,32 @@ def test_unused_imports_finds_a_stray_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def raised_or_caught(source: str) -> set[str]:
+    """Names a module's raise statements raise and its except clauses catch."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        else:
+            continue
+        # `errors.FormatError` names FormatError
+        names.update(getattr(n, "id", None) or getattr(n, "attr", None) for n in found)
+    return names - {None}
+
+
+def test_raised_or_caught_reads_raise_and_except_clauses():
+    source = ("try:\n    raise A('x')\nexcept (B, errors.C):\n    raise D from None\n"
+              "except E:\n    raise\nF('built, never raised')\n")
+    assert raised_or_caught(source) == {"A", "B", "C", "D", "E"}
+
+
+def test_every_error_class_is_raised_or_caught_by_name():
+    # an error type nothing raises or catches by name is only a message format
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    used = set().union(*(raised_or_caught(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
+    assert sorted(classes - used - {"GraphGcdError"}) == []  # the base only gathers the rest

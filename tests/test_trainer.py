@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from graphgcd.embed_io import EmbeddingSet, RunConfig, generate_synthetic
-from graphgcd.errors import (
-    BadMagicError,
-    FormatError,
-    InputError,
-    InvariantError,
-    NonFiniteError,
-    NumericError,
-    TruncatedError,
-)
+from graphgcd.errors import FormatError, InputError, InvariantError, NonFiniteError, NumericError
 from graphgcd.neural_core import init_params, param_shapes
 from graphgcd.trainer import (
     EpochRecord,
@@ -424,14 +416,14 @@ def reload(tmp_path, raw):
 
 
 def test_load_rejects_bad_magic(saved_bytes, tmp_path):
-    with pytest.raises(BadMagicError):
+    with pytest.raises(FormatError, match="bad magic at offset 0: expected b'GVLP'"):
         reload(tmp_path, b"XXXX" + saved_bytes[4:])
 
 
 def test_load_rejects_truncation(saved_bytes, tmp_path):
-    with pytest.raises(TruncatedError):
+    with pytest.raises(FormatError, match="truncated at offset"):
         reload(tmp_path, saved_bytes[:-10])
-    with pytest.raises(TruncatedError):
+    with pytest.raises(FormatError, match="truncated at offset 4: needed 4 bytes, only 2 available"):
         reload(tmp_path, saved_bytes[:6])
 
 
@@ -498,7 +490,7 @@ def test_load_rejects_dims_whose_product_overflows_int64(saved_bytes, tmp_path):
     rank_pos = start + 2 + len(name.encode())
     raw = (saved_bytes[:rank_pos] + struct.pack("<B4I", 4, *[65536] * 4)
            + saved_bytes[rank_pos + 1 + 4 * 2 :])  # first tensor has rank 2
-    with pytest.raises(TruncatedError, match=f"offset {rank_pos + 17}"):
+    with pytest.raises(FormatError, match=f"truncated at offset {rank_pos + 17}"):
         reload(tmp_path, raw)
 
 
