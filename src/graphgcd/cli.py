@@ -166,8 +166,6 @@ def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
                     raise InputError(f"{path}:{lineno}: is_constrained must be 0 or 1, got {flag}")
                 ids.append(cid)
                 pinned.append(flag)
-    except FileNotFoundError:
-        raise InputError(f"assignments file not found: {path}") from None
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
     for row, cid in enumerate(ids):  # K never exceeds the rows, so neither can a cluster id

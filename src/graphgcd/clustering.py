@@ -103,18 +103,15 @@ def kmeans_pp_init(
             np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     for c in range(reserved, k):
         available = np.flatnonzero(~taken)
-        if c == 0:
-            # nothing to measure distance against yet: uniform first pick
+        weights = d2[available]
+        total = weights.sum()
+        if c == 0 or total <= 0.0:
+            # no centroid to measure against yet, or all free points on one: uniform
             pick = int(rng.integers(available.size))
         else:
-            weights = d2[available]
-            total = weights.sum()
-            if total <= 0.0:
-                pick = int(rng.integers(available.size))
-            else:
-                r = rng.random() * total
-                pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-                pick = min(pick, available.size - 1)
+            r = rng.random() * total
+            pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+            pick = min(pick, available.size - 1)
         taken[available[pick]] = True
         centroids[c] = cand[available[pick]]
         if c + 1 < k:
@@ -445,13 +442,11 @@ def elbow_point(ks: list[int], inertias: list[float]) -> int:
     """
     if len(ks) != len(inertias) or not ks:
         raise InvariantError("elbow needs aligned, non-empty scan results")
-    if len(ks) == 1:
-        return ks[0]
     x = np.asarray(ks, dtype=np.float64)
     y = np.asarray(inertias, dtype=np.float64)
     dx, dy = x[-1] - x[0], y[-1] - y[0]
     length = np.hypot(dx, dy)
-    if length == 0.0:
+    if length == 0.0:  # one K, or equal endpoints
         return ks[0]
     dist = np.abs(dy * (x - x[0]) - dx * (y - y[0])) / length
     return ks[int(np.argmax(dist))]

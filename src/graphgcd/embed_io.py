@@ -402,19 +402,18 @@ def generate_synthetic(
     centers = _draw_centers(rng, class_count, d)
     sigma = 1.0 / separation
 
-    def noisy(center: np.ndarray, count: int) -> np.ndarray:
-        x = center[None, :] + rng.standard_normal((count, d)) * sigma
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        # zero-norm draws have probability zero; renormalize defensively
-        norms[norms < 1e-12] = 1.0
-        return (x / norms).astype(np.float32)
+    def noisy(class_centers: np.ndarray, count: int) -> np.ndarray:
+        # one draw fills the repeated centers' rows in the order a draw per center would
+        x = np.repeat(class_centers, count, axis=0)
+        x += rng.standard_normal(x.shape) * sigma
+        return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
 
-    class_emb = np.vstack([noisy(centers[c], 1) for c in range(known_count)])
+    class_emb = noisy(centers[:known_count], 1)
 
-    labeled_rows = np.vstack([noisy(centers[c], per_class) for c in range(known_count)])
+    labeled_rows = noisy(centers[:known_count], per_class)
     labeled_labels = np.repeat(np.arange(known_count, dtype=np.int32), per_class)
 
-    unlabeled_rows = np.vstack([noisy(centers[c], per_class) for c in range(class_count)])
+    unlabeled_rows = noisy(centers, per_class)
     unlabeled_labels = np.repeat(np.arange(class_count, dtype=np.int32), per_class)
 
     labeled = EmbeddingSet(labeled_rows, labeled_labels)

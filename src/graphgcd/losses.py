@@ -69,23 +69,18 @@ def loss_cma(
     ce = np.log(exp.sum(axis=1)) - shifted[rows, y_idx]
 
     pos = s[rows, y_idx][:, None]
-    if as_printed:
-        hinge = np.maximum(pos - s - alpha, 0.0)
-    else:
-        hinge = np.maximum(s - pos + alpha, 0.0)
+    # as printed, the margin term is negated; negation is exact
+    sign = -1.0 if as_printed else 1.0
+    hinge = np.maximum(sign * (s - pos + alpha), 0.0)
     hinge[rows, y_idx] = 0.0  # c = y excluded from the margin sum
     loss = float((ce + hinge.sum(axis=1)).mean())
 
     gs = softmax.copy()
     gs[rows, y_idx] -= 1.0
     gs /= temperature
-    active = (hinge > 0.0).astype(hinge.dtype)
-    if as_printed:
-        gs -= active
-        gs[rows, y_idx] += active.sum(axis=1)
-    else:
-        gs += active
-        gs[rows, y_idx] -= active.sum(axis=1)
+    active = sign * (hinge > 0.0).astype(hinge.dtype)
+    gs += active
+    gs[rows, y_idx] -= active.sum(axis=1)
     gs /= b
     return loss, gs @ ybar, gs.T @ z
 

@@ -39,12 +39,8 @@ def gcn_layer_dims(input_dim: int, hidden_dim: int, layers: int) -> list[tuple[i
     """Per-layer (fan_in, fan_out) chain: input_dim -> hidden... -> input_dim."""
     if layers == 0:
         return []
-    if layers == 1:
-        return [(input_dim, input_dim)]
-    dims = [(input_dim, hidden_dim)]
-    dims += [(hidden_dim, hidden_dim)] * (layers - 2)
-    dims.append((hidden_dim, input_dim))
-    return dims
+    dims = [input_dim] + [hidden_dim] * (layers - 1) + [input_dim]
+    return list(zip(dims, dims[1:]))
 
 
 def param_shapes(
@@ -267,7 +263,9 @@ def adam_step(params: Params, adam: AdamState, grads: Params, lr: float) -> None
     Gradients and both moments must hold every tensor's name and shape, and
     gradients must be finite: else InvariantError or NumericError, raised
     before any state changes. A tensor the update leaves non-finite is a
-    NumericError.
+    NumericError, without numpy's warnings. It leaves adam.step, the moments
+    up to the failing tensor and the tensors before it updated, so the caller
+    must discard params and adam; the CLI exits 3 before any checkpoint.
     """
     for kind, named in (("gradient", grads), ("adam.m", adam.m), ("adam.v", adam.v)):
         if set(named) != set(params):
@@ -286,26 +284,27 @@ def adam_step(params: Params, adam: AdamState, grads: Params, lr: float) -> None
     t = adam.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in params.items():
-        # the moments updated in place, with the operand order of
-        # m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g and
-        # update = lr*(m/bias1) / (sqrt(v/bias2) + eps)
-        g = grads[name]
-        m, v = adam.m[name], adam.v[name]
-        buf = np.multiply(1.0 - ADAM_BETA1, g)
-        m *= ADAM_BETA1
-        m += buf
-        np.multiply(1.0 - ADAM_BETA2, g, out=buf)
-        buf *= g
-        v *= ADAM_BETA2
-        v += buf
-        np.divide(m, bias1, out=buf)
-        buf *= lr
-        denom = np.divide(v, bias2)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        buf /= denom
-        new = np.subtract(tensor, buf, out=buf).astype(tensor.dtype, copy=False)
-        if not np.isfinite(new).all():  # finite operands, so only a float overflow
-            raise NumericError(f"tensor {name} became non-finite after update")
-        tensor[...] = new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, tensor in params.items():
+            # the moments updated in place, with the operand order of
+            # m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g and
+            # update = lr*(m/bias1) / (sqrt(v/bias2) + eps)
+            g = grads[name]
+            m, v = adam.m[name], adam.v[name]
+            buf = np.multiply(1.0 - ADAM_BETA1, g)
+            m *= ADAM_BETA1
+            m += buf
+            np.multiply(1.0 - ADAM_BETA2, g, out=buf)
+            buf *= g
+            v *= ADAM_BETA2
+            v += buf
+            np.divide(m, bias1, out=buf)
+            buf *= lr
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            buf /= denom
+            new = np.subtract(tensor, buf, out=buf).astype(tensor.dtype, copy=False)
+            if not np.isfinite(new).all():  # finite operands, so only a float overflow
+                raise NumericError(f"tensor {name} became non-finite after update")
+            tensor[...] = new

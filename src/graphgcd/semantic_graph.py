@@ -44,22 +44,12 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> np.ndarray:
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
 
-    adjacency = np.eye(c, dtype=np.int8)
+    a = np.eye(c)
     # stable sort on descending similarity -> lower index wins ties; each
     # node sorts itself last, so k >= c - 1 selects every other node
     nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    adjacency[np.arange(c)[:, None], nearest] = 1
-
-    return row_normalize(adjacency)
-
-
-def row_normalize(adjacency: np.ndarray) -> np.ndarray:
-    """Return D^-1 A: each adjacency row divided by its row sum."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    row_sums = a.sum(axis=1, keepdims=True)
-    if (row_sums <= 0).any():
-        raise InvariantError("adjacency has a zero row; self-loops are required")
-    return a / row_sums
+    a[np.arange(c)[:, None], nearest] = 1.0
+    return a / a.sum(axis=1, keepdims=True)
 
 
 def dump_graph_csv(a: np.ndarray, path) -> None:

@@ -5,7 +5,8 @@ no code with the package: brute-force assignment enumeration, a plain
 Lloyd's k-means, list-deletion k-means++ seeding, a per-anchor triplet
 sampler, a two-vector cosine, a per-term loss with hand-derived Jacobians,
 a triplet gradient added one triplet at a time, central finite differences,
-an explicit-order parameter init, and one-product similarity features.
+an explicit-order parameter init, one-product similarity features, and a
+synthetic generator that draws each class's noise in its own call.
 `plain_semisup_kmeans` is no textbook form: it is the package's constrained
 loop as it ran before Hamerly's bounds, kept apart as the byte-identity
 reference. Keeping these separate is the point; do not
@@ -387,3 +388,37 @@ def plain_init_params(input_dim: int, hidden_dim: int, known_class_count: int,
     named["proj.b2"] = np.zeros(input_dim, dtype=np.float32)
     named["prompt.t"] = glorot(known_class_count, input_dim)
     return named
+
+
+def plain_generate_synthetic(class_count: int, known_count: int, per_class: int, d: int,
+                             separation: float, seed: int):
+    """(labeled rows, unlabeled rows, class embedding rows), one noise draw per center.
+
+    Centers: standard normal draws, unit-normalized, kept when their cosine to
+    every kept center is at most 0.5 (zero-norm draws skipped). Each sample is
+    its center plus standard normal noise over separation, unit-normalized
+    and cast to float32: one known-class copy each, per_class rows of each
+    known class, then per_class rows of every class, in that order.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    centers = []
+    while len(centers) < class_count:
+        v = rng.standard_normal(d)
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            continue
+        v = v / norm
+        if all(c @ v <= 0.5 for c in centers):
+            centers.append(v)
+    sigma = 1.0 / separation
+
+    def noisy(center, count):
+        x = center[None, :] + rng.standard_normal((count, d)) * sigma
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        norms[norms < 1e-12] = 1.0
+        return (x / norms).astype(np.float32)
+
+    class_emb = np.vstack([noisy(centers[c], 1) for c in range(known_count)])
+    labeled = np.vstack([noisy(centers[c], per_class) for c in range(known_count)])
+    unlabeled = np.vstack([noisy(centers[c], per_class) for c in range(class_count)])
+    return labeled, unlabeled, class_emb

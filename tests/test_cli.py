@@ -461,6 +461,21 @@ def test_library_steps_reproduce_the_cluster_artifacts(ws, tmp_path, capsys):
     assert (tmp_path / "scan" / "assignments.csv").read_text() == rows(k)
 
 
+def test_cluster_features_do_not_read_the_prompts(ws):
+    # the prompts change only training's l_cs: clustering reads the GCN and
+    # projector weights, so other finite prompt values give the same bits
+    sets = [read_embedding_file(ws["data"] / f"{name}.gvle")
+            for name in ("labeled", "unlabeled", "class_emb")]
+    state = load_checkpoint(ws["checkpoint"])
+    before = cli.cluster_features(state, *sets)
+    t = state.params["prompt.t"]
+    state.params["prompt.t"] = (0.5 - 3.0 * t[::-1]).astype(t.dtype)
+    assert not np.array_equal(state.params["prompt.t"], t)
+    after = cli.cluster_features(state, *sets)
+    for x, y in zip(before, after):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def corrupt_checkpoint_run(ws, tmp_path, edit):
     """Run cluster on a copy of the shared checkpoint after edit(raw bytearray)."""
     raw = bytearray(ws["checkpoint"].read_bytes())
@@ -735,13 +750,16 @@ def test_eval_known_is_bounded_by_the_assignment_rows(ws, ws_assignments, tmp_pa
         assert (out / "report.csv").exists()
 
 
-def test_eval_missing_assignments_file(ws, tmp_path):
+def test_eval_missing_assignments_file(ws, tmp_path, capsys):
+    # reported by main's OSError handler, as for every other input file
+    missing = tmp_path / "nope.csv"
     rc = cli.main([
-        "eval", "--assignments", str(tmp_path / "nope.csv"),
+        "eval", "--assignments", str(missing),
         "--unlabeled", str(ws["data"] / "unlabeled.gvle"),
-        "--known", "2", "--out-dir", str(tmp_path),
+        "--known", "2", "--out-dir", str(tmp_path / "out"),
     ])
     assert rc == 2
+    assert capsys.readouterr().err == f"graphgcd: InputError: file not found: {missing}\n"
 
 
 # ---------------------------------------------------------------- estimate-k
@@ -1307,17 +1325,31 @@ def test_row_norm_overflow_in_float32_training_exits_0(tmp_path, capsys):
 
 def test_adam_update_overflow_exits_3(ws, tmp_path, capsys):
     # lr overflows float32, so the first update leaves a tensor non-finite:
-    # a numeric failure, not a broken internal contract
+    # a numeric failure, not a broken internal contract; numpy's overflow
+    # warnings (the cast of lr, then inf * 0) are not raised
     data = ws["data"]
-    with pytest.warns(RuntimeWarning):  # the cast of lr overflows, then inf * 0 is NaN
-        rc = cli.main([
-            "train", "--labeled", str(data / "labeled.gvle"),
-            "--class-emb", str(data / "class_emb.gvle"), "--lr", "1e39",
-            "--out-dir", str(tmp_path), *TRAIN_OPTS,
-        ])
+    rc = cli.main([
+        "train", "--labeled", str(data / "labeled.gvle"),
+        "--class-emb", str(data / "class_emb.gvle"), "--lr", "1e39",
+        "--out-dir", str(tmp_path), *TRAIN_OPTS,
+    ])
     assert rc == 3
     assert capsys.readouterr().err == (
         "graphgcd: NumericError: tensor gcn.w0 became non-finite after update\n")
+    assert not (tmp_path / "checkpoint.gvlp").exists()
+
+
+def test_adam_update_overflow_prints_only_the_typed_error(ws, tmp_path):
+    # a fresh interpreter shows warnings under the default filters, so stderr
+    # holds numpy's source-line warnings if any is raised
+    data = ws["data"]
+    run = _fresh_python(
+        "-m", "graphgcd.cli", "train", "--labeled", str(data / "labeled.gvle"),
+        "--class-emb", str(data / "class_emb.gvle"), "--lr", "1e39",
+        "--out-dir", str(tmp_path), *TRAIN_OPTS,
+    )
+    assert run.returncode == 3
+    assert run.stderr == "graphgcd: NumericError: tensor gcn.w0 became non-finite after update\n"
 
 
 def test_zero_projected_row_in_the_feature_stage_exits_3(ws, tmp_path, capsys):

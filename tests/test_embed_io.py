@@ -30,7 +30,7 @@ from graphgcd.errors import (
     NonFiniteError,
 )
 
-from oracles import brute_force_accuracy, plain_kmeans
+from oracles import brute_force_accuracy, plain_generate_synthetic, plain_kmeans
 
 
 def _random_set(seed: int, n: int, d: int, with_labels: bool) -> EmbeddingSet:
@@ -504,6 +504,18 @@ def test_synthetic_deterministic():
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.data, y.data)
         np.testing.assert_array_equal(x.labels, y.labels)
+
+
+@pytest.mark.parametrize("shape, separation, seed", [
+    ((10, 5, 100, 32), 6.0, 0), ((20, 10, 200, 128), 6.0, 101), ((50, 25, 60, 128), 6.0, 101),
+    ((2, 1, 2, 1), 6.0, 0), ((24, 12, 100, 64), np.inf, 0), ((100, 50, 200, 512), 6.0, 100),
+], ids=["criteria", "train-heavy", "cluster-heavy", "tiny", "noiseless", "paper-scale"])
+def test_synthetic_matches_per_center_draws(shape, separation, seed):
+    # one draw per split consumes the stream as one draw per center does
+    got = generate_synthetic(*shape, separation, seed)
+    want = plain_generate_synthetic(*shape, separation, seed)
+    for emb, rows in zip(got, want):
+        assert emb.data.dtype == rows.dtype and emb.data.tobytes() == rows.tobytes()
 
 
 def test_synthetic_unit_norm_rows():

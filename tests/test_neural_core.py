@@ -555,10 +555,24 @@ def test_adam_update_that_overflows_is_a_numeric_error():
     # finite tensor, gradient and moments; only the sum max + 1e38 overflows
     p = {"w": np.full(2, np.finfo(np.float32).max, dtype=np.float32)}
     adam = AdamState({"w": np.zeros(2, np.float32)}, {"w": np.zeros(2, np.float32)})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(NumericError, match="^tensor w became non-finite after update$"):
-            adam_step(p, adam, {"w": -np.ones(2, np.float32)}, lr=1e38)
+    with pytest.raises(NumericError, match="^tensor w became non-finite after update$"):
+        adam_step(p, adam, {"w": -np.ones(2, np.float32)}, lr=1e38)
     assert (p["w"] == np.finfo(np.float32).max).all()
+
+
+def test_adam_overflow_leaves_the_earlier_tensors_updated():
+    # the documented half-update: step, the moments up to the failing tensor
+    # and the tensors before it change; the failing tensor keeps its value
+    top = np.finfo(np.float32).max
+    p = {"a": np.zeros(2, np.float32), "w": np.full(2, top, dtype=np.float32)}
+    adam = AdamState({n: np.zeros(2, np.float32) for n in p},
+                     {n: np.zeros(2, np.float32) for n in p})
+    grads = {n: -np.ones(2, np.float32) for n in p}
+    with pytest.raises(NumericError, match="^tensor w became non-finite after update$"):
+        adam_step(p, adam, grads, lr=1e38)
+    assert adam.step == 1
+    assert (p["a"] > 0).all() and (p["w"] == top).all()
+    assert all(adam.m[n].all() and adam.v[n].all() for n in p)
 
 
 def test_named_tensors_set_tensor_roundtrip():

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgcd.errors import InputError, InvariantError, NonFiniteError
-from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv, row_normalize
+from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv
+
+
+def d_inv_a(adjacency) -> np.ndarray:
+    """Reference D^-1 A: each 0/1 adjacency row divided by its row sum, in float64."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    return a / a.sum(axis=1, keepdims=True)
 
 
 def knn_adjacency(x, k) -> np.ndarray:
@@ -18,7 +24,7 @@ def test_orthogonal_vectors_tie_to_lowest_index():
     expected = np.asarray([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=np.int8)
     np.testing.assert_array_equal(a > 0, expected)
     assert a.dtype == np.float64
-    np.testing.assert_array_equal(a, row_normalize(expected))
+    np.testing.assert_array_equal(a, d_inv_a(expected))
 
 
 def test_close_angles_link_mutually():
@@ -93,24 +99,7 @@ def test_matches_per_row_reference_with_ties(seed):
         got = build_knn_graph(x, k)
         assert got.dtype == np.float64
         # D^-1 A of the reference's A, bit for bit
-        np.testing.assert_array_equal(got, row_normalize(loop_knn_adjacency(x, k)))
-
-
-def test_row_normalize_hand_cases():
-    np.testing.assert_allclose(
-        row_normalize(np.asarray([[1, 1], [1, 1]])),
-        [[0.5, 0.5], [0.5, 0.5]],
-    )
-    np.testing.assert_allclose(row_normalize(np.eye(3)), np.eye(3))
-    np.testing.assert_allclose(
-        row_normalize(np.asarray([[1, 1, 0], [0, 1, 0], [1, 1, 1]])),
-        [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]],
-    )
-
-
-def test_row_normalize_zero_row_rejected():
-    with pytest.raises(InvariantError, match="zero row"):
-        row_normalize(np.asarray([[1, 0], [0, 0]]))
+        np.testing.assert_array_equal(got, d_inv_a(loop_knn_adjacency(x, k)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -60,3 +60,29 @@ def test_every_error_class_is_raised_or_caught_by_name():
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     used = set().union(*(raised_or_caught(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
     assert sorted(classes - used - {"GraphGcdError"}) == []  # the base only gathers the rest
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Top-level functions and classes that no module reads by name or attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)  # `embed_io.write_csv` reads write_csv
+    return sorted(defined - read)
+
+
+def test_unread_definitions_finds_a_test_only_helper():
+    sources = ["def used():\n    pass\n\ndef helper():\n    return used()\n\nclass Box:\n    pass\n",
+               "import m\nm.helper()\n"]
+    assert unread_definitions(sources) == ["Box"]
+
+
+def test_every_definition_is_read_in_the_package():
+    # a function or class that only tests call is code the program does not run
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_definitions(sources) == []
