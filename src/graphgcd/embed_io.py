@@ -32,6 +32,9 @@ GVLE_MAGIC = b"GVLE"
 # class_count does not fit in d dimensions.
 _MAX_CENTER_COS = 0.5
 _CENTER_ATTEMPTS = 10_000
+# Synthetic rows are normalized this many at a time, so np.linalg.norm's float64
+# temporaries never span a whole split.
+_NORM_ROWS = 2048
 
 # Keys older configs and checkpoints carry but nothing reads: parsed and dropped.
 _RETIRED_KEYS = frozenset({"context_vectors_m"})
@@ -268,35 +271,31 @@ class RunConfig:
 
 
 def format_config(config: RunConfig) -> str:
-    """Render a RunConfig as key=value lines in field order."""
-    lines = [f"{f.name}={getattr(config, f.name)}" for f in dataclasses.fields(RunConfig)]
+    """Render a RunConfig as key=value lines in field order, each value as its field's type."""
+    lines = [f"{f.name}={type(f.default)(getattr(config, f.name))}"
+             for f in dataclasses.fields(RunConfig)]
     return "\n".join(lines) + "\n"
 
 
 def parse_decimal(field: str) -> int:
-    """int() of ASCII digits after at most one minus sign, with no sign on a zero;
-    int() alone also reads ' 1', '1_0', '+1' and '-0'."""
-    digits = field.removeprefix("-")
-    if not (field.isascii() and digits.isdigit()) or (digits != field and int(digits) == 0):
+    """int() of exactly the text str() writes for it; int() alone also reads
+    ' 1', '01', '1_0', '+1' and '-0'."""
+    value = int(field)
+    if str(value) != field:
         raise ValueError(f"invalid literal for int() with base 10: {field!r}")
-    return int(field)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value config text: retired keys dropped, unknown or repeated ones rejected,
-    missing ones defaulted; an int is read by parse_decimal, a float by float() of ASCII
-    text with no '_' and no leading '+', and a bool is exactly True or False."""
+    """Parse the key=value lines format_config writes: retired keys dropped, unknown or
+    repeated ones rejected, missing ones defaulted. A value must be the text its field's
+    type writes for it, so padding, '01', and '1e-5' or '2' for a float are rejected."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+        key, eq, raw = line.partition("=")
+        if not eq:
             raise InputError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
         if key in _RETIRED_KEYS:
             continue
         if key not in fields:
@@ -305,14 +304,12 @@ def parse_config(text: str) -> RunConfig:
             raise InputError(f"config line {lineno}: repeated key {key!r}")
         kind = type(fields[key].default)
         try:
-            if kind is bool and raw not in ("True", "False"):
+            value = raw == "True" if kind is bool else kind(raw)
+            if f"{value}" != raw:
                 raise ValueError(raw)
-            if kind is float and (not raw.isascii() or "_" in raw or raw.startswith("+")):
-                raise ValueError(raw)  # float() alone also reads '1_0', '+1' and non-ASCII digits
-            values[key] = (raw == "True" if kind is bool
-                           else parse_decimal(raw) if kind is int else kind(raw))
         except ValueError as exc:
             raise InputError(f"config line {lineno}: bad value for {key}: {raw!r}") from exc
+        values[key] = value
     return RunConfig(**values)
 
 
@@ -403,10 +400,17 @@ def generate_synthetic(
     sigma = 1.0 / separation
 
     def noisy(class_centers: np.ndarray, count: int) -> np.ndarray:
-        # one draw fills the repeated centers' rows in the order a draw per center would
-        x = np.repeat(class_centers, count, axis=0)
-        x += rng.standard_normal(x.shape) * sigma
-        return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+        # one draw fills every center's rows in the order a draw per center would
+        x = rng.standard_normal((len(class_centers), count, d))
+        x *= sigma
+        x += class_centers[:, None, :]
+        x = x.reshape(-1, d)
+        out = np.empty(x.shape, dtype=np.float32)
+        for start in range(0, len(x), _NORM_ROWS):
+            rows = x[start : start + _NORM_ROWS]
+            np.divide(rows, np.linalg.norm(rows, axis=1, keepdims=True),
+                      out=out[start : start + _NORM_ROWS], casting="same_kind")
+        return out
 
     class_emb = noisy(centers[:known_count], 1)
 

@@ -11,7 +11,7 @@ Checkpoint layout (little-endian), all of it produced and consumed here:
     per tensor: uint16 name length | name UTF-8 | uint8 rank |
                 uint32 dim per axis | float32 row-major payload
 
-Tensors are written in a fixed order: the parameters as "param/<name>",
+Tensors are written, and must be read, in this order: parameters as "param/<name>",
 Adam moments as "adam.m/<name>" and "adam.v/<name>", each group in the
 params dict's order, which init, load and resume hold to the order and
 shapes of neural_core.param_shapes, then "meta/progress" holding
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -204,13 +205,14 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a GVLP file back into a TrainState (trace starts empty)."""
+    """Read a GVLP file back into a TrainState (trace starts empty). Its records must be
+    the layout's names and shapes in save order; the first record that differs is named."""
     with ByteReader(path, GVLP_MAGIC) as r:
         (config_len,) = r.unpack("<I")
         config = parse_config(r.text(config_len))
         config.validate()
         (count,) = r.unpack("<I")
-        tensors: dict[str, np.ndarray] = {}
+        records: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (name_len,) = r.unpack("<H")
             name = r.text(name_len)
@@ -220,38 +222,29 @@ def load_checkpoint(path) -> TrainState:
             arr = r.array("<f4", r.unpack(f"<{rank}I"))
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite values")
-            if name in tensors:
-                raise FormatError(f"{path}: duplicate tensor {name!r}")
-            tensors[name] = arr
+            records.append((name, arr))
         r.end()
 
-    def shape_of(name: str) -> tuple[int, ...]:
-        if name not in tensors:
-            raise FormatError(f"{path}: missing tensor {name!r}")
-        return tensors[name].shape
-
-    def pull(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if shape_of(name) != shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape {shape_of(name)}, "
-                              f"but the config block implies {shape}")
-        return tensors.pop(name)
-
-    # the prompts hold what the config block does not: the known-class count
-    # and the input dimension
-    prompt_shape = shape_of("param/prompt.t")
-    if len(prompt_shape) != 2:
+    found = [(name, arr.shape) for name, arr in records]
+    # the layout is what the config block implies with the prompts' shape, which holds
+    # what the config block does not: the known-class count and the input dimension
+    prompt_shape = dict(found).get("param/prompt.t")
+    if prompt_shape is None or len(prompt_shape) != 2:  # None: the file has no prompts
         raise FormatError(f"{path}: tensor 'param/prompt.t' has shape {prompt_shape}, "
                           "not (classes, dim)")
     layout = param_shapes(prompt_shape[1], config.hidden_dim, prompt_shape[0], config.gcn_layers)
-    params, m, v = ({name: pull(f"{prefix}/{name}", shape) for name, shape in layout.items()}
-                    for prefix in _GROUPS)
-    if shape_of("meta/progress") != (12,):
-        raise FormatError(f"{path}: meta/progress must hold 12 values")
-    progress = tensors.pop("meta/progress")
+    expect = ([(f"{group}/{name}", shape) for group in _GROUPS for name, shape in layout.items()]
+              + [("meta/progress", (12,))])
+    if found != expect:
+        i = next(i for i, pair in enumerate(zip_longest(found, expect)) if pair[0] != pair[1])
+        held, want = (f"{x[i][0]!r} of shape {x[i][1]}" if i < len(x) else end
+                      for x, end in ((found, "the end of the file"), (expect, "nothing")))
+        raise FormatError(f"{path}: record {i} is {held}, but the layout puts {want} there")
+    arrays = iter(arr for _, arr in records)
+    params, m, v = ({name: next(arrays) for name in layout} for _ in _GROUPS)
+    progress = next(arrays)
     if ((progress % 1 != 0) | (progress < 0) | (progress > 0xFFFF)).any():
         raise FormatError(f"{path}: meta/progress values must be integers in [0, 65535]")
-    if tensors:
-        raise FormatError(f"{path}: unexpected tensors {sorted(tensors)}")
 
     seed = _unchunk16(progress[0:4])
     if seed != config.seed:

@@ -524,7 +524,9 @@ def test_cluster_checkpoint_off_its_layout_is_a_format_error(ws, tmp_path, capsy
 
     assert corrupt_checkpoint_run(ws, tmp_path, cut_proj_b1) == 2
     err = capsys.readouterr().err
-    assert "FormatError" in err and "'param/proj.b1' has shape (3,)" in err
+    assert err.endswith("bad.gvlp: record 3 is 'param/proj.b1' of shape (3,), but the layout "
+                        "puts 'param/proj.b1' of shape (8,) there\n")
+    assert err.startswith("graphgcd: FormatError: ")
     assert "Traceback" not in err
     assert not (tmp_path / "config.txt").exists()
 
@@ -647,7 +649,7 @@ def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
     assert not (tmp_path / "e" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["header", "two-columns", "not-an-integer"])
+@pytest.mark.parametrize("case", ["header", "two-columns", "not-an-integer", "leading-zero"])
 def test_eval_rejects_unreadable_assignments_before_any_write(ws, ws_assignments, tmp_path,
                                                               capsys, case):
     # line 4 of the file holds the row with sample_index 2
@@ -658,9 +660,13 @@ def test_eval_rejects_unreadable_assignments_before_any_write(ws, ws_assignments
     elif case == "two-columns":
         lines[3] = "2,0"
         expected = "4: expected 3 columns"
-    else:
+    elif case == "not-an-integer":
         lines[3] = "2,x,0"
         expected = " invalid literal for int() with base 10: 'x'"
+    else:  # int() reads 01 as 1, but the writer writes 1
+        index, cid, flag = lines[3].split(",")
+        lines[3] = f"{index},0{cid},{flag}"
+        expected = f" invalid literal for int() with base 10: '0{cid}'"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "e"

@@ -274,7 +274,7 @@ def test_gvle_bad_flag_and_empty_header(tmp_path):
         read_embedding_file(path)
     path2 = tmp_path / "empty.gvle"
     path2.write_bytes(b"GVLE" + struct.pack("<IIB", 0, 4, 0))
-    with pytest.raises(FormatError, match="empty"):
+    with pytest.raises(FormatError, match=r"empty\.gvle: header declares empty set \(n=0, d=4\)$"):
         read_embedding_file(path2)
 
 
@@ -325,7 +325,7 @@ def test_embedding_set_keeps_labels_int32_holds():
     lr=st.floats(1e-6, 1.0, allow_nan=False),
     epochs=st.integers(0, 500),
     seed=st.integers(0, 2**64 - 1),
-    temp=st.floats(0.01, 10.0, allow_nan=False),
+    temp=st.one_of(st.floats(0.01, 10.0, allow_nan=False), st.integers(1, 10)),
     printed=st.booleans(),
 )
 def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp, printed):
@@ -333,7 +333,15 @@ def test_config_text_roundtrip(knn_k, layers, alpha, lr, epochs, seed, temp, pri
         knn_k=knn_k, gcn_layers=layers, margin_alpha=alpha, learn_rate=lr,
         epochs=epochs, seed=seed, temperature=temp, losses_as_printed=printed,
     )
-    assert parse_config(format_config(cfg)) == cfg
+    text = format_config(cfg)
+    assert parse_config(text) == cfg
+    assert format_config(parse_config(text)) == text
+
+
+def test_format_config_writes_each_value_as_its_field_type():
+    # an int in a float field is written as the float it stands for, which parse_config reads
+    assert "\ntemperature=2.0\n" in format_config(RunConfig(temperature=2))
+    assert parse_config(format_config(RunConfig(temperature=2))).temperature == 2.0
 
 
 def test_config_text_roundtrip_with_numpy_float_field():
@@ -362,11 +370,6 @@ def test_config_rejects_bad_value_and_shape():
         parse_config("epochs\n")
 
 
-def test_config_skips_comments_and_blanks():
-    cfg = parse_config("# a comment\n\nknn_k=4\n")
-    assert cfg.knn_k == 4
-
-
 def test_config_accepts_and_drops_retired_key():
     # the config block older runs wrote, with the since-removed context_vectors_m
     # and without losses_as_printed, which takes its default
@@ -387,6 +390,23 @@ def test_config_rejects_repeated_key():
     # the later line used to win silently
     with pytest.raises(InputError, match="config line 3: repeated key 'seed'"):
         parse_config("seed=1\nknn_k=3\nseed=2\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("knn_k=03", "bad value for knn_k: '03'"),
+    (" knn_k=3", "unknown key ' knn_k'"),
+    ("knn_k= 3", "bad value for knn_k: ' 3'"),
+    ("knn_k=3 ", "bad value for knn_k: '3 '"),
+    ("temperature=2", "bad value for temperature: '2'"),
+    ("learn_rate=1e-5", "bad value for learn_rate: '1e-5'"),
+    ("# a comment", "expected key=value, got '# a comment'"),
+    ("", "expected key=value, got ''"),
+], ids=["leading-zero", "padded-key", "padded-value", "trailing-space", "int-for-float",
+        "exponent", "comment", "blank"])
+def test_config_reads_only_lines_format_config_writes(line, message):
+    # format_config writes none of these lines; each value must be its field type's own text
+    with pytest.raises(InputError, match=re.escape(f"config line 2: {message}") + "$"):
+        parse_config(f"seed=1\n{line}\nepochs=1\n")
 
 
 @pytest.mark.parametrize("field,raw", [("knn_k", "1_0"), ("epochs", "+5"), ("seed", "-0"),
@@ -516,6 +536,19 @@ def test_synthetic_matches_per_center_draws(shape, separation, seed):
     want = plain_generate_synthetic(*shape, separation, seed)
     for emb, rows in zip(got, want):
         assert emb.data.dtype == rows.dtype and emb.data.tobytes() == rows.tobytes()
+
+
+def test_synthetic_peak_memory_is_bounded_by_the_unlabeled_split():
+    # each split is drawn into one float64 array and normalized in row blocks straight
+    # into its float32 rows: about 3.7 times the unlabeled rows' bytes, where holding
+    # the noise, its scaled copy and the norm's whole-split temporaries peaked at 5.5
+    tracemalloc.start()
+    try:
+        _, unlabeled, _ = generate_synthetic(20, 10, 1000, 64, 6.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * unlabeled.data.nbytes, f"peak {peak} B for {unlabeled.data.nbytes} B"
 
 
 def test_synthetic_unit_norm_rows():

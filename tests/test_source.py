@@ -1,11 +1,13 @@
-"""Static checks over the package source."""
+"""Static checks over the package and test source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphgcd"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +88,38 @@ def test_every_definition_is_read_in_the_package():
     # a function or class that only tests call is code the program does not run
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unread_definitions(sources) == []
+
+
+def matches_on_tmp_path(source: str) -> list[tuple[int, str]]:
+    """(line, pattern) of each string-literal match= in a test taking tmp_path that
+    also matches the test's tmp_path directory name.
+
+    pytest names that directory after the test name's first 30 characters, each
+    non-word one replaced by '_', plus a number. An error message that starts with
+    a path under it satisfies such a pattern whatever the rest of it says.
+    """
+    sites = []
+    for test in ast.walk(ast.parse(source)):
+        if not (isinstance(test, ast.FunctionDef) and test.name.startswith("test")
+                and "tmp_path" in [arg.arg for arg in test.args.args]):
+            continue
+        directory = re.sub(r"\W", "_", test.name)[:30] + "0"
+        for node in ast.walk(test):
+            if (isinstance(node, ast.keyword) and node.arg == "match"
+                    and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+                    and re.search(node.value.value, directory)):
+                sites.append((node.value.lineno, node.value.value))
+    return sites
+
+
+def test_matches_on_tmp_path_finds_a_pattern_its_directory_satisfies():
+    source = ("def test_load_rejects_duplicate_tensor(tmp_path):\n"
+              "    with raises(E, match='duplicate'):\n        pass\n"
+              "    with raises(E, match=r'dup\\.gvlp: record 3$'):\n        pass\n"
+              "def test_no_tmp_path_duplicate():\n    raises(E, match='duplicate')\n")
+    assert matches_on_tmp_path(source) == [(2, "duplicate")]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda p: p.name)
+def test_no_message_check_passes_on_its_tmp_path(path):
+    assert matches_on_tmp_path(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,7 @@
 """Tests for the training loop and GVLP checkpoint serialization."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -415,6 +416,11 @@ def reload(tmp_path, raw):
     return load_checkpoint(path)
 
 
+def after_path(message):
+    """Match an error whose whole text after reload's file name is message."""
+    return re.escape(f"mangled.gvlp: {message}") + "$"
+
+
 def test_load_rejects_bad_magic(saved_bytes, tmp_path):
     with pytest.raises(FormatError, match="bad magic at offset 0: expected b'GVLP'"):
         reload(tmp_path, b"XXXX" + saved_bytes[4:])
@@ -442,7 +448,9 @@ def test_load_rejects_duplicate_tensor(saved_bytes, tmp_path):
         + saved_bytes[count_off + 4 :]
         + first
     )
-    with pytest.raises(FormatError, match="duplicate"):
+    # a second copy of record 0 after the last record the layout has
+    with pytest.raises(FormatError, match=after_path(
+            "record 22 is 'param/gcn.w0' of shape (8, 8), but the layout puts nothing there")):
         reload(tmp_path, raw)
 
 
@@ -455,7 +463,9 @@ def test_load_rejects_missing_tensor(saved_bytes, tmp_path):
         + struct.pack("<I", count - 1)
         + saved_bytes[count_off + 4 : spans[-1][0]]
     )
-    with pytest.raises(FormatError, match="missing tensor 'meta/progress'"):
+    with pytest.raises(FormatError, match=after_path(
+            "record 21 is the end of the file, but the layout puts 'meta/progress' of shape "
+            "(12,) there")):
         reload(tmp_path, raw)
 
 
@@ -469,7 +479,8 @@ def test_load_rejects_unexpected_tensor(saved_bytes, tmp_path):
         + saved_bytes[count_off + 4 :]
         + extra
     )
-    with pytest.raises(FormatError, match="unexpected"):
+    with pytest.raises(FormatError, match=after_path(
+            "record 22 is 'meta/extra' of shape (), but the layout puts nothing there")):
         reload(tmp_path, raw)
 
 
@@ -522,7 +533,9 @@ def test_load_rejects_wrong_progress_shape(saved_bytes, tmp_path):
     header = struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", 1)
     payload = saved_bytes[start + len(header) + 4 : end]
     shrunk = header + struct.pack("<I", 11) + payload[: 4 * 11]
-    with pytest.raises(FormatError, match="12 values"):
+    with pytest.raises(FormatError, match=after_path(
+            "record 21 is 'meta/progress' of shape (11,), but the layout puts 'meta/progress' "
+            "of shape (12,) there")):
         reload(tmp_path, saved_bytes[:start] + shrunk)
 
 
@@ -541,13 +554,19 @@ def test_rewrite_tensor_with_its_own_values_changes_no_byte(saved_bytes):
 OFF_LAYOUT = {
     "proj.b1-cut-to-3": (
         {f"{group}/proj.b1": np.zeros(3) for group in ("param", "adam.m", "adam.v")},
-        r"'param/proj\.b1' has shape \(3,\), but the config block implies \(8,\)"),
+        "record 3 is 'param/proj.b1' of shape (3,), but the layout puts 'param/proj.b1' "
+        "of shape (8,) there"),
     "proj.w2-cut-to-5-columns": (
-        {"param/proj.w2": np.zeros((8, 5))}, r"'param/proj\.w2' has shape \(8, 5\)"),
+        {"param/proj.w2": np.zeros((8, 5))},
+        "record 4 is 'param/proj.w2' of shape (8, 5), but the layout puts 'param/proj.w2' "
+        "of shape (8, 8) there"),
     "adam.m-proj.w1-cut-to-2-rows": (
-        {"adam.m/proj.w1": np.zeros((2, 8))}, r"'adam\.m/proj\.w1' has shape \(2, 8\)"),
+        {"adam.m/proj.w1": np.zeros((2, 8))},
+        "record 9 is 'adam.m/proj.w1' of shape (2, 8), but the layout puts 'adam.m/proj.w1' "
+        "of shape (8, 8) there"),
     "prompts-not-a-matrix": (
-        {"param/prompt.t": np.ones(40)}, r"'param/prompt\.t' has shape \(40,\)"),
+        {"param/prompt.t": np.ones(40)},
+        "tensor 'param/prompt.t' has shape (40,), not (classes, dim)"),
 }
 
 
@@ -557,20 +576,38 @@ def test_load_rejects_tensor_shapes_off_the_layout(saved_bytes, tmp_path, case):
     raw = saved_bytes
     for name, array in edits.items():
         raw = rewrite_tensor(raw, name, array)
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(FormatError, match=after_path(message)):
+        reload(tmp_path, raw)
+
+
+def test_load_rejects_records_out_of_save_order(saved_bytes, tmp_path):
+    # same names and shapes as the layout, but two moment records trade places
+    spans, _ = record_spans(saved_bytes)
+    (m_start, m_end), (v_start, v_end) = [(s, e) for s, e, name in spans
+                                          if name in ("adam.m/proj.w1", "adam.v/proj.w1")]
+    raw = (saved_bytes[:m_start] + saved_bytes[v_start:v_end] + saved_bytes[m_end:v_start]
+           + saved_bytes[m_start:m_end] + saved_bytes[v_end:])
+    with pytest.raises(FormatError, match=after_path(
+            "record 9 is 'adam.v/proj.w1' of shape (8, 8), but the layout puts 'adam.m/proj.w1' "
+            "of shape (8, 8) there")):
         reload(tmp_path, raw)
 
 
 @pytest.mark.parametrize("old, new, message", [
     ("hidden_dim=8\n", "hidden_dim=32\n",
-     r"'param/gcn\.w0' has shape \(8, 8\), but the config block implies \(8, 32\)"),
-    ("gcn_layers=2\n", "gcn_layers=1\n", r"unexpected tensors \['adam\.m/gcn\.w1'"),
-    ("gcn_layers=2\n", "gcn_layers=3\n", r"missing tensor 'param/gcn\.w2'"),
+     "record 0 is 'param/gcn.w0' of shape (8, 8), but the layout puts 'param/gcn.w0' "
+     "of shape (8, 32) there"),
+    ("gcn_layers=2\n", "gcn_layers=1\n",
+     "record 1 is 'param/gcn.w1' of shape (8, 8), but the layout puts 'param/proj.w1' "
+     "of shape (8, 8) there"),
+    ("gcn_layers=2\n", "gcn_layers=3\n",
+     "record 2 is 'param/proj.w1' of shape (8, 8), but the layout puts 'param/gcn.w2' "
+     "of shape (8, 8) there"),
 ], ids=["hidden-dim-32", "gcn-layers-1", "gcn-layers-3"])
 def test_load_rejects_config_block_that_does_not_describe_the_tensors(
     saved_bytes, tmp_path, old, new, message
 ):
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(FormatError, match=after_path(message)):
         reload(tmp_path, rewrite_config(saved_bytes, old, new))
 
 
