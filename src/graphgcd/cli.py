@@ -43,13 +43,12 @@ from .embed_io import (
     generate_synthetic,
     parse_decimal,
     read_embedding_file,
-    write_csv,
     write_embedding_file,
 )
 from .errors import InputError, InvariantError, NumericError
 from .evaluation import EvalReport, split_accuracy
-from .semantic_graph import build_knn_graph, dump_graph_csv
-from .trainer import TrainState, load_checkpoint, save_checkpoint, train, write_loss_trace
+from .semantic_graph import build_knn_graph
+from .trainer import EpochRecord, TrainState, load_checkpoint, save_checkpoint, train
 
 _EXIT_CODES = {InputError: 2, NumericError: 3, InvariantError: 4}
 _ASSIGNMENTS_HEADER = ("sample_index", "cluster_id", "is_constrained")
@@ -141,31 +140,53 @@ def _write_synthetic(sets: tuple[EmbeddingSet, EmbeddingSet, EmbeddingSet], out:
         print(f"wrote {out / name}")
 
 
+def _write_csv(path, header: tuple[str, ...], rows) -> None:
+    """Write comma-joined rows under the header line (none when header is empty)."""
+    with open(path, "w", encoding="utf-8") as f:
+        if header:
+            f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _write_loss_trace(trace: list[EpochRecord], path: Path) -> None:
+    rows = ((r.epoch, f"{r.l_cma:.6f}", f"{r.l_sdp:.6f}", f"{r.l_cs:.6f}", f"{r.l_tot:.6f}")
+            for r in trace)
+    _write_csv(path, ("epoch", "l_cma", "l_sdp", "l_cs", "l_tot"), rows)
+
+
+def _dump_graph_csv(a: np.ndarray, path: Path) -> None:
+    """Write A, the positive entries of a = D^-1 A, as 0/1 CSV, one node row per line."""
+    _write_csv(path, (), (a > 0).astype(int).tolist())
+
+
 def _write_assignments(result: ClusterAssignment, path: Path) -> None:
     rows = zip(range(len(result.assignment)), result.assignment.tolist(),
                result.constrained_mask.astype(int).tolist())
-    write_csv(path, _ASSIGNMENTS_HEADER, rows)
+    _write_csv(path, _ASSIGNMENTS_HEADER, rows)
     print(f"wrote {path}")
 
 
 def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().strip()
-            if header != ",".join(_ASSIGNMENTS_HEADER):
-                raise InputError(f"{path}: unrecognized assignments header {header!r}")
-            ids, pinned = [], []
-            for lineno, line in enumerate(f, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != 3:
-                    raise InputError(f"{path}:{lineno}: expected 3 columns")
-                index, cid, flag = map(parse_decimal, parts)
-                if index != lineno - 2:
-                    raise InputError(f"{path}:{lineno}: sample_index {index} is not the row position")
-                if flag not in (0, 1):
-                    raise InputError(f"{path}:{lineno}: is_constrained must be 0 or 1, got {flag}")
-                ids.append(cid)
-                pinned.append(flag)
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            *lines, last = f.read().split("\n")
+        if last:  # the writer ends every line in "\n", the last one too
+            raise InputError(f"{path}:{len(lines) + 1}: line does not end in a newline")
+        header, *rows = lines or [""]
+        if header != ",".join(_ASSIGNMENTS_HEADER):
+            raise InputError(f"{path}: unrecognized assignments header {header!r}")
+        ids, pinned = [], []
+        for lineno, line in enumerate(rows, start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise InputError(f"{path}:{lineno}: expected 3 columns")
+            index, cid, flag = map(parse_decimal, parts)
+            if index != lineno - 2:
+                raise InputError(f"{path}:{lineno}: sample_index {index} is not the row position")
+            if flag not in (0, 1):
+                raise InputError(f"{path}:{lineno}: is_constrained must be 0 or 1, got {flag}")
+            ids.append(cid)
+            pinned.append(flag)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
     for row, cid in enumerate(ids):  # K never exceeds the rows, so neither can a cluster id
@@ -190,8 +211,8 @@ def _emit_report(report: EvalReport, out: Path) -> None:
     values = {m: getattr(report, m) for m in ("acc_all", "acc_known", "acc_new")}
     rows = [(m, "n/a" if v is None else f"{v:.4f}") for m, v in values.items()]
     print("\n".join(f"{metric} {value}" for metric, value in rows))
-    write_csv(out / "report.csv", ("metric", "value"), rows)
-    write_csv(out / "confusion.csv", (), report.confusion.tolist())
+    _write_csv(out / "report.csv", ("metric", "value"), rows)
+    _write_csv(out / "confusion.csv", (), report.confusion.tolist())
     print(f"wrote {out / 'report.csv'}")
     print(f"wrote {out / 'confusion.csv'}")
 
@@ -268,10 +289,10 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     state = train(labeled, class_emb, config)
     save_checkpoint(state, out / "checkpoint.gvlp")
     print(f"wrote {out / 'checkpoint.gvlp'}")
-    write_loss_trace(state.trace, out / "loss_trace.csv")
+    _write_loss_trace(state.trace, out / "loss_trace.csv")
     print(f"wrote {out / 'loss_trace.csv'}")
     if args.dump_graph:
-        dump_graph_csv(build_knn_graph(class_emb.data, state.config.knn_k), out / "graph.csv")
+        _dump_graph_csv(build_knn_graph(class_emb.data, state.config.knn_k), out / "graph.csv")
         print(f"wrote {out / 'graph.csv'}")
     return state
 
@@ -283,7 +304,7 @@ def _cluster_artifacts(features: np.ndarray, labels: np.ndarray, seed: int,
     k = k_bounds[0]
     if args.estimate_k:
         k, scan = elbow_k(features, labels, seed, *k_bounds, workers=_usable_cpus())
-        write_csv(out / "inertia_scan.csv", ("k", "inertia"), ((i, f"{v:.6f}") for i, v in scan))
+        _write_csv(out / "inertia_scan.csv", ("k", "inertia"), ((i, f"{v:.6f}") for i, v in scan))
         print(f"wrote {out / 'inertia_scan.csv'}\nestimated k {k}")
     if args.command == "estimate-k":
         return None

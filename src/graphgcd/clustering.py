@@ -98,10 +98,10 @@ def kmeans_pp_init(
     # squared distance from each free point to its nearest centroid so far;
     # min is exact, so each weight equals a fresh min over all placed centroids
     d2 = np.full(free_pts.size, np.inf)
-    if k > reserved:
-        for c in range(reserved):
-            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     for c in range(reserved, k):
+        # fold in what was placed since the last pick: every reserved centroid, then one pick
+        for placed in centroids[0 if c == reserved else c - 1:c]:
+            np.minimum(d2, ((cand - placed) ** 2).sum(axis=1), out=d2)
         available = np.flatnonzero(~taken)
         weights = d2[available]
         total = weights.sum()
@@ -114,8 +114,6 @@ def kmeans_pp_init(
             pick = min(pick, available.size - 1)
         taken[available[pick]] = True
         centroids[c] = cand[available[pick]]
-        if c + 1 < k:
-            np.minimum(d2, ((cand - centroids[c]) ** 2).sum(axis=1), out=d2)
     return centroids
 
 
@@ -304,7 +302,6 @@ def semisup_kmeans(
     buffer = np.empty_like(features)
     prev = None
     last_inertia = np.inf
-    iterations = 0
 
     for it in range(MAX_LLOYD_ITERATIONS):
         c_run = max(c_run, np.sqrt((centroids * centroids).sum(axis=1).max()))
@@ -339,7 +336,6 @@ def semisup_kmeans(
         drop[top] = shift[top] + np.delete(shift, top).max(initial=0.0)
         gap -= drop[assignment[free_rows]]
 
-        iterations = it + 1
         inertia = _inertia(features, centroids, assignment, buffer)
         if inertia > last_inertia + _INERTIA_SLACK:
             raise InvariantError(
@@ -358,7 +354,7 @@ def semisup_kmeans(
         assignment=assignment,
         centroids=centroids,
         constrained_mask=constrained,
-        iterations_run=iterations,
+        iterations_run=it + 1,
         inertia=last_inertia,
     )
 

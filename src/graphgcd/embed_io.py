@@ -8,7 +8,7 @@ The GVLE layout is little-endian throughout:
 GVLE files and GVLP checkpoints are both read through ByteReader. Config
 files are UTF-8 ``key=value`` lines mirroring RunConfig field names.
 check_run_inputs decides whether the input sets agree with each other and
-with a RunConfig. Also here: write_csv for every CSV artifact.
+with a RunConfig.
 """
 
 from __future__ import annotations
@@ -210,14 +210,6 @@ def read_embedding_file(path) -> EmbeddingSet:
     return emb
 
 
-def write_csv(path, header: tuple[str, ...], rows) -> None:
-    """Write comma-joined rows under the header line (none when header is empty)."""
-    with open(path, "w", encoding="utf-8") as f:
-        if header:
-            f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
-
-
 @dataclass
 class RunConfig:
     """Hyperparameters for one pipeline run.
@@ -289,10 +281,13 @@ def parse_decimal(field: str) -> int:
 def parse_config(text: str) -> RunConfig:
     """Parse the key=value lines format_config writes: retired keys dropped, unknown or
     repeated ones rejected, missing ones defaulted. A value must be the text its field's
-    type writes for it, so padding, '01', and '1e-5' or '2' for a float are rejected."""
+    type writes for it, so padding, '01', and '1e-5' or '2' for a float are rejected. Lines
+    end in '\\n' only, the last one too; any other line break is part of its line."""
+    if not text.endswith("\n"):
+        raise InputError("config block does not end in a newline")
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         key, eq, raw = line.partition("=")
         if not eq:
             raise InputError(f"config line {lineno}: expected key=value, got {line!r}")
@@ -354,10 +349,7 @@ def _draw_centers(rng: np.random.Generator, class_count: int, d: int) -> np.ndar
             )
         attempts += 1
         v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v /= norm
+        v /= np.linalg.norm(v)
         if have == 0 or (centers[:have] @ v).max() <= _MAX_CENTER_COS:
             centers[have] = v
             have += 1

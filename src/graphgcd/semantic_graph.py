@@ -11,7 +11,6 @@ import warnings
 
 import numpy as np
 
-from .embed_io import write_csv
 from .errors import InputError, InvariantError, NonFiniteError
 
 
@@ -50,8 +49,3 @@ def build_knn_graph(class_embeddings: np.ndarray, k: int) -> np.ndarray:
     nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     a[np.arange(c)[:, None], nearest] = 1.0
     return a / a.sum(axis=1, keepdims=True)
-
-
-def dump_graph_csv(a: np.ndarray, path) -> None:
-    """Write A, the positive entries of a = D^-1 A, as 0/1 CSV, one node row per line."""
-    write_csv(path, (), (a > 0).astype(int).tolist())

@@ -1,4 +1,4 @@
-"""Training loop, loss trace, and GVLP checkpoint serialization.
+"""Training loop and GVLP checkpoint serialization.
 
 The loop reads the class graph as its propagation matrix alone, hands the
 losses the arrays they read, and unpacks their three gradients directly.
@@ -37,7 +37,6 @@ from .embed_io import (
     check_run_inputs,
     format_config,
     parse_config,
-    write_csv,
 )
 from .errors import FormatError, InputError, InvariantError, NonFiniteError, NumericError
 from .losses import loss_total, sample_triplets
@@ -163,12 +162,6 @@ def train(
     if _frozen_bytes(a, h0) != frozen:
         raise InvariantError("semantic graph or h0 mutated during training")
     return state
-
-
-def write_loss_trace(trace: list[EpochRecord], path) -> None:
-    rows = ((r.epoch, f"{r.l_cma:.6f}", f"{r.l_sdp:.6f}", f"{r.l_cs:.6f}", f"{r.l_tot:.6f}")
-            for r in trace)
-    write_csv(path, ("epoch", "l_cma", "l_sdp", "l_cs", "l_tot"), rows)
 
 
 def _chunks16(value: int) -> list[int]:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from graphgcd import cli
+from graphgcd import cli, trainer
 from graphgcd.clustering import semisup_kmeans
 from graphgcd.embed_io import (
     EmbeddingSet,
@@ -506,6 +506,39 @@ def test_criterion_7_depth_ablation_direction(bench):
         "and 0.33/0.25/0.22 novel, and acc_known falls to 0.43/0.45/0.39. That "
         "inverts the ablation direction at this class count and neighbor setting."
     )
+
+
+def _collision_free_graph(class_embeddings, k):
+    """The spec's kNN edges with self weight 0.5 and 0.5/k on each of a row's k
+    neighbours: only a row's own class gets 0.5, so no two rows are equal."""
+    edges = build_knn_graph(class_embeddings, k) > 0
+    np.fill_diagonal(edges, False)
+    return 0.5 * np.eye(len(edges)) + edges * (0.5 / k)
+
+
+def test_shared_rows_cause_most_of_the_two_layer_loss(bench, monkeypatch):
+    # criteria 4, 5 and 7 name classes that share a propagation-matrix row as the
+    # cause. The same edges, re-weighted so that no row is shared, must lift the
+    # 2-layer acc_all well above the spec's on the same seeds, data and config.
+    monkeypatch.setattr(trainer, "build_knn_graph", _collision_free_graph)
+    monkeypatch.setattr(cli, "build_knn_graph", _collision_free_graph)
+    shared, acc_all = [], []
+    for seed in (0, 1, 2):
+        labeled, unlabeled, class_emb = generate_synthetic(10, 5, 100, 32, 6.0, seed)
+        config = RunConfig(seed=seed, gcn_layers=2)
+        shared.append(_shared_rows(_collision_free_graph(class_emb.data, config.knn_k)))
+        state = train(labeled, class_emb, config)
+        feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
+        result = cli.assign_clusters(feats, labels, 10, seed)
+        acc_all.append(_score(result.assignment, result.constrained_mask, unlabeled, 5).acc_all)
+    mean = float(np.mean(acc_all))
+    spec = float(np.mean([r["deep"].acc_all for r in bench["runs"]]))
+    spec_shared = [r["shared_rows"] for r in bench["runs"]]
+    line = (f"collision-free graph: shared rows {shared} (spec {spec_shared}), 2-layer "
+            f"mean acc_all {mean:.4f} vs spec {spec:.4f}")
+    print(line)
+    assert shared == [0, 0, 0], line
+    assert mean >= spec + 0.2, line
 
 
 # =================================================================== criterion 6

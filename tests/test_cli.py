@@ -27,7 +27,8 @@ from graphgcd.embed_io import (
 )
 from graphgcd.errors import InvariantError
 from graphgcd.evaluation import split_accuracy
-from graphgcd.trainer import load_checkpoint
+from graphgcd.semantic_graph import build_knn_graph
+from graphgcd.trainer import EpochRecord, load_checkpoint
 
 from test_trainer import rewrite_config, rewrite_tensor
 
@@ -134,6 +135,33 @@ def test_train_dump_graph_flag(ws, tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "graph.csv").exists()
+
+
+def test_dump_graph_csv(tmp_path):
+    a = build_knn_graph(np.eye(3), k=1)
+    path = tmp_path / "graph.csv"
+    cli._dump_graph_csv(a, path)
+    # the binary adjacency as 0/1, not the propagation weights
+    assert path.read_bytes() == b"1,1,0\n1,1,0\n1,0,1\n"
+    rows = [
+        [int(v) for v in line.split(",")]
+        for line in path.read_text().strip().splitlines()
+    ]
+    np.testing.assert_array_equal(np.asarray(rows), a > 0)
+
+
+def test_write_loss_trace_format(tmp_path):
+    trace = [
+        EpochRecord(0, 1.0, 0.5, 0.25, 1.75),
+        EpochRecord(1, 0.875, 0.4375, 0.125, 1.4375),
+    ]
+    path = tmp_path / "trace.csv"
+    cli._write_loss_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,l_cma,l_sdp,l_cs,l_tot"
+    assert lines[1] == "0,1.000000,0.500000,0.250000,1.750000"
+    assert lines[2] == "1,0.875000,0.437500,0.125000,1.437500"
+    assert len(lines) == 3
 
 
 def train_into(ws, out, *extra):
@@ -649,12 +677,24 @@ def test_eval_rejects_malformed_assignment_rows(ws, tmp_path, edit):
     assert not (tmp_path / "e" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["header", "two-columns", "not-an-integer", "leading-zero"])
+@pytest.mark.parametrize("case", ["header", "two-columns", "not-an-integer", "leading-zero",
+                                  "crlf", "trailing-space", "no-final-newline"])
 def test_eval_rejects_unreadable_assignments_before_any_write(ws, ws_assignments, tmp_path,
                                                               capsys, case):
     # line 4 of the file holds the row with sample_index 2
     lines = ws_assignments.read_text().splitlines()
-    if case == "header":
+    text = None  # else the lines, each ending in "\n" as the writer ends them
+    if case == "crlf":  # only "\n" ends a line, so the "\r" stays in the header
+        header = lines[0] + "\r"
+        text = "".join(line + "\r\n" for line in lines)
+        expected = f" unrecognized assignments header {header!r}"
+    elif case == "trailing-space":
+        lines[3] += " "
+        expected = f" invalid literal for int() with base 10: {lines[3].split(',')[2]!r}"
+    elif case == "no-final-newline":
+        text = "\n".join(lines)
+        expected = f"{len(lines)}: line does not end in a newline"
+    elif case == "header":
         lines[0] = "index,cluster,pinned"
         expected = " unrecognized assignments header 'index,cluster,pinned'"
     elif case == "two-columns":
@@ -668,7 +708,7 @@ def test_eval_rejects_unreadable_assignments_before_any_write(ws, ws_assignments
         lines[3] = f"{index},0{cid},{flag}"
         expected = f" invalid literal for int() with base 10: '0{cid}'"
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes((text or "\n".join(lines) + "\n").encode())
     out = tmp_path / "e"
     rc = cli.main(["eval", "--assignments", str(bad),
                    "--unlabeled", str(ws["data"] / "unlabeled.gvle"),

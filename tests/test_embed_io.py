@@ -401,12 +401,26 @@ def test_config_rejects_repeated_key():
     ("learn_rate=1e-5", "bad value for learn_rate: '1e-5'"),
     ("# a comment", "expected key=value, got '# a comment'"),
     ("", "expected key=value, got ''"),
+    # only "\n" ends a line: any other line break stays inside its line
+    ("knn_k=3\r", "bad value for knn_k: '3\\r'"),
+    ("knn_k=3\x0bepochs=2", "bad value for knn_k: '3\\x0bepochs=2'"),
+    ("\x1cknn_k=3", "unknown key '\\x1cknn_k'"),
+    ("knn_k=3\u2028epochs=2", "bad value for knn_k: '3\\u2028epochs=2'"),
 ], ids=["leading-zero", "padded-key", "padded-value", "trailing-space", "int-for-float",
-        "exponent", "comment", "blank"])
+        "exponent", "comment", "blank", "crlf", "vertical-tab", "file-separator",
+        "line-separator"])
 def test_config_reads_only_lines_format_config_writes(line, message):
     # format_config writes none of these lines; each value must be its field type's own text
     with pytest.raises(InputError, match=re.escape(f"config line 2: {message}") + "$"):
         parse_config(f"seed=1\n{line}\nepochs=1\n")
+
+
+@pytest.mark.parametrize("text", ["seed=1\nknn_k=3", "seed=1\r", ""],
+                         ids=["no-final-newline", "cr-only", "empty"])
+def test_config_block_ends_in_a_newline(text):
+    # format_config ends its last line in "\n" too
+    with pytest.raises(InputError, match="^config block does not end in a newline$"):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("field,raw", [("knn_k", "1_0"), ("epochs", "+5"), ("seed", "-0"),

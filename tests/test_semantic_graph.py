@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgcd.errors import InputError, InvariantError, NonFiniteError
-from graphgcd.semantic_graph import build_knn_graph, dump_graph_csv
+from graphgcd.semantic_graph import build_knn_graph
 
 
 def d_inv_a(adjacency) -> np.ndarray:
@@ -135,16 +135,3 @@ def test_input_validation():
         build_knn_graph(np.ones((2, 2)), 0)
     with pytest.raises(InvariantError):
         build_knn_graph(np.ones(3), 1)
-
-
-def test_dump_graph_csv(tmp_path):
-    a = build_knn_graph(np.eye(3), k=1)
-    path = tmp_path / "graph.csv"
-    dump_graph_csv(a, path)
-    # the binary adjacency as 0/1, not the propagation weights
-    assert path.read_bytes() == b"1,1,0\n1,1,0\n1,0,1\n"
-    rows = [
-        [int(v) for v in line.split(",")]
-        for line in path.read_text().strip().splitlines()
-    ]
-    np.testing.assert_array_equal(np.asarray(rows), a > 0)

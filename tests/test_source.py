@@ -74,7 +74,7 @@ def unread_definitions(sources: list[str]) -> list[str]:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)  # `embed_io.write_csv` reads write_csv
+            read.add(node.attr)  # `embed_io.parse_config` reads parse_config
     return sorted(defined - read)
 
 

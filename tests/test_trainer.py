@@ -10,14 +10,7 @@ import pytest
 from graphgcd.embed_io import EmbeddingSet, RunConfig, generate_synthetic
 from graphgcd.errors import FormatError, InputError, InvariantError, NonFiniteError, NumericError
 from graphgcd.neural_core import init_params, param_shapes
-from graphgcd.trainer import (
-    EpochRecord,
-    TrainState,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_loss_trace,
-)
+from graphgcd.trainer import TrainState, load_checkpoint, save_checkpoint, train
 
 
 @pytest.fixture(scope="module")
@@ -620,19 +613,3 @@ def test_load_rejects_progress_values_that_are_not_16_bit_integers(saved_bytes, 
         progress[i] = value
     with pytest.raises(FormatError, match=r"meta/progress values must be integers in \[0, 65535\]"):
         reload(tmp_path, rewrite_tensor(saved_bytes, "meta/progress", progress))
-
-
-# ---------------------------------------------------------------- loss trace file
-
-def test_write_loss_trace_format(tmp_path):
-    trace = [
-        EpochRecord(0, 1.0, 0.5, 0.25, 1.75),
-        EpochRecord(1, 0.875, 0.4375, 0.125, 1.4375),
-    ]
-    path = tmp_path / "trace.csv"
-    write_loss_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,l_cma,l_sdp,l_cs,l_tot"
-    assert lines[1] == "0,1.000000,0.500000,0.250000,1.750000"
-    assert lines[2] == "1,0.875000,0.437500,0.125000,1.437500"
-    assert len(lines) == 3
