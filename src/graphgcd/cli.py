@@ -146,6 +146,7 @@ def _write_csv(path, header: tuple[str, ...], rows) -> None:
         if header:
             f.write(",".join(header) + "\n")
         f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    print(f"wrote {path}")
 
 
 def _write_loss_trace(trace: list[EpochRecord], path: Path) -> None:
@@ -163,7 +164,6 @@ def _write_assignments(result: ClusterAssignment, path: Path) -> None:
     rows = zip(range(len(result.assignment)), result.assignment.tolist(),
                result.constrained_mask.astype(int).tolist())
     _write_csv(path, _ASSIGNMENTS_HEADER, rows)
-    print(f"wrote {path}")
 
 
 def _read_assignments(path) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +213,6 @@ def _emit_report(report: EvalReport, out: Path) -> None:
     print("\n".join(f"{metric} {value}" for metric, value in rows))
     _write_csv(out / "report.csv", ("metric", "value"), rows)
     _write_csv(out / "confusion.csv", (), report.confusion.tolist())
-    print(f"wrote {out / 'report.csv'}")
-    print(f"wrote {out / 'confusion.csv'}")
 
 
 def cluster_features(
@@ -290,10 +288,8 @@ def _train_artifacts(labeled, class_emb, config, args, out: Path) -> TrainState:
     save_checkpoint(state, out / "checkpoint.gvlp")
     print(f"wrote {out / 'checkpoint.gvlp'}")
     _write_loss_trace(state.trace, out / "loss_trace.csv")
-    print(f"wrote {out / 'loss_trace.csv'}")
     if args.dump_graph:
         _dump_graph_csv(build_knn_graph(class_emb.data, state.config.knn_k), out / "graph.csv")
-        print(f"wrote {out / 'graph.csv'}")
     return state
 
 
@@ -305,7 +301,7 @@ def _cluster_artifacts(features: np.ndarray, labels: np.ndarray, seed: int,
     if args.estimate_k:
         k, scan = elbow_k(features, labels, seed, *k_bounds, workers=_usable_cpus())
         _write_csv(out / "inertia_scan.csv", ("k", "inertia"), ((i, f"{v:.6f}") for i, v in scan))
-        print(f"wrote {out / 'inertia_scan.csv'}\nestimated k {k}")
+        print(f"estimated k {k}")
     if args.command == "estimate-k":
         return None
     result = assign_clusters(features, labels, k, seed)
@@ -359,33 +355,26 @@ def _train_for_clustering(args, out: Path) -> tuple:
     return features, labels, state.config.seed, k_bounds, unlabeled.labels, class_emb.n
 
 
-def cmd_gen_synthetic(args) -> int:
-    out = _check_common(args)
+def cmd_gen_synthetic(args, out: Path) -> None:
     _write_synthetic(_generate_synthetic(args), out)
-    return 0
 
 
-def cmd_train(args) -> int:
-    out = _check_common(args)
+def cmd_train(args, out: Path) -> None:
     labeled, class_emb = _read_inputs(args, ("labeled", "class_emb"))
     config = check_run_inputs(_config_from_args(args), labeled, class_emb)
     _echo_config(config, out)
     _train_artifacts(labeled, class_emb, config, args, out)
-    return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, out: Path) -> None:
     """cluster and estimate-k."""
-    out = _check_common(args)
     _cluster_artifacts(*_load_for_clustering(args, out), args, out)
-    return 0
 
 
-def cmd_eval(args) -> int:
-    out = _check_common(args)
-    unlabeled = read_embedding_file(args.unlabeled) if args.unlabeled else None
-    if unlabeled is None:
+def cmd_eval(args, out: Path) -> None:
+    if not args.unlabeled:
         raise InputError("eval needs --unlabeled with ground-truth labels")
+    unlabeled = read_embedding_file(args.unlabeled)
     if unlabeled.labels is None:
         raise InputError(f"{args.unlabeled} has no labels to score against")
     if args.known is None or args.known < 0:
@@ -400,19 +389,16 @@ def cmd_eval(args) -> int:
         raise InputError(f"assignments hold {free_ids.shape[0]} unconstrained rows but "
                          f"{args.unlabeled} has {unlabeled.n} samples")
     _emit_report(split_accuracy(free_ids, unlabeled.labels, args.known), out)
-    return 0
 
 
-def cmd_run_all(args) -> int:
-    out = _check_common(args)
+def cmd_run_all(args, out: Path) -> None:
     *clustering_inputs, truth, known = _train_for_clustering(args, out)
     result = _cluster_artifacts(*clustering_inputs, args, out)
     if truth is None:
         print("eval skipped: unlabeled file carries no ground-truth labels")
-        return 0
+        return
     free_ids = result.assignment[~result.constrained_mask]
     _emit_report(split_accuracy(free_ids, truth, known), out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +464,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args, _check_common(args))
+        return 0
     except OSError as e:
         if e.filename is None:  # not a path the user gave (fork, pipes, ...)
             raise

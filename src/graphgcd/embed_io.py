@@ -257,9 +257,7 @@ class RunConfig:
 
     def resolved(self, input_dim: int) -> "RunConfig":
         """Return a copy with hidden_dim=0 replaced by the input dimension."""
-        if self.hidden_dim:
-            return dataclasses.replace(self)
-        return dataclasses.replace(self, hidden_dim=input_dim)
+        return dataclasses.replace(self, hidden_dim=self.hidden_dim or input_dim)
 
 
 def format_config(config: RunConfig) -> str:
@@ -340,20 +338,18 @@ def check_run_inputs(
 def _draw_centers(rng: np.random.Generator, class_count: int, d: int) -> np.ndarray:
     centers = np.empty((class_count, d))
     have = 0
-    attempts = 0
-    while have < class_count:
-        if attempts >= _CENTER_ATTEMPTS:
-            raise InputError(
-                f"could not place {class_count} class centers pairwise >=60 degrees "
-                f"apart in {d} dimensions after {_CENTER_ATTEMPTS} attempts"
-            )
-        attempts += 1
+    for _ in range(_CENTER_ATTEMPTS):
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         if have == 0 or (centers[:have] @ v).max() <= _MAX_CENTER_COS:
             centers[have] = v
             have += 1
-    return centers
+            if have == class_count:
+                return centers
+    raise InputError(
+        f"could not place {class_count} class centers pairwise >=60 degrees "
+        f"apart in {d} dimensions after {_CENTER_ATTEMPTS} attempts"
+    )
 
 
 def generate_synthetic(

@@ -395,28 +395,23 @@ def plain_generate_synthetic(class_count: int, known_count: int, per_class: int,
     """(labeled rows, unlabeled rows, class embedding rows), one noise draw per center.
 
     Centers: standard normal draws, unit-normalized, kept when their cosine to
-    every kept center is at most 0.5 (zero-norm draws skipped). Each sample is
-    its center plus standard normal noise over separation, unit-normalized
-    and cast to float32: one known-class copy each, per_class rows of each
-    known class, then per_class rows of every class, in that order.
+    every kept center is at most 0.5. Each sample is its center plus standard
+    normal noise over separation, unit-normalized and cast to float32: one
+    known-class copy each, per_class rows of each known class, then per_class
+    rows of every class, in that order.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     centers = []
     while len(centers) < class_count:
         v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v = v / norm
+        v = v / np.linalg.norm(v)
         if all(c @ v <= 0.5 for c in centers):
             centers.append(v)
     sigma = 1.0 / separation
 
     def noisy(center, count):
         x = center[None, :] + rng.standard_normal((count, d)) * sigma
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        norms[norms < 1e-12] = 1.0
-        return (x / norms).astype(np.float32)
+        return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
 
     class_emb = np.vstack([noisy(centers[c], 1) for c in range(known_count)])
     labeled = np.vstack([noisy(centers[c], per_class) for c in range(known_count)])

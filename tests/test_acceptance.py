@@ -403,23 +403,41 @@ def _shared_rows(a) -> int:
     return int((same.sum(axis=1) > 1).sum())
 
 
+def _collision_free_graph(class_embeddings, k):
+    """The spec's kNN edges with self weight 0.5 and 0.5/k on each of a row's k
+    neighbours: only a row's own class gets 0.5, so no two rows are equal."""
+    edges = build_knn_graph(class_embeddings, k) > 0
+    np.fill_diagonal(edges, False)
+    return 0.5 * np.eye(len(edges)) + edges * (0.5 / k)
+
+
+def _train_and_assign(run, key, layers, labeled, unlabeled, class_emb):
+    """Train at `layers`, cluster into 10, and store the score and features under key."""
+    seed = run["seed"]
+    state = train(labeled, class_emb, RunConfig(seed=seed, gcn_layers=layers))
+    feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
+    result = cli.assign_clusters(feats, labels, 10, seed)
+    run[key] = _score(result.assignment, result.constrained_mask, unlabeled, 5)
+    run[f"{key}_features"] = feats
+    run["labels"] = labels
+
+
 @pytest.fixture(scope="module")
 def bench():
-    """Three-seed synthetic benchmark shared by criteria 4, 5, and 7."""
+    """Three-seed synthetic benchmark shared by criteria 4, 5, and 7, plus the same
+    2-layer runs on the collision-free graph, which the criteria quote beside them
+    and the cause test checks. "elapsed" times the criteria's runs alone."""
     start = time.perf_counter()
-    runs = []
+    runs, sets = [], []
     for seed in (0, 1, 2):
         labeled, unlabeled, class_emb = generate_synthetic(10, 5, 100, 32, 6.0, seed)
+        sets.append((labeled, unlabeled, class_emb))
         run = {"seed": seed}
         for layers, key in ((2, "deep"), (0, "flat")):
-            config = RunConfig(seed=seed, gcn_layers=layers)
-            state = train(labeled, class_emb, config)
-            feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
-            result = cli.assign_clusters(feats, labels, 10, seed)
-            run[key] = _score(result.assignment, result.constrained_mask, unlabeled, 5)
-            run[f"{key}_features"] = feats
-            run["labels"] = labels
-        run["shared_rows"] = _shared_rows(build_knn_graph(class_emb.data, config.knn_k))
+            _train_and_assign(run, key, layers, labeled, unlabeled, class_emb)
+        knn_k = RunConfig().knn_k
+        run["shared_rows"] = _shared_rows(build_knn_graph(class_emb.data, knn_k))
+        run["free_shared_rows"] = _shared_rows(_collision_free_graph(class_emb.data, knn_k))
 
         raw = np.vstack([labeled.data, unlabeled.data]).astype(np.float64)
         base = cli.assign_clusters(raw, np.full(raw.shape[0], -1, dtype=np.int64), 10, seed)
@@ -427,7 +445,13 @@ def bench():
             base.assignment[labeled.n :], unlabeled.labels, 5
         )
         runs.append(run)
-    return {"runs": runs, "elapsed": time.perf_counter() - start}
+    elapsed = time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trainer, "build_knn_graph", _collision_free_graph)
+        m.setattr(cli, "build_knn_graph", _collision_free_graph)
+        for run, inputs in zip(runs, sets):
+            _train_and_assign(run, "free", 2, *inputs)
+    return {"runs": runs, "elapsed": elapsed}
 
 
 def test_criterion_4_synthetic_recovery(bench):
@@ -445,6 +469,8 @@ def test_criterion_4_synthetic_recovery(bench):
         f"mean acc_new {mean_new:.4f} vs required 0.70, {bench['elapsed']:.0f}s",
     )
     shared = "/".join(str(r["shared_rows"]) for r in runs)
+    free_all = float(np.mean([r["free"].acc_all for r in runs]))
+    free_new = float(np.mean([r["free"].acc_new for r in runs]))
     assert ok, (
         line + ". Mechanism: the similarity features lose the novel classes "
         "before clustering starts. Sending each novel unlabeled row to the "
@@ -455,6 +481,9 @@ def test_criterion_4_synthetic_recovery(bench):
         f"known classes, {shared} of the 5 share their normalized adjacency row "
         "with another class in seeds 0/1/2, hence identical GCN outputs for any "
         "weights; training collapses the class anchors onto a single line. The "
+        "same edges re-weighted so that no row is shared (self 0.5, each of the "
+        f"k neighbours 0.5/k) score mean acc_all {free_all:.4f} and acc_new {free_new:.4f} at 2 "
+        "layers: breaking the collisions lifts acc_all, but not to the bar. The "
         "gradient suite (criterion 1) passes, so the miss is not an "
         "implementation defect: the feature map's ceiling sits below the 0.70 "
         "acc_new bar, and no clustering change alone can close the gap."
@@ -481,7 +510,9 @@ def test_criterion_5_elbow_recovery(bench):
         "above the known-class count, so the geometric elbow lands below the "
         "true cluster count. The same scan on features from a trained 0-layer "
         f"model returns {_elbow_estimates(bench['runs'], 'flat')} across these "
-        "seeds, which isolates the anchor collapse as the cause."
+        "seeds, and on 2-layer features over the collision-free graph (see "
+        f"criterion 4) {_elbow_estimates(bench['runs'], 'free')}, which isolates "
+        "the anchor collapse as the cause."
     )
 
 
@@ -508,30 +539,12 @@ def test_criterion_7_depth_ablation_direction(bench):
     )
 
 
-def _collision_free_graph(class_embeddings, k):
-    """The spec's kNN edges with self weight 0.5 and 0.5/k on each of a row's k
-    neighbours: only a row's own class gets 0.5, so no two rows are equal."""
-    edges = build_knn_graph(class_embeddings, k) > 0
-    np.fill_diagonal(edges, False)
-    return 0.5 * np.eye(len(edges)) + edges * (0.5 / k)
-
-
-def test_shared_rows_cause_most_of_the_two_layer_loss(bench, monkeypatch):
+def test_shared_rows_cause_most_of_the_two_layer_loss(bench):
     # criteria 4, 5 and 7 name classes that share a propagation-matrix row as the
     # cause. The same edges, re-weighted so that no row is shared, must lift the
     # 2-layer acc_all well above the spec's on the same seeds, data and config.
-    monkeypatch.setattr(trainer, "build_knn_graph", _collision_free_graph)
-    monkeypatch.setattr(cli, "build_knn_graph", _collision_free_graph)
-    shared, acc_all = [], []
-    for seed in (0, 1, 2):
-        labeled, unlabeled, class_emb = generate_synthetic(10, 5, 100, 32, 6.0, seed)
-        config = RunConfig(seed=seed, gcn_layers=2)
-        shared.append(_shared_rows(_collision_free_graph(class_emb.data, config.knn_k)))
-        state = train(labeled, class_emb, config)
-        feats, labels = cli.cluster_features(state, labeled, unlabeled, class_emb)
-        result = cli.assign_clusters(feats, labels, 10, seed)
-        acc_all.append(_score(result.assignment, result.constrained_mask, unlabeled, 5).acc_all)
-    mean = float(np.mean(acc_all))
+    shared = [r["free_shared_rows"] for r in bench["runs"]]
+    mean = float(np.mean([r["free"].acc_all for r in bench["runs"]]))
     spec = float(np.mean([r["deep"].acc_all for r in bench["runs"]]))
     spec_shared = [r["shared_rows"] for r in bench["runs"]]
     line = (f"collision-free graph: shared rows {shared} (spec {spec_shared}), 2-layer "

@@ -1,11 +1,13 @@
 """End-to-end tests of the subcommand CLI, run in-process via cli.main()."""
 
 import argparse
+import builtins
 import csv
 import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1287,7 +1289,7 @@ def _command_reads(argv: list[str]) -> set[str]:
     args = cli.build_parser().parse_args(argv, namespace=LoggedNamespace())
     command = args.func  # main's dispatch read, not the command's
     logging = True
-    assert command(args) == 0
+    assert command(args, cli._check_common(args)) is None
     return {name for name, reader in reads if reader != "_check_common" or name == "out_dir"}
 
 
@@ -1326,6 +1328,57 @@ def test_every_declared_flag_is_read(ws, ws_assignments, tmp_path, monkeypatch):
         declared = {a.dest for a in p._actions if a.dest != "help"} | set(p._defaults)
         unread[name] = declared.difference(*(_command_reads(argv) for argv in invocations[name]))
     assert unread == {name: _UNREAD.get(name, {"func"}) for name in sub.choices}
+
+
+_GENERATED = ["labeled.gvle", "unlabeled.gvle", "class_emb.gvle"]
+_TRAINED = ["checkpoint.gvlp", "loss_trace.csv", "graph.csv"]
+_ANNOUNCED = {
+    "gen-synthetic": _GENERATED,
+    "train": _TRAINED,
+    "cluster": ["inertia_scan.csv", "assignments.csv"],
+    "estimate-k": ["inertia_scan.csv"],
+    "eval": ["report.csv", "confusion.csv"],
+    "run-all": [*_GENERATED, *_TRAINED, "inertia_scan.csv", "assignments.csv",
+                "report.csv", "confusion.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ANNOUNCED))
+def test_each_written_file_is_announced_once_in_write_order(
+        command, ws, ws_assignments, tmp_path, monkeypatch, capsys):
+    # config.txt is echoed to stdout in full, so it is the one file with no wrote line
+    out = tmp_path / "out"
+    argv = {
+        "gen-synthetic": ["gen-synthetic", *SMALL, "--seed", "3", "--out-dir", str(out)],
+        "train": ["train", "--labeled", str(ws["data"] / "labeled.gvle"),
+                  "--class-emb", str(ws["data"] / "class_emb.gvle"), *TRAIN_OPTS,
+                  "--dump-graph", "--out-dir", str(out)],
+        "eval": ["eval", "--assignments", str(ws_assignments), "--unlabeled",
+                 str(ws["data"] / "unlabeled.gvle"), "--known", "2", "--out-dir", str(out)],
+        "cluster": _scan_command(ws, "cluster", str(out)),
+        "estimate-k": _scan_command(ws, "estimate-k", str(out)),
+        "run-all": [*_scan_command(ws, "run-all", str(out)), "--dump-graph"],
+    }[command]
+    opened = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # a serial scan: every write in-process
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", recording_open)
+        assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+    assert wrote == opened == [str(out / name) for name in _ANNOUNCED[command]]
+    echoed = set() if command in ("gen-synthetic", "eval") else {"config.txt"}
+    assert {p.name for p in out.iterdir()} == set(_ANNOUNCED[command]) | echoed
+    if "inertia_scan.csv" in _ANNOUNCED[command]:
+        after = lines[lines.index(f"wrote {out / 'inertia_scan.csv'}") + 1]
+        assert re.fullmatch(r"estimated k \d+", after), after
 
 
 def test_numeric_failure_maps_to_exit_3(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgcd import embed_io
 from graphgcd.embed_io import (
     GVLE_MAGIC,
     ByteReader,
@@ -584,6 +585,32 @@ def test_synthetic_infeasible_separation():
     # 40 directions pairwise >= 60 degrees apart do not fit on a circle
     with pytest.raises(InputError, match="attempts"):
         generate_synthetic(40, 2, 2, 2, 6.0, seed=0)
+
+
+def test_center_attempt_budget_counts_every_draw(monkeypatch):
+    # D, the draws seed 4 needs for 6 centers in 3 dimensions, counted by replaying
+    # its stream: a budget of D places them all, D - 1 stops one draw short
+    count, d, seed = 6, 3, 4
+    replay = np.random.default_rng(np.random.SeedSequence([seed]))
+    kept, draws = [], 0
+    while len(kept) < count:
+        v = replay.standard_normal(d)
+        v /= np.linalg.norm(v)
+        draws += 1
+        if all(c @ v <= 0.5 for c in kept):
+            kept.append(v)
+    assert draws > count  # some draws were rejected
+
+    def centers():
+        return _draw_centers(np.random.default_rng(np.random.SeedSequence([seed])), count, d)
+
+    default = centers()
+    monkeypatch.setattr(embed_io, "_CENTER_ATTEMPTS", draws)
+    np.testing.assert_array_equal(centers(), default)
+    monkeypatch.setattr(embed_io, "_CENTER_ATTEMPTS", draws - 1)
+    with pytest.raises(InputError, match=f"^could not place {count} class centers .* "
+                                         f"after {draws - 1} attempts$"):
+        centers()
 
 
 SYNTHETIC_ARGUMENT_CASES = [
